@@ -21,13 +21,16 @@ import math
 import os
 import sys
 
-from .eigenfunctions import canonical_path, construct, edge_eval
+from .eigenfunctions import CONSTRUCTORS, canonical_path, construct, edge_eval
 from .graph import (
+    FAMILIES,
     FamilyParameterError,
     GraphPoint,
     GraphValidationError,
     MetricGraph,
+    family_name,
     generate_family,
+    keyword_params,
     load_graph_spec,
 )
 from .metrics import compute_rho_a, insert_cut_points
@@ -119,7 +122,8 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="family name, e.g. regular-tree")
     p.add_argument("--depth", type=int, help="generations to construct")
     p.add_argument("--b", type=int, help="tree branching number")
-    p.add_argument("--L", type=float, default=1.0, help="edge length (default 1)")
+    p.add_argument("--L", dest="length", metavar="L", type=float,
+                   help="edge length (default 1)")
     p.add_argument("--kL", type=float, help="scaled edge length kL (sets k = kL/L)")
     p.add_argument("--k", type=float, help="sqrt(V - E), default 1")
     p.add_argument("--energy", type=float, help="eigenparameter E, default -1")
@@ -132,73 +136,39 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rungs", type=int, help="ladder rungs (default depth)")
     p.add_argument("--mode", choices=["symmetric", "antisymmetric"],
                    help="ladder mode (default symmetric)")
-    p.add_argument("--b-seq", help="comma-separated branching numbers")
-    p.add_argument("--a-seq", help="comma-separated arriving numbers")
-    p.add_argument("--v-seq", help="comma-separated generation positions")
-    p.add_argument("--length-seq", help="comma-separated generation lengths")
+    p.add_argument("--b-seq", type=_parse_int_list,
+                   help="comma-separated branching numbers")
+    p.add_argument("--a-seq", type=_parse_int_list,
+                   help="comma-separated arriving numbers")
+    p.add_argument("--v-seq", type=_parse_float_list,
+                   help="comma-separated generation positions")
+    p.add_argument("--length-seq", type=_parse_float_list,
+                   help="comma-separated generation lengths")
 
 
 def _family_params(args: argparse.Namespace) -> tuple[str, dict, int]:
+    """The family's params from the flags named after them (``--b-seq`` for
+    ``b_seq``), the builder's and the constructor's alike."""
     if not args.family:
         raise FamilyParameterError("--family is required (or use --spec)")
     if args.depth is None:
         raise FamilyParameterError("--depth is required with --family")
-    name = args.family.replace("-", "_").lower()
-    params: dict = {}
-    if args.energy is not None:
-        params["energy"] = args.energy
-    k = args.k
-    if args.kL is not None:
-        k = args.kL / args.L
-    if name == "regular_tree":
-        if args.b is None:
-            raise FamilyParameterError("regular-tree needs --b")
-        params.update(b=args.b, length=args.L)
-        if k is not None:
-            params["k"] = k
-    elif name == "ns_regular_tree":
-        if not args.b_seq or not args.length_seq:
-            raise FamilyParameterError("ns-regular-tree needs --b-seq and --length-seq")
-        params.update(
-            b_seq=_parse_int_list(args.b_seq),
-            length_seq=_parse_float_list(args.length_seq),
-        )
-        if k is not None:
-            params["k"] = k
-    elif name == "two_lengths_tree":
-        if args.L1 is None or args.L2 is None:
-            raise FamilyParameterError("two-lengths-tree needs --L1 and --L2")
-        params.update(L1=args.L1, L2=args.L2)
-        if k is not None:
-            params["k"] = k
-    elif name == "millipede":
-        if args.delta is None:
-            raise FamilyParameterError("millipede needs --delta")
-        params["delta"] = float(args.delta)
-        if args.legs is not None:
-            params["legs"] = args.legs
-        if args.leg_length is not None:
-            params["leg_length"] = args.leg_length
-    elif name == "ladder":
-        if args.w is None:
-            raise FamilyParameterError("ladder needs --w")
-        params["w"] = float(args.w)
-        if args.rungs is not None:
-            params["rungs"] = args.rungs
-        if args.mode is not None:
-            params["mode"] = args.mode
-    elif name == "braided":
-        if not args.b_seq or not args.a_seq or not args.v_seq:
-            raise FamilyParameterError("braided needs --b-seq, --a-seq and --v-seq")
-        params.update(
-            b_seq=_parse_int_list(args.b_seq),
-            a_seq=_parse_int_list(args.a_seq),
-            v_seq=_parse_float_list(args.v_seq),
-        )
-        if k is not None:
-            params["k"] = k
-    else:
+    name = family_name(args.family)
+    if name not in FAMILIES:
         raise FamilyParameterError(f"unknown family {args.family!r}")
+    values = vars(args).copy()
+    if args.kL is not None:
+        values["k"] = args.kL / (1.0 if args.length is None else args.length)
+    params: dict = {}
+    missing = []
+    accepted = {**keyword_params(FAMILIES[name]), **keyword_params(CONSTRUCTORS[name])}
+    for key, p in accepted.items():
+        if values.get(key) is not None:
+            params[key] = values[key]
+        elif p.default is p.empty:
+            missing.append("--" + key.replace("_", "-"))
+    if missing:
+        raise FamilyParameterError(f"{args.family} needs {' and '.join(missing)}")
     return name, params, args.depth
 
 
@@ -206,7 +176,8 @@ def _graph_from_args(args: argparse.Namespace) -> MetricGraph:
     if getattr(args, "spec", None):
         return load_graph_spec(args.spec)
     name, params, depth = _family_params(args)
-    params.pop("mode", None)
+    for key in keyword_params(CONSTRUCTORS[name]):
+        params.pop(key, None)
     return generate_family(name, params, depth)
 
 
@@ -353,7 +324,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    name = (args.family or "").replace("-", "_").lower()
+    name = family_name(args.family or "")
     if name == "regular_tree":
         bs = [int(b) for b in _parse_grid(args.b_range or "2:10:1")]
         kls = _parse_grid(args.kL_range or "0.1:3.0:0.1")

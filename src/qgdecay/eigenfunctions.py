@@ -14,7 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Edge, FamilyInfo, GraphPoint, MetricGraph, Vertex
+from .graph import (
+    Edge,
+    FamilyInfo,
+    GraphPoint,
+    MetricGraph,
+    Vertex,
+    family_name,
+    generate_family,
+    keyword_params,
+)
 from .metrics import AgmonMetricTable, PathSpec, compute_rho_a, eval_arc
 from .transfer import (
     TransferMatrix,
@@ -22,6 +31,7 @@ from .transfer import (
     ladder_antisym_transfer,
     match_shared_eigenvector,
     millipede_transfer,
+    vertex_edge_step,
 )
 
 DERIV_FLOOR = 1e-300
@@ -100,17 +110,13 @@ class Eigenfunction:
         graph: MetricGraph,
         solutions: dict[int, EdgeSolution],
         family: str,
-        params: dict | None = None,
         mode: str | None = None,
-        gen_fractions: tuple[float, ...] | None = None,
         meta: dict | None = None,
     ):
         self.graph = graph
         self.solutions = dict(solutions)
         self.family = family
-        self.params = dict(params or {})
         self.mode = mode
-        self.gen_fractions = gen_fractions
         self.meta = dict(meta or {})
         self.fractions = _collect_fractions(self)
         self._table: AgmonMetricTable | None = None
@@ -122,9 +128,6 @@ class Eigenfunction:
 
     def value(self, point: GraphPoint) -> float:
         return edge_eval(self.solutions[point.edge], point.offset)
-
-    def deriv(self, point: GraphPoint) -> float:
-        return edge_deriv(self.solutions[point.edge], point.offset)
 
     def edge_end_value(self, eid: int, vid: int) -> float:
         e = self.graph.edge_by_id[eid]
@@ -263,12 +266,6 @@ def canonical_path(f: Eigenfunction) -> PathSpec:
 # ---------------------------------------------------------------------------
 
 
-def _step_matrix(kl: float, p: float) -> TransferMatrix:
-    # like vertex_edge_transfer but admits p > 1 (braided narrowing)
-    c, s = math.cosh(kl), math.sinh(kl)
-    return TransferMatrix(c, s, p * s, p * c)
-
-
 def _normalized_small_vec(t: TransferMatrix) -> tuple[float, float]:
     a, b = eig2(t).vec_small
     if a == 0.0:
@@ -304,10 +301,10 @@ def _solution_for_edge(e: Edge, energy: float, coeff: tuple[float, float]) -> Ed
     return EdgeSolution(e.id, k, e.length, coeff[0], coeff[1])
 
 
-def _construct_generation_family(graph: MetricGraph) -> Eigenfunction:
+def _construct_generation_family(name: str, params: dict, depth: int) -> Eigenfunction:
     """Trees and braided graphs: one coefficient pair per edge generation."""
+    graph = generate_family(name, params, depth)
     info = graph.family_info
-    assert info is not None and info.positions is not None
     k = math.sqrt(
         max(graph.edges[0].potential - graph.energy, 0.0)
     )
@@ -319,28 +316,20 @@ def _construct_generation_family(graph: MetricGraph) -> Eigenfunction:
         gen_length.setdefault(e.generation, e.length)
     steps = []
     for g in range(n_gens - 1):
+        # p > 1 where a braided generation narrows
         p = info.arriving[g] / info.ongoing[g]
-        steps.append(_step_matrix(k * gen_length[g], p))
+        steps.append(vertex_edge_step(k * gen_length[g], p))
     coeffs = _propagate_decaying(steps)
     solutions = {
         e.id: _solution_for_edge(e, graph.energy, coeffs[e.generation])
         for e in graph.edges
     }
-    gen_fractions = tuple(
-        info.arriving[g] / info.ongoing[g] for g in range(n_gens - 1)
-    )
-    return Eigenfunction(
-        graph,
-        solutions,
-        family=info.name,
-        params=info.params,
-        gen_fractions=gen_fractions,
-    )
+    return Eigenfunction(graph, solutions, family=name)
 
 
-def _construct_two_lengths(graph: MetricGraph) -> Eigenfunction:
+def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction:
+    graph = generate_family(name, params, depth)
     info = graph.family_info
-    assert info is not None
     l1, l2 = info.params["L1"], info.params["L2"]
     k, energy = info.params["k"], graph.energy
     matched = match_shared_eigenvector(k * l1, k * l2)
@@ -369,15 +358,14 @@ def _construct_two_lengths(graph: MetricGraph) -> Eigenfunction:
     return Eigenfunction(
         graph,
         solutions,
-        family="two_lengths_tree",
-        params=info.params,
+        family=name,
         meta={"p1": matched.p1, "w": matched.w, "lam": matched.lam, "mu": matched.mu},
     )
 
 
-def _construct_millipede(graph: MetricGraph) -> Eigenfunction:
+def _construct_millipede(name: str, params: dict, depth: int) -> Eigenfunction:
+    graph = generate_family(name, params, depth)
     info = graph.family_info
-    assert info is not None
     delta = info.params["delta"]
     n_legs = info.params["legs"]
     step = millipede_transfer(delta)
@@ -395,15 +383,12 @@ def _construct_millipede(graph: MetricGraph) -> Eigenfunction:
     return Eigenfunction(
         graph,
         solutions,
-        family="millipede",
-        params=info.params,
+        family=name,
         meta={"lambda_small": eig2(step).lam_small},
     )
 
 
 def _construct_ladder_symmetric(params: dict, depth: int) -> Eigenfunction:
-    from .graph import generate_family
-
     # constant rung solutions require V = E on the rungs; those edges form
     # the designated core where V - E > 0 is waived
     energy = float(params.get("energy", -1.0))
@@ -419,13 +404,7 @@ def _construct_ladder_symmetric(params: dict, depth: int) -> Eigenfunction:
             solutions[e.id] = EdgeSolution(
                 e.id, 0.0, e.length, math.exp(-float(e.generation)), 0.0
             )
-    return Eigenfunction(
-        g,
-        solutions,
-        family="ladder",
-        params=dict(g.family_info.params),
-        mode="symmetric",
-    )
+    return Eigenfunction(g, solutions, family="ladder", mode="symmetric")
 
 
 def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
@@ -452,9 +431,7 @@ def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
         vertices.append(Vertex(vid, generation=j, boundary=True))
         edges.append(Edge(len(edges), j, vid, w / 2.0, potential, generation=j))
         midpoint_ids.append(vid)
-    info = FamilyInfo(
-        name="ladder", params={"w": w, "rungs": n, "energy": energy}
-    )
+    info = FamilyInfo(params={"w": w, "rungs": n, "energy": energy})
     g = MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
     g.validate()
     solutions: dict[int, EdgeSolution] = {}
@@ -474,7 +451,6 @@ def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
         g,
         solutions,
         family="ladder",
-        params=dict(info.params),
         mode="antisymmetric",
         meta={
             "rung_midpoints": midpoint_ids,
@@ -484,27 +460,40 @@ def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
     )
 
 
+def _construct_ladder(
+    name: str, params: dict, depth: int, *, mode: str = "symmetric"
+) -> Eigenfunction:
+    # mode picks the eigenfunction, not the graph
+    if mode == "symmetric":
+        return _construct_ladder_symmetric(params, depth)
+    if mode == "antisymmetric":
+        return _construct_ladder_antisymmetric(params, depth)
+    raise ValueError(f"unknown ladder mode {mode!r}")
+
+
+CONSTRUCTORS = {
+    "regular_tree": _construct_generation_family,
+    "ns_regular_tree": _construct_generation_family,
+    "two_lengths_tree": _construct_two_lengths,
+    "millipede": _construct_millipede,
+    "ladder": _construct_ladder,
+    "braided": _construct_generation_family,
+}
+"""Canonical family name -> constructor.  A constructor's own keyword-only
+arguments (the ladder's ``mode``) are construct-level params; the rest go
+to the family's graph builder."""
+
+
 def construct(family: str, params: dict, depth: int) -> Eigenfunction:
     """Build the decaying exterior eigenfunction of a named family, truncated
     to ``depth`` generations and normalized to value 1 at the root."""
-    from .graph import generate_family
-
-    name = family.replace("-", "_").lower()
+    name = family_name(family)
+    if name not in CONSTRUCTORS:
+        raise ValueError(f"unknown family {family!r}")
+    build = CONSTRUCTORS[name]
     params = dict(params)
-    if name in ("regular_tree", "ns_regular_tree", "braided"):
-        return _construct_generation_family(generate_family(name, params, depth))
-    if name == "two_lengths_tree":
-        return _construct_two_lengths(generate_family(name, params, depth))
-    if name == "millipede":
-        return _construct_millipede(generate_family(name, params, depth))
-    if name == "ladder":
-        mode = params.pop("mode", "symmetric")
-        if mode == "symmetric":
-            return _construct_ladder_symmetric(params, depth)
-        if mode == "antisymmetric":
-            return _construct_ladder_antisymmetric(params, depth)
-        raise ValueError(f"unknown ladder mode {mode!r}")
-    raise ValueError(f"unknown family {family!r}")
+    own = {key: params.pop(key) for key in keyword_params(build) if key in params}
+    return build(name, params, depth, **own)
 
 
 # ---------------------------------------------------------------------------

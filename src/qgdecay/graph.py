@@ -9,7 +9,9 @@ flagged ``boundary`` so that vertex-condition checks skip them.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,7 +57,6 @@ class FamilyInfo:
     arc distance of generation-j vertices, with ``positions[0] == 0`` the root.
     """
 
-    name: str
     params: dict = field(default_factory=dict)
     positions: tuple[float, ...] | None = None
     arriving: tuple[int, ...] | None = None
@@ -232,31 +233,23 @@ def build_graph(spec: Mapping) -> MetricGraph:
     Accepts either an explicit graph (vertices/edges/root/energy) or a family
     request (family/params/depth).  Unknown keys are rejected.
     """
-    keys = set(spec.keys())
-    if "family" in keys:
-        unknown = keys - _FAMILY_KEYS
-        if unknown:
-            raise GraphValidationError(f"unknown spec keys: {sorted(unknown)}")
-        return generate_family(
-            spec["family"], dict(spec.get("params", {})), int(spec["depth"])
-        )
-    unknown = keys - _GRAPH_KEYS
-    if unknown:
-        raise GraphValidationError(f"unknown spec keys: {sorted(unknown)}")
-    missing = _GRAPH_KEYS - keys
-    if missing:
-        raise GraphValidationError(f"missing spec keys: {sorted(missing)}")
+    if "family" in spec:
+        _check_keys("spec", spec, _FAMILY_KEYS, _FAMILY_KEYS - {"params"})
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise GraphValidationError("spec params must be a JSON object")
+        return generate_family(spec["family"], params, int(spec["depth"]))
+    _check_keys("spec", spec, _GRAPH_KEYS, _GRAPH_KEYS)
+    for key in ("vertices", "edges"):
+        if not isinstance(spec[key], list):
+            raise GraphValidationError(f"spec {key} must be a list of objects")
     vertices = []
     for rec in spec["vertices"]:
-        extra = set(rec) - _VERTEX_KEYS
-        if extra:
-            raise GraphValidationError(f"unknown vertex keys: {sorted(extra)}")
+        _check_keys("vertex", rec, _VERTEX_KEYS, _VERTEX_KEYS)
         vertices.append(Vertex(id=int(rec["id"])))
     edges = []
     for rec in spec["edges"]:
-        extra = set(rec) - _EDGE_KEYS
-        if extra:
-            raise GraphValidationError(f"unknown edge keys: {sorted(extra)}")
+        _check_keys("edge", rec, _EDGE_KEYS, _EDGE_KEYS)
         edges.append(
             Edge(
                 id=int(rec["id"]),
@@ -269,6 +262,17 @@ def build_graph(spec: Mapping) -> MetricGraph:
     g = MetricGraph(vertices, edges, int(spec["root"]), float(spec["energy"]))
     g.validate()
     return g
+
+
+def _check_keys(kind: str, rec, allowed: set, required: set) -> None:
+    if not isinstance(rec, dict):
+        raise GraphValidationError(f"{kind} must be a JSON object")
+    unknown = set(rec) - allowed
+    if unknown:
+        raise GraphValidationError(f"unknown {kind} keys: {sorted(unknown)}")
+    missing = required - set(rec)
+    if missing:
+        raise GraphValidationError(f"missing {kind} keys: {sorted(missing)}")
 
 
 def load_graph_spec(path: str) -> MetricGraph:
@@ -288,71 +292,78 @@ class FamilyParameterError(ValueError):
     pass
 
 
-def _norm_family(name: str) -> str:
-    return name.replace("-", "_").lower()
+def family_name(family: str) -> str:
+    """Canonical family name: ``regular-tree`` and ``Regular_Tree`` both
+    become ``regular_tree``."""
+    return family.replace("-", "_").lower()
+
+
+@functools.cache
+def keyword_params(fn) -> dict[str, inspect.Parameter]:
+    """The keyword-only parameters of a family builder or constructor: the
+    params it accepts, required when they have no default."""
+    params = inspect.signature(fn).parameters.values()
+    return {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 def generate_family(family: str, params: dict, depth: int) -> MetricGraph:
-    """Generate a named family truncated to ``depth`` generations."""
+    """Generate a named family truncated to ``depth`` generations.  The
+    params must be keyword arguments of the family's builder."""
     if depth < 1:
         raise FamilyParameterError("depth must be >= 1")
-    name = _norm_family(family)
-    builders = {
-        "regular_tree": _regular_tree,
-        "ns_regular_tree": _ns_regular_tree,
-        "two_lengths_tree": _two_lengths_tree,
-        "millipede": _millipede,
-        "ladder": _ladder,
-        "braided": _braided,
-    }
-    if name not in builders:
+    name = family_name(family)
+    if name not in FAMILIES:
         raise FamilyParameterError(f"unknown family {family!r}")
-    g = builders[name](dict(params), depth)
+    accepted = keyword_params(FAMILIES[name])
+    unknown = set(params) - set(accepted)
+    if unknown:
+        raise FamilyParameterError(f"unknown {name} params: {sorted(unknown)}")
+    missing = [
+        key for key, p in accepted.items() if p.default is p.empty and key not in params
+    ]
+    if missing:
+        raise FamilyParameterError(f"{name} needs params {missing}")
+    g = FAMILIES[name](depth, **params)
     g.validate()
     return g
 
 
-def _k_and_energy(params: dict) -> tuple[float, float, float]:
+def _k_and_energy(k: float, energy: float) -> tuple[float, float, float]:
     """Resolve (k, potential, energy) from family params.
 
     Families default to energy -1 and potential energy + k**2, so the fixed
     eigenparameter sits below the potential with V - E = k**2 > 0.
     """
-    k = float(params.pop("k", 1.0))
-    energy = float(params.pop("energy", -1.0))
+    k, energy = float(k), float(energy)
     if k <= 0:
         raise FamilyParameterError("k must be > 0")
     return k, energy + k * k, energy
 
 
-def _regular_tree(params: dict, depth: int) -> MetricGraph:
-    b = int(params.pop("b"))
-    length = float(params.pop("length", 1.0))
-    k, potential, energy = _k_and_energy(params)
-    if params:
-        raise FamilyParameterError(f"unknown regular_tree params: {sorted(params)}")
+def _regular_tree(
+    depth: int, *, b: int, length: float = 1.0, k: float = 1.0, energy: float = -1.0
+) -> MetricGraph:
+    b, length = int(b), float(length)
+    k, potential, energy = _k_and_energy(k, energy)
     if b < 1:
         raise FamilyParameterError("branching number b must be >= 1")
     if length <= 0:
         raise FamilyParameterError("length must be > 0")
     return _generation_tree(
-        name="regular_tree",
-        params={"b": b, "length": length, "k": k, "energy": energy},
-        branching=[b] * depth,
-        lengths=[length] * (depth + 1),
-        potential=potential,
-        energy=energy,
+        {"b": b, "length": length, "k": k, "energy": energy},
+        [[length]] + [[length] * b] * depth,
+        potential,
+        energy,
     )
 
 
-def _ns_regular_tree(params: dict, depth: int) -> MetricGraph:
-    b_seq = [int(b) for b in params.pop("b_seq")]
-    length_seq = [float(x) for x in params.pop("length_seq")]
-    k, potential, energy = _k_and_energy(params)
-    if params:
-        raise FamilyParameterError(
-            f"unknown ns_regular_tree params: {sorted(params)}"
-        )
+def _ns_regular_tree(
+    depth: int, *, b_seq: Sequence[int], length_seq: Sequence[float],
+    k: float = 1.0, energy: float = -1.0,
+) -> MetricGraph:
+    b_seq = [int(b) for b in b_seq]
+    length_seq = [float(x) for x in length_seq]
+    k, potential, energy = _k_and_energy(k, energy)
     if len(b_seq) < depth or len(length_seq) < depth + 1:
         raise FamilyParameterError(
             "need b_seq of length >= depth and length_seq of length >= depth+1"
@@ -360,121 +371,88 @@ def _ns_regular_tree(params: dict, depth: int) -> MetricGraph:
     if any(b < 1 for b in b_seq) or any(x <= 0 for x in length_seq):
         raise FamilyParameterError("branching numbers >= 1 and lengths > 0 required")
     return _generation_tree(
-        name="ns_regular_tree",
-        params={"b_seq": b_seq, "length_seq": length_seq, "k": k, "energy": energy},
-        branching=b_seq[:depth],
-        lengths=length_seq[: depth + 1],
-        potential=potential,
-        energy=energy,
+        {"b_seq": b_seq, "length_seq": length_seq, "k": k, "energy": energy},
+        [[length_seq[0]]]
+        + [[length_seq[g]] * b_seq[g - 1] for g in range(1, depth + 1)],
+        potential,
+        energy,
     )
 
 
 def _generation_tree(
-    name: str,
     params: dict,
-    branching: Sequence[int],
-    lengths: Sequence[float],
+    children: Sequence[Sequence[float]],
     potential: float,
     energy: float,
+    synchronized: bool = True,
 ) -> MetricGraph:
-    """Rooted tree with one root edge; generation-j vertices spawn
-    ``branching[j-1]`` edges of length ``lengths[j]``."""
-    depth = len(branching)
-    positions = [0.0]
-    for L in lengths:
-        positions.append(positions[-1] + L)
+    """Rooted tree grown breadth first: the root (generation 0) and then
+    every generation-g vertex spawn one edge per entry of ``children[g]``,
+    of that length.  The last generation's vertices form the boundary.
+
+    In a synchronized tree all edges of a generation share one length, so
+    the family info carries the generation positions and branching.
+    """
+    depth = len(children) - 1
+    info = FamilyInfo(params=params)
+    if synchronized:
+        positions = [0.0]
+        for lengths in children:
+            positions.append(positions[-1] + lengths[0])
+        info = FamilyInfo(
+            params=params,
+            positions=tuple(positions),
+            arriving=tuple([1] * (depth + 1)),
+            ongoing=tuple(len(c) for c in children[1:]) + (0,),
+        )
     vertices = [Vertex(0, generation=0, boundary=True)]
     edges: list[Edge] = []
     frontier = [0]
-    next_vid = 1
-    for gen in range(depth + 1):
+    for gen, lengths in enumerate(children):
         new_frontier = []
-        width = 1 if gen == 0 else branching[gen - 1]
-        is_last = gen == depth
         for parent in frontier:
-            for _ in range(width):
-                vid = next_vid
-                next_vid += 1
-                vertices.append(
-                    Vertex(vid, generation=gen + 1, boundary=is_last)
-                )
+            for length in lengths:
+                vid = len(vertices)
+                vertices.append(Vertex(vid, generation=gen + 1, boundary=gen == depth))
                 edges.append(
                     Edge(
                         id=len(edges),
                         tail=parent,
                         head=vid,
-                        length=lengths[gen],
+                        length=length,
                         potential=potential,
                         generation=gen,
                     )
                 )
                 new_frontier.append(vid)
         frontier = new_frontier
-    info = FamilyInfo(
-        name=name,
-        params=params,
-        positions=tuple(positions[: depth + 2]),
-        arriving=tuple([1] * (depth + 1)),
-        ongoing=tuple(list(branching) + [0]),
-        root_edges=1,
-    )
     return MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
 
 
-def _two_lengths_tree(params: dict, depth: int) -> MetricGraph:
-    l1 = float(params.pop("L1"))
-    l2 = float(params.pop("L2"))
-    k, potential, energy = _k_and_energy(params)
-    if params:
-        raise FamilyParameterError(
-            f"unknown two_lengths_tree params: {sorted(params)}"
-        )
+def _two_lengths_tree(
+    depth: int, *, L1: float, L2: float, k: float = 1.0, energy: float = -1.0
+) -> MetricGraph:
+    l1, l2 = float(L1), float(L2)
+    k, potential, energy = _k_and_energy(k, energy)
     if l1 <= 0 or l2 <= 0:
         raise FamilyParameterError("lengths must be > 0")
-    vertices = [Vertex(0, generation=0, boundary=True)]
-    edges: list[Edge] = []
-    # frontier entries: (vertex id, generation); root edge has length L1
-    next_vid = 1
-
-    def add_edge(parent: int, gen: int, length: float, last: bool) -> int:
-        nonlocal next_vid
-        vid = next_vid
-        next_vid += 1
-        vertices.append(Vertex(vid, generation=gen + 1, boundary=last))
-        edges.append(
-            Edge(
-                id=len(edges),
-                tail=parent,
-                head=vid,
-                length=length,
-                potential=potential,
-                generation=gen,
-            )
-        )
-        return vid
-
-    frontier = [add_edge(0, 0, l1, depth == 0)]
-    for gen in range(1, depth + 1):
-        last = gen == depth
-        new_frontier = []
-        for parent in frontier:
-            new_frontier.append(add_edge(parent, gen, l1, last))
-            new_frontier.append(add_edge(parent, gen, l2, last))
-        frontier = new_frontier
-    info = FamilyInfo(
-        name="two_lengths_tree",
-        params={"L1": l1, "L2": l2, "k": k, "energy": energy},
+    # the root edge has length L1; every later vertex spawns one of each
+    return _generation_tree(
+        {"L1": l1, "L2": l2, "k": k, "energy": energy},
+        [[l1]] + [[l1, l2]] * depth,
+        potential,
+        energy,
+        synchronized=False,
     )
-    return MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
 
 
-def _millipede(params: dict, depth: int) -> MetricGraph:
-    delta = float(params.pop("delta"))
-    n_legs = int(params.pop("legs", depth))
-    leg_length = float(params.pop("leg_length", 4.0))
-    energy = float(params.pop("energy", -1.0))
-    if params:
-        raise FamilyParameterError(f"unknown millipede params: {sorted(params)}")
+def _millipede(
+    depth: int, *, delta: float, legs: int | None = None,
+    leg_length: float = 4.0, energy: float = -1.0,
+) -> MetricGraph:
+    delta = float(delta)
+    n_legs = depth if legs is None else int(legs)
+    leg_length, energy = float(leg_length), float(energy)
     if delta <= 0:
         raise FamilyParameterError("delta must be > 0")
     if n_legs < 1 or leg_length <= 0:
@@ -514,7 +492,6 @@ def _millipede(params: dict, depth: int) -> MetricGraph:
         )
         next_vid += 1
     info = FamilyInfo(
-        name="millipede",
         params={
             "delta": delta,
             "legs": n_legs,
@@ -525,13 +502,13 @@ def _millipede(params: dict, depth: int) -> MetricGraph:
     return MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
 
 
-def _ladder(params: dict, depth: int) -> MetricGraph:
-    w = float(params.pop("w"))
-    n_rungs = int(params.pop("rungs", depth))
-    energy = float(params.pop("energy", -1.0))
-    rung_potential = params.pop("rung_potential", None)
-    if params:
-        raise FamilyParameterError(f"unknown ladder params: {sorted(params)}")
+def _ladder(
+    depth: int, *, w: float, rungs: int | None = None, energy: float = -1.0,
+    rung_potential: float | None = None,
+) -> MetricGraph:
+    w = float(w)
+    n_rungs = depth if rungs is None else int(rungs)
+    energy = float(energy)
     if w <= 0:
         raise FamilyParameterError("rung length w must be > 0")
     if n_rungs < 1:
@@ -583,7 +560,6 @@ def _ladder(params: dict, depth: int) -> MetricGraph:
         if not (rung_v - energy > 0.0):
             core.append(eid)
     info = FamilyInfo(
-        name="ladder",
         params={"w": w, "rungs": n_rungs, "energy": energy},
     )
     return MetricGraph(
@@ -591,14 +567,18 @@ def _ladder(params: dict, depth: int) -> MetricGraph:
     )
 
 
-def _braided(params: dict, depth: int) -> MetricGraph:
-    b_seq = [int(b) for b in params.pop("b_seq")]
-    a_seq = [int(a) for a in params.pop("a_seq")]
-    v_seq = [float(v) for v in params.pop("v_seq")]
-    k, potential, energy = _k_and_energy(params)
-    root_edges = int(params.pop("root_edges", a_seq[0] if a_seq else 1))
-    if params:
-        raise FamilyParameterError(f"unknown braided params: {sorted(params)}")
+def _braided(
+    depth: int, *, b_seq: Sequence[int], a_seq: Sequence[int],
+    v_seq: Sequence[float], k: float = 1.0, energy: float = -1.0,
+    root_edges: int | None = None,
+) -> MetricGraph:
+    b_seq = [int(b) for b in b_seq]
+    a_seq = [int(a) for a in a_seq]
+    v_seq = [float(v) for v in v_seq]
+    k, potential, energy = _k_and_energy(k, energy)
+    if root_edges is None:
+        root_edges = a_seq[0] if a_seq else 1
+    root_edges = int(root_edges)
     if len(v_seq) < depth or len(b_seq) < depth - 1 or len(a_seq) < depth:
         raise FamilyParameterError(
             "need v_seq/a_seq of length >= depth and b_seq of length >= depth-1"
@@ -648,7 +628,6 @@ def _braided(params: dict, depth: int) -> MetricGraph:
             b = b_seq[gen]
             stubs = [vid for vid in gen_vids for _ in range(b)]
     info = FamilyInfo(
-        name="braided",
         params={
             "b_seq": b_seq,
             "a_seq": a_seq,
@@ -663,6 +642,18 @@ def _braided(params: dict, depth: int) -> MetricGraph:
         root_edges=root_edges,
     )
     return MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
+
+
+FAMILIES = {
+    "regular_tree": _regular_tree,
+    "ns_regular_tree": _ns_regular_tree,
+    "two_lengths_tree": _two_lengths_tree,
+    "millipede": _millipede,
+    "ladder": _ladder,
+    "braided": _braided,
+}
+"""Canonical family name -> graph builder.  A family's params are its
+builder's keyword-only arguments; those without a default are required."""
 
 
 # ---------------------------------------------------------------------------

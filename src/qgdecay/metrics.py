@@ -69,26 +69,26 @@ def _interp(
     return min(from_tail, from_head)
 
 
-def eval_rho_a(table: AgmonMetricTable, point: GraphPoint) -> float:
-    """Action distance of an interior point: the better of the two endpoint
-    approaches.  Correct on cycle edges without pre-splitting."""
+def _point_edge(table: AgmonMetricTable, point: GraphPoint) -> Edge:
     edge = table.graph.edge_by_id.get(point.edge)
     if edge is None:
         raise KeyError(f"point references unknown edge {point.edge}")
     if not (0.0 <= point.offset <= edge.length):
         raise ValueError(f"offset {point.offset} outside edge {point.edge}")
+    return edge
+
+
+def eval_rho_a(table: AgmonMetricTable, point: GraphPoint) -> float:
+    """Action distance of an interior point: the better of the two endpoint
+    approaches.  Correct on cycle edges without pre-splitting."""
+    edge = _point_edge(table, point)
     per_length = math.sqrt(max(edge.potential - table.energy, 0.0))
     return _interp(table.rho, edge, per_length, point.offset)
 
 
 def eval_arc(table: AgmonMetricTable, point: GraphPoint) -> float:
     """Arc-length distance of an interior point from the root."""
-    edge = table.graph.edge_by_id.get(point.edge)
-    if edge is None:
-        raise KeyError(f"point references unknown edge {point.edge}")
-    if not (0.0 <= point.offset <= edge.length):
-        raise ValueError(f"offset {point.offset} outside edge {point.edge}")
-    return _interp(table.arc, edge, 1.0, point.offset)
+    return _interp(table.arc, _point_edge(table, point), 1.0, point.offset)
 
 
 def insert_cut_points(

@@ -70,6 +70,12 @@ def vertex_edge_transfer(kl: float, p: float) -> TransferMatrix:
         raise ValueError("kL must be >= 0")
     if not (0.0 < p <= 1.0):
         raise ValueError("derivative fraction p must be in (0, 1]")
+    return vertex_edge_step(kl, p)
+
+
+def vertex_edge_step(kl: float, p: float) -> TransferMatrix:
+    """``vertex_edge_transfer`` without its checks: it also admits p > 1,
+    where a braided generation narrows (a_j > b_j)."""
     c, s = math.cosh(kl), math.sinh(kl)
     return TransferMatrix(c, s, p * s, p * c)
 

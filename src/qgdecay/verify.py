@@ -398,21 +398,14 @@ def vertex_samples(f: Eigenfunction) -> list[tuple[float, float]]:
 
 
 def fit_decay_rate(
-    f: Eigenfunction,
-    samples: Sequence[tuple[float, float]] | Sequence[GraphPoint] | None = None,
+    f: Eigenfunction, samples: Sequence[tuple[float, float]] | None = None
 ) -> float:
     """Least-squares slope of log |psi| against arc distance.
 
-    ``samples`` may be (arc, value) pairs or graph points; defaults to the
-    interior vertex values, where transfer-matrix decay is exact.
+    ``samples`` are (arc, value) pairs; they default to the interior vertex
+    values, where transfer-matrix decay is exact.
     """
-    if samples is None:
-        pairs = vertex_samples(f)
-    elif samples and isinstance(samples[0], GraphPoint):
-        table = f.table()
-        pairs = [(eval_arc(table, p), f.value(p)) for p in samples]
-    else:
-        pairs = list(samples)
+    pairs = vertex_samples(f) if samples is None else samples
     pts = [(x, abs(v)) for x, v in pairs if abs(v) > VALUE_FLOOR]
     if len(pts) < 2:
         raise ValueError("degenerate sample set: need >= 2 nonzero samples")
