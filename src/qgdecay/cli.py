@@ -235,11 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     name, params, depth = _family_params(args)
     f = construct(name, params, depth)
     spec = _multiplier_from_args(args)
-    max_gen = max(e.generation for e in f.graph.edges)
-    if args.depth_schedule:
-        depths = _parse_int_list(args.depth_schedule)
-    else:
-        depths = sorted({min(6, max_gen), max_gen})
+    depths = _parse_int_list(args.depth_schedule) if args.depth_schedule else None
     report = decay_report(f, spec, depths)
 
     residuals = continuity_and_kirchhoff(f)

@@ -282,14 +282,15 @@ def _slope_log_psi_vs_rho(f: Eigenfunction) -> float:
 def decay_report(
     f: Eigenfunction,
     spec: MultiplierSpec,
-    depths: Sequence[int],
+    depths: Sequence[int] | None = None,
     path: PathSpec | None = None,
 ) -> DecayReport:
     """Run the plateau and geometric-tail proxies for F * psi.
 
     kind "action" sums over the whole graph, kind "path" along one root-to-
     boundary path (default: the canonical one), kind "averaged" over the
-    averaged wave function on arc-distance segments.
+    averaged wave function on arc-distance segments.  ``depths`` defaults
+    to {min(6, last), last} over the generations sampled.
     """
     if spec.kind == "averaged":
         sups, incs = _averaged_sums(f, spec)
@@ -310,6 +311,8 @@ def decay_report(
             sum(_edge_l2(f, fev, eid) for eid in eids_by_gen[g]) for g in gens
         ]
     max_gen = len(sups) - 1
+    if depths is None:
+        depths = sorted({min(6, max_gen), max_gen})
     if max(depths) > max_gen:
         raise ValueError(
             f"depth schedule {list(depths)} exceeds constructed depth {max_gen}"

@@ -148,6 +148,17 @@ class TestVerify:
         code_action, _, _ = run(capsys, *base, "--multiplier", "action")
         assert code_action == 1
 
+    @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric"])
+    def test_ladder_path_default_schedule(self, capsys, mode):
+        # the certified rail path ends one generation short of the rungs;
+        # the default schedule follows the generations actually sampled
+        code, out, _ = run(
+            capsys, "verify", "--family", "ladder", "--w", "1", "--depth", "5",
+            "--multiplier", "path", "--mode", mode,
+        )
+        assert code == 0
+        assert json.loads(out)["decay_report"]["depths"] == [4]
+
     def test_csv_sidecar(self, capsys, tmp_path):
         out_csv = tmp_path / "report.csv"
         code, out, _ = run(
