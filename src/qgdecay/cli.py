@@ -207,8 +207,7 @@ def _cmd_metric(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    name, params, depth = _family_params(args)
-    f = construct(name, params, depth)
+    f = construct(*_family_params(args))
     rows = [
         (eid, "" if gen is None else gen, x, arc, psi, dpsi)
         for eid, gen, x, arc, psi, dpsi in f.sample_rows(args.samples)

@@ -14,16 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import (
-    Edge,
-    FamilyInfo,
-    GraphPoint,
-    MetricGraph,
-    Vertex,
-    family_name,
-    generate_family,
-    keyword_params,
-)
+from .graph import Edge, FamilyInfo, GraphPoint, MetricGraph, Vertex
+from .graph import family_name, generate_family, keyword_params
 from .metrics import AgmonMetricTable, PathSpec, compute_rho_a, eval_arc
 from .transfer import (
     TransferMatrix,
@@ -334,13 +326,9 @@ def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction
     k, energy = info.params["k"], graph.energy
     matched = match_shared_eigenvector(k * l1, k * l2)
     p_for_length = {l1: matched.p1, l2: 1.0 - matched.p1}
-    coeffs: dict[int, tuple[float, float]] = {}
-    root_edge = min(
-        (e for e in graph.edges if e.tail == graph.root), key=lambda e: e.id
-    )
-    coeffs[root_edge.id] = (1.0, matched.w)
-    order = sorted(graph.edges, key=lambda e: e.id)
-    for e in order:
+    # edges come parents first, the root edge first of all
+    coeffs = {graph.edges[0].id: (1.0, matched.w)}
+    for e in graph.edges:
         if e.id not in coeffs:
             continue
         a, b = coeffs[e.id]
@@ -388,12 +376,19 @@ def _construct_millipede(name: str, params: dict, depth: int) -> Eigenfunction:
     )
 
 
-def _construct_ladder_symmetric(params: dict, depth: int) -> Eigenfunction:
+def _construct_ladder(
+    name: str, params: dict, depth: int, *, mode: str = "symmetric"
+) -> Eigenfunction:
+    """The ladder's mode picks the eigenfunction, not the graph."""
+    if mode == "antisymmetric":
+        return _construct_ladder_antisymmetric(params, depth)
+    if mode != "symmetric":
+        raise ValueError(f"unknown ladder mode {mode!r}")
     # constant rung solutions require V = E on the rungs; those edges form
     # the designated core where V - E > 0 is waived
     energy = float(params.get("energy", -1.0))
     g = generate_family(
-        "ladder", dict(params, rung_potential=energy), depth
+        name, dict(params, rung_potential=energy), depth
     )
     solutions: dict[int, EdgeSolution] = {}
     for e in g.edges:
@@ -460,17 +455,9 @@ def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
     )
 
 
-def _construct_ladder(
-    name: str, params: dict, depth: int, *, mode: str = "symmetric"
-) -> Eigenfunction:
-    # mode picks the eigenfunction, not the graph
-    if mode == "symmetric":
-        return _construct_ladder_symmetric(params, depth)
-    if mode == "antisymmetric":
-        return _construct_ladder_antisymmetric(params, depth)
-    raise ValueError(f"unknown ladder mode {mode!r}")
-
-
+# canonical family name -> constructor; a constructor's own keyword-only
+# arguments (the ladder's mode) are construct-level params, and the rest go
+# to the family's graph builder
 CONSTRUCTORS = {
     "regular_tree": _construct_generation_family,
     "ns_regular_tree": _construct_generation_family,
@@ -479,9 +466,6 @@ CONSTRUCTORS = {
     "ladder": _construct_ladder,
     "braided": _construct_generation_family,
 }
-"""Canonical family name -> constructor.  A constructor's own keyword-only
-arguments (the ladder's ``mode``) are construct-level params; the rest go
-to the family's graph builder."""
 
 
 def construct(family: str, params: dict, depth: int) -> Eigenfunction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import heapq
 import inspect
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -166,14 +167,6 @@ class MetricGraph:
                         stack.append(nxt)
         return seen
 
-    def point(self, edge_id: int, offset: float) -> GraphPoint:
-        e = self.edge_by_id[edge_id]
-        if not (0.0 <= offset <= e.length):
-            raise GraphValidationError(
-                f"offset {offset} outside edge {edge_id} of length {e.length}"
-            )
-        return GraphPoint(edge_id, offset)
-
     def arc_distances(self) -> dict[int, float]:
         """Single-source shortest arc-length distance from the root."""
         return dijkstra(self, {e.id: e.length for e in self.edges})
@@ -293,16 +286,17 @@ class FamilyParameterError(ValueError):
 
 
 def family_name(family: str) -> str:
-    """Canonical family name: ``regular-tree`` and ``Regular_Tree`` both
-    become ``regular_tree``."""
+    """Canonical family name: ``Regular-Tree`` becomes ``regular_tree``."""
     return family.replace("-", "_").lower()
 
 
-@functools.cache
+_signature = functools.cache(inspect.signature)
+
+
 def keyword_params(fn) -> dict[str, inspect.Parameter]:
     """The keyword-only parameters of a family builder or constructor: the
     params it accepts, required when they have no default."""
-    params = inspect.signature(fn).parameters.values()
+    params = _signature(fn).parameters.values()
     return {p.name: p for p in params if p.kind is p.KEYWORD_ONLY}
 
 
@@ -314,15 +308,10 @@ def generate_family(family: str, params: dict, depth: int) -> MetricGraph:
     name = family_name(family)
     if name not in FAMILIES:
         raise FamilyParameterError(f"unknown family {family!r}")
-    accepted = keyword_params(FAMILIES[name])
-    unknown = set(params) - set(accepted)
-    if unknown:
-        raise FamilyParameterError(f"unknown {name} params: {sorted(unknown)}")
-    missing = [
-        key for key, p in accepted.items() if p.default is p.empty and key not in params
-    ]
-    if missing:
-        raise FamilyParameterError(f"{name} needs params {missing}")
+    try:  # unknown and missing params, against the builder's signature
+        _signature(FAMILIES[name]).bind(depth, **params)
+    except TypeError as exc:
+        raise FamilyParameterError(f"{name} params: {exc}") from None
     g = FAMILIES[name](depth, **params)
     g.validate()
     return g
@@ -396,12 +385,9 @@ def _generation_tree(
     depth = len(children) - 1
     info = FamilyInfo(params=params)
     if synchronized:
-        positions = [0.0]
-        for lengths in children:
-            positions.append(positions[-1] + lengths[0])
         info = FamilyInfo(
             params=params,
-            positions=tuple(positions),
+            positions=(0.0, *itertools.accumulate(c[0] for c in children)),
             arriving=tuple([1] * (depth + 1)),
             ongoing=tuple(len(c) for c in children[1:]) + (0,),
         )
@@ -576,9 +562,7 @@ def _braided(
     a_seq = [int(a) for a in a_seq]
     v_seq = [float(v) for v in v_seq]
     k, potential, energy = _k_and_energy(k, energy)
-    if root_edges is None:
-        root_edges = a_seq[0] if a_seq else 1
-    root_edges = int(root_edges)
+    root_edges = int((a_seq[0] if a_seq else 1) if root_edges is None else root_edges)
     if len(v_seq) < depth or len(b_seq) < depth - 1 or len(a_seq) < depth:
         raise FamilyParameterError(
             "need v_seq/a_seq of length >= depth and b_seq of length >= depth-1"
@@ -644,6 +628,8 @@ def _braided(
     return MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
 
 
+# canonical family name -> graph builder; a family's params are its
+# builder's keyword-only arguments, required when they have no default
 FAMILIES = {
     "regular_tree": _regular_tree,
     "ns_regular_tree": _ns_regular_tree,
@@ -652,8 +638,6 @@ FAMILIES = {
     "ladder": _ladder,
     "braided": _braided,
 }
-"""Canonical family name -> graph builder.  A family's params are its
-builder's keyword-only arguments; those without a default are required."""
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# (family, the flags given, the required flag left out)
+MISSING_FLAG_CASES = [
+    ("regular-tree", [], "--b"),
+    ("ns-regular-tree", ["--length-seq", "1,1,1"], "--b-seq"),
+    ("ns-regular-tree", ["--b-seq", "2,2"], "--length-seq"),
+    ("two-lengths-tree", ["--L2", "2"], "--L1"),
+    ("two-lengths-tree", ["--L1", "1"], "--L2"),
+    ("millipede", [], "--delta"),
+    ("ladder", [], "--w"),
+    ("braided", ["--a-seq", "1,1", "--v-seq", "1,2"], "--b-seq"),
+    ("braided", ["--b-seq", "2,2", "--v-seq", "1,2"], "--a-seq"),
+    ("braided", ["--b-seq", "2,2", "--a-seq", "1,1"], "--v-seq"),
+]
+
+
 class TestGenerate:
     def test_family_roundtrip(self, capsys):
         code, out, _ = run(
@@ -26,17 +41,24 @@ class TestGenerate:
         assert len(rebuilt.edges) == 15
 
     def test_broken_spec_exits_2(self, capsys, tmp_path):
+        edge = {"id": 0, "tail": 0, "head": 7, "length": 1.0, "potential": 2.0}
+        graph = {"vertices": [{"id": 0}], "edges": [edge], "root": 0,
+                 "energy": 1.0}
+        no_length = {k: v for k, v in edge.items() if k != "length"}
+        # (spec document, text the error message must contain)
+        cases = [
+            (graph, "7"),
+            ({"family": "regular_tree", "params": {"b": 2}}, "depth"),
+            ({"family": "regular_tree", "params": {}, "depth": 3}, "'b'"),
+            (dict(graph, edges=[no_length]), "length"),
+            (dict(graph, vertices=5), "vertices"),
+        ]
         spec = tmp_path / "broken.json"
-        spec.write_text(json.dumps({
-            "vertices": [{"id": 0}],
-            "edges": [{"id": 0, "tail": 0, "head": 7, "length": 1.0,
-                       "potential": 2.0}],
-            "root": 0,
-            "energy": 1.0,
-        }))
-        code, _, err = run(capsys, "generate", "--spec", str(spec))
-        assert code == 2
-        assert "7" in err
+        for doc, needle in cases:
+            spec.write_text(json.dumps(doc))
+            code, _, err = run(capsys, "generate", "--spec", str(spec))
+            assert code == 2, doc
+            assert needle in err, err
 
     def test_invalid_json_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "bad.json"
@@ -44,11 +66,15 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "--spec", str(spec))
         assert code == 2
 
-    def test_missing_family_args_exit_2(self, capsys):
-        code, _, err = run(capsys, "generate", "--family", "regular-tree",
-                           "--depth", "3")
+    @pytest.mark.parametrize(
+        "family,given,flag", MISSING_FLAG_CASES,
+        ids=[family + flag for family, _, flag in MISSING_FLAG_CASES],
+    )
+    def test_missing_family_args_exit_2(self, capsys, family, given, flag):
+        code, _, err = run(capsys, "generate", "--family", family, *given,
+                           "--depth", "2")
         assert code == 2
-        assert "--b" in err
+        assert flag in err
 
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(capsys, "generate", "--family", "regular-tree",

@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qgdecay.eigenfunctions import CONSTRUCTORS
 from qgdecay.graph import (
+    FAMILIES,
     FamilyParameterError,
     GraphValidationError,
     MetricGraph,
@@ -181,14 +183,17 @@ class TestGenerators:
             generate_family("regular_tree", {"b": 2}, depth=0)
 
     def test_generated_families_validate(self):
-        for name, params in [
+        cases = [
             ("regular_tree", {"b": 3}),
             ("ns_regular_tree", {"b_seq": [2, 3, 2], "length_seq": [1.0, 0.5, 1.5, 1.0]}),
             ("two_lengths_tree", {"L1": 1.0, "L2": 2.0}),
             ("millipede", {"delta": 0.2}),
             ("ladder", {"w": 1.5}),
             ("braided", {"b_seq": [4, 4], "a_seq": [2, 2], "v_seq": [1.0, 2.5]}),
-        ]:
+        ]
+        # every family in the table is covered here and has a constructor
+        assert sorted(name for name, _ in cases) == sorted(FAMILIES) == sorted(CONSTRUCTORS)
+        for name, params in cases:
             g = generate_family(name, params, depth=2)
             g.validate()  # must not raise
 
