@@ -53,6 +53,7 @@ from .eigenfunctions import (
 from .verify import (
     DecayReport,
     MonotonicityResult,
+    Multiplier,
     MultiplierSpec,
     closed_form_edge_l2,
     constraint_margin,

@@ -25,7 +25,6 @@ from .eigenfunctions import CONSTRUCTORS, canonical_path, construct, edge_eval
 from .graph import (
     FAMILIES,
     FamilyParameterError,
-    GraphPoint,
     GraphValidationError,
     MetricGraph,
     family_name,
@@ -41,6 +40,7 @@ from .transfer import (
     vertex_edge_transfer,
 )
 from .verify import (
+    Multiplier,
     MultiplierSpec,
     constraint_margin,
     continuity_and_kirchhoff,
@@ -269,14 +269,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         key=lambda e: e.id,
     )
     sol = f.solutions[first.id]
-    from .verify import _MultiplierEvaluator  # CLI-side convenience
-
-    fev = _MultiplierEvaluator(
-        f,
+    big_f = Multiplier(
+        f.graph,
         spec if spec.kind != "averaged" else MultiplierSpec(),
         canonical_path(f) if spec.kind == "path" else None,
-    )
-    big_f = lambda x: fev.value(GraphPoint(first.id, x))
+    ).on_edge(first.id)
     phi = lambda x: edge_eval(sol, x)
     h = first.length / 64.0
     res_h = identity_check(big_f, phi, 0.1 * first.length, 0.9 * first.length, h)
@@ -456,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphValidationError, FamilyParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

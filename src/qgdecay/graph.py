@@ -96,6 +96,7 @@ class MetricGraph:
             if e.head in incidence and e.head != e.tail:
                 incidence[e.head].append(e.id)
         self.incidence = {vid: tuple(eids) for vid, eids in incidence.items()}
+        self._arc: dict[int, float] | None = None
 
     def degree(self, vid: int) -> int:
         deg = 0
@@ -168,8 +169,11 @@ class MetricGraph:
         return seen
 
     def arc_distances(self) -> dict[int, float]:
-        """Single-source shortest arc-length distance from the root."""
-        return dijkstra(self, {e.id: e.length for e in self.edges})
+        """Single-source shortest arc-length distance from the root, computed
+        once per graph; callers share the dict and must not modify it."""
+        if self._arc is None:
+            self._arc = dijkstra(self, {e.id: e.length for e in self.edges})
+        return self._arc
 
     def to_json_dict(self) -> dict:
         return {

@@ -54,8 +54,7 @@ def compute_rho_a(graph: MetricGraph, energy: float | None = None) -> AgmonMetri
     e_eff = graph.energy if energy is None else float(energy)
     weight = {e.id: edge_action_weight(e, e_eff) for e in graph.edges}
     rho = dijkstra(graph, weight)
-    arc = dijkstra(graph, {e.id: e.length for e in graph.edges})
-    return AgmonMetricTable(graph, e_eff, rho, arc, weight)
+    return AgmonMetricTable(graph, e_eff, rho, graph.arc_distances(), weight)
 
 
 def _interp(

@@ -189,7 +189,7 @@ def match_shared_eigenvector(
     lo, hi = 0.0, 1.0
     glo, ghi = gap(lo), gap(hi)
     if not (glo < 0.0 < ghi):
-        raise RuntimeError(
+        raise ValueError(
             f"bracket sign check failed: gap(0)={glo}, gap(1)={ghi}"
         )
     p1 = 0.5

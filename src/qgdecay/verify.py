@@ -15,25 +15,24 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .eigenfunctions import (
     Eigenfunction,
+    averaged_wave_function,
     canonical_path,
     continuity_residual,
     edge_eval,
     kirchhoff_residual,
 )
-from .graph import GraphPoint, MetricGraph
+from .graph import MetricGraph
 from .metrics import (
     PathSpec,
     ave_action_integral,
     ave_branching_prefactor,
     compute_rho_a,
-    eval_arc,
-    eval_rho_a,
 )
 
 VALUE_FLOOR = 1e-300
@@ -61,19 +60,22 @@ class MultiplierSpec:
         return energy + self.shift_sign * self.delta
 
 
-class _MultiplierEvaluator:
-    """F(x) on the graph: per-edge path prefactor times
-    exp((1 - eps) * rho_a(x; E_eff) + extra_rate * arc(x))."""
+class Multiplier:
+    """F on a graph: per-edge path prefactor times
+    exp((1 - eps) * rho_a(x; E_eff) + extra_rate * arc(x)).
+
+    ``on_edge`` evaluates exactly what ``eval_rho_a`` and ``eval_arc`` give
+    at ``GraphPoint(eid, x)``, with the edge's data read once."""
 
     def __init__(
         self,
-        f: Eigenfunction,
+        graph: MetricGraph,
         spec: MultiplierSpec,
         path: PathSpec | None = None,
     ):
         self.spec = spec
         self.table = compute_rho_a(
-            f.graph, energy=spec.effective_energy(f.graph.energy)
+            graph, energy=spec.effective_energy(graph.energy)
         )
         self.prefactor: dict[int, float] = {}
         if spec.kind == "path":
@@ -86,12 +88,23 @@ class _MultiplierEvaluator:
                     p = path.fractions[i]
                     acc *= math.sqrt(1.0 / p)
 
-    def value(self, point: GraphPoint) -> float:
-        pre = self.prefactor.get(point.edge, 1.0)
-        expo = (1.0 - self.spec.epsilon) * eval_rho_a(self.table, point)
-        if self.spec.extra_rate != 0.0:
-            expo += self.spec.extra_rate * eval_arc(self.table, point)
-        return pre * math.exp(expo)
+    def on_edge(self, eid: int) -> Callable[[float], float]:
+        """x -> F(x) at offset x in [0, L] along edge ``eid`` (unchecked)."""
+        table, spec = self.table, self.spec
+        e = table.graph.edge_by_id[eid]
+        pre = self.prefactor.get(eid, 1.0)
+        w = math.sqrt(max(e.potential - table.energy, 0.0))
+        rho_tail, rho_head = table.rho[e.tail], table.rho[e.head]
+        arc_tail, arc_head = table.arc[e.tail], table.arc[e.head]
+        length, scale, rate = e.length, 1.0 - spec.epsilon, spec.extra_rate
+
+        def big_f(x: float) -> float:
+            expo = scale * min(rho_tail + w * x, rho_head + w * (length - x))
+            if rate != 0.0:
+                expo += rate * min(arc_tail + x, arc_head + (length - x))
+            return pre * math.exp(expo)
+
+        return big_f
 
 
 def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
@@ -201,30 +214,19 @@ class DecayReport:
         return buf.getvalue()
 
 
-def _edge_sup(f: Eigenfunction, fev: _MultiplierEvaluator, eid: int) -> float:
-    e = f.graph.edge_by_id[eid]
-    sol = f.solutions[eid]
-    sup = 0.0
-    xs = [0.0, e.length] + [
-        e.length * (i + 1) / 17.0 for i in range(16)
-    ]
-    for x in xs:
-        sup = max(
-            sup, fev.value(GraphPoint(eid, x)) * abs(edge_eval(sol, x))
-        )
-    return sup
-
-
-def _edge_l2(f: Eigenfunction, fev: _MultiplierEvaluator, eid: int) -> float:
-    e = f.graph.edge_by_id[eid]
-    sol = f.solutions[eid]
-    half = e.length / 2.0
+def _sup_and_l2(
+    g: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float]:
+    """Sup of |g| at lo, hi and 16 equispaced interior points, and the
+    16-node Gauss-Legendre integral of g^2 over [lo, hi]."""
+    ys = [lo, hi] + [lo + (hi - lo) * (i + 1) / 17.0 for i in range(16)]
+    sup = max(abs(g(y)) for y in ys)
+    half = (hi - lo) / 2.0
     total = 0.0
     for t, wt in zip(_GAUSS_X, _GAUSS_W):
-        x = half * (t + 1.0)
-        v = fev.value(GraphPoint(eid, x)) * edge_eval(sol, x)
+        v = g(lo + half * (t + 1.0))
         total += wt * v * v
-    return total * half
+    return sup, total * half
 
 
 def closed_form_edge_l2(sol) -> float:
@@ -292,24 +294,15 @@ def decay_report(
     averaged wave function on arc-distance segments.  ``depths`` defaults
     to {min(6, last), last} over the generations sampled.
     """
-    if spec.kind == "averaged":
-        sups, incs = _averaged_sums(f, spec)
-    else:
-        if spec.kind == "path" and path is None:
-            path = canonical_path(f)
-        fev = _MultiplierEvaluator(f, spec, path)
-        eids_by_gen: dict[int, list[int]] = {}
-        pool = path.edges if spec.kind == "path" else f.solutions.keys()
-        for eid in pool:
-            gen = f.graph.edge_by_id[eid].generation
-            eids_by_gen.setdefault(int(gen), []).append(eid)
-        gens = sorted(eids_by_gen)
-        sups = [
-            max(_edge_sup(f, fev, eid) for eid in eids_by_gen[g]) for g in gens
-        ]
-        incs = [
-            sum(_edge_l2(f, fev, eid) for eid in eids_by_gen[g]) for g in gens
-        ]
+    sup_by_gen: dict[int, float] = {}
+    inc_by_gen: dict[int, float] = {}
+    for gen, g, lo, hi in _units(f, spec, path):
+        sup, inc = _sup_and_l2(g, lo, hi)
+        sup_by_gen[gen] = max(sup_by_gen.get(gen, 0.0), sup)
+        inc_by_gen[gen] = inc_by_gen.get(gen, 0.0) + inc
+    gens = sorted(sup_by_gen)
+    sups = [sup_by_gen[gen] for gen in gens]
+    incs = [inc_by_gen[gen] for gen in gens]
     max_gen = len(sups) - 1
     if depths is None:
         depths = sorted({min(6, max_gen), max_gen})
@@ -341,49 +334,51 @@ def decay_report(
     )
 
 
-def _averaged_sums(
-    f: Eigenfunction, spec: MultiplierSpec
-) -> tuple[list[float], list[float]]:
-    from .eigenfunctions import averaged_wave_function
+def _units(
+    f: Eigenfunction, spec: MultiplierSpec, path: PathSpec | None
+) -> Iterator[tuple[int, Callable[[float], float], float, float]]:
+    """(generation, g, lo, hi) for each edge or segment the report sums:
+    g = F * psi on [0, L] of every edge (kind "action") or of each path
+    edge (kind "path"), g = F_ave * averaged psi on [v_g, v_{g+1}] (kind
+    "averaged").  Lazy, so one unit is held at a time."""
+    graph = f.graph
+    if spec.kind != "averaged":
+        if spec.kind == "path" and path is None:
+            path = canonical_path(f)
+        mult = Multiplier(graph, spec, path)
 
-    info = f.graph.family_info
+        def edge_unit(eid: int):
+            big_f, sol = mult.on_edge(eid), f.solutions[eid]
+            e = graph.edge_by_id[eid]
+            g = lambda x: big_f(x) * edge_eval(sol, x)
+            return int(e.generation), g, 0.0, e.length
+
+        pool = path.edges if spec.kind == "path" else f.solutions.keys()
+        return map(edge_unit, pool)
+
+    info = graph.family_info
     if info is None or info.positions is None:
         raise ValueError("averaged multiplier requires a regular-topology family")
     positions = info.positions
     n_gens = len(positions) - 1
     v_inner = positions[1:]
     envelopes = [
-        min(
-            e.potential
-            for e in f.graph.edges
-            if e.generation == g
-        )
+        min(e.potential for e in graph.edges if e.generation == g)
         for g in range(n_gens)
     ]
-    e_eff = spec.effective_energy(f.graph.energy)
+    e_eff = spec.effective_energy(graph.energy)
 
-    def f_ave_eps(y: float) -> float:
+    def f_ave_psi(y: float) -> float:
         pre = ave_branching_prefactor(y, v_inner, info.arriving, info.ongoing)
         action = ave_action_integral(y, v_inner, envelopes, e_eff)
-        return pre * math.exp(
+        big_f = pre * math.exp(
             (1.0 - spec.epsilon) * action + spec.extra_rate * y
         )
+        return big_f * averaged_wave_function(f, y)
 
-    sups, incs = [], []
-    for g in range(n_gens):
-        lo, hi = positions[g], positions[g + 1]
-        half = (hi - lo) / 2.0
-        ys = [lo, hi] + [lo + (hi - lo) * (i + 1) / 17.0 for i in range(16)]
-        sups.append(
-            max(f_ave_eps(y) * abs(averaged_wave_function(f, y)) for y in ys)
-        )
-        total = 0.0
-        for t, wt in zip(_GAUSS_X, _GAUSS_W):
-            y = lo + half * (t + 1.0)
-            v = f_ave_eps(y) * averaged_wave_function(f, y)
-            total += wt * v * v
-        incs.append(total * half)
-    return sups, incs
+    return (
+        (g, f_ave_psi, positions[g], positions[g + 1]) for g in range(n_gens)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,26 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["decay_report"]["depths"] == [4]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the multiplier overflows a float at these depths
+            ["--family", "ladder", "--w", "1", "--mode", "antisymmetric",
+             "--depth", "800"],
+            ["--family", "millipede", "--delta", "0.1", "--depth", "600"],
+            # tanh(kL2) saturates, so the shared-eigenvector bracket fails
+            ["--family", "two-lengths-tree", "--L1", "1", "--L2", "30",
+             "--depth", "4"],
+        ],
+        ids=["ladder-deep", "millipede-deep", "twolen-saturated"],
+    )
+    def test_numeric_failure_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_csv_sidecar(self, capsys, tmp_path):
         out_csv = tmp_path / "report.csv"
         code, out, _ = run(

@@ -3,7 +3,14 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgdecay.graph import Edge, GraphPoint, MetricGraph, Vertex, generate_family
+from qgdecay.graph import (
+    Edge,
+    GraphPoint,
+    MetricGraph,
+    Vertex,
+    dijkstra,
+    generate_family,
+)
 from qgdecay.metrics import (
     PathSpec,
     compute_rho_a,
@@ -78,6 +85,13 @@ class TestComputeRhoA:
         for lo, hi in zip(tables, tables[1:]):
             for v in g.vertices:
                 assert lo.rho[v.id] >= hi.rho[v.id] - 1e-12
+
+    def test_energies_share_one_arc_table(self):
+        g = generate_family("ladder", {"w": 0.75}, 6)
+        low, high = compute_rho_a(g), compute_rho_a(g, energy=g.energy + 0.5)
+        assert low.rho != high.rho
+        assert low.arc is high.arc
+        assert low.arc == dijkstra(g, {e.id: e.length for e in g.edges})
 
     def test_csv_rows_sorted(self):
         g = chain_graph(3)

@@ -3,10 +3,17 @@ import math
 
 import pytest
 
-from qgdecay.graph import Edge, MetricGraph, Vertex
-from qgdecay.eigenfunctions import EdgeSolution, Eigenfunction, construct
+from qgdecay.graph import Edge, GraphPoint, MetricGraph, Vertex
+from qgdecay.eigenfunctions import (
+    EdgeSolution,
+    Eigenfunction,
+    canonical_path,
+    construct,
+)
+from qgdecay.metrics import compute_rho_a, eval_arc, eval_rho_a
 from qgdecay.transfer import eig2, vertex_edge_transfer
 from qgdecay.verify import (
+    Multiplier,
     MultiplierSpec,
     closed_form_edge_l2,
     constraint_margin,
@@ -20,6 +27,55 @@ from qgdecay.verify import (
 
 def tree(depth=8, b=2, k=1.0, length=1.0):
     return construct("regular_tree", {"b": b, "length": length, "k": k}, depth)
+
+
+class TestMultiplier:
+    # both have cycles; the braided path carries fractions 1/2, the
+    # ladder's rail path fractions 1
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("braided", {"b_seq": [4, 4, 4, 4], "a_seq": [2, 2, 2, 2],
+                         "v_seq": [1.0, 2.0, 3.0, 4.0]}),
+            ("ladder", {"w": 0.75}),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            MultiplierSpec(epsilon=0.3),
+            MultiplierSpec(epsilon=0.3, extra_rate=0.2, delta=0.3),
+            MultiplierSpec(extra_rate=-0.2, delta=0.2, shift_sign=-1),
+            MultiplierSpec(kind="path", epsilon=0.1, extra_rate=0.2),
+        ],
+        ids=["epsilon", "extra-shift", "negative-extra-shift-down", "path"],
+    )
+    def test_on_edge_matches_point_definition(self, family, params, spec):
+        f = construct(family, params, 4)
+        graph = f.graph
+        path = canonical_path(f) if spec.kind == "path" else None
+        prefactor = {}
+        if path is not None:
+            acc = 1.0
+            for eid, p in zip(path.edges, (*path.fractions, 1.0)):
+                prefactor[eid] = acc
+                acc *= math.sqrt(1.0 / p)
+        table = compute_rho_a(graph, spec.effective_energy(graph.energy))
+        mult = Multiplier(graph, spec, path)
+        for e in graph.edges:
+            big_f = mult.on_edge(e.id)
+            xs = [0.0, e.length] + [e.length * (i + 1) / 17.0 for i in range(16)]
+            for x in xs:
+                point = GraphPoint(e.id, x)
+                expected = prefactor.get(e.id, 1.0) * math.exp(
+                    (1.0 - spec.epsilon) * eval_rho_a(table, point)
+                    + spec.extra_rate * eval_arc(table, point)
+                )
+                assert big_f(x) == expected, (e.id, x)
+
+    def test_path_kind_needs_path(self):
+        with pytest.raises(ValueError, match="PathSpec"):
+            Multiplier(tree(3).graph, MultiplierSpec(kind="path"))
 
 
 class TestConstraintMargin:
