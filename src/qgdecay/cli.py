@@ -235,7 +235,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     f = construct(name, params, depth)
     spec = _multiplier_from_args(args)
     depths = _parse_int_list(args.depth_schedule) if args.depth_schedule else None
-    report = decay_report(f, spec, depths)
+    path = canonical_path(f) if spec.kind == "path" else None
+    report = decay_report(f, spec, depths, path=path)
 
     residuals = continuity_and_kirchhoff(f)
     structure_ok = (
@@ -258,9 +259,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     margin_ok = margin_plus >= margin_delta - 1e-9
 
     # a path certificate is scoped to its path, monotonicity included
-    mono_edges = canonical_path(f).edges if spec.kind == "path" else None
     mono = monotonicity_check(
-        f, exclusion_radius=args.exclusion, edges=mono_edges
+        f, exclusion_radius=args.exclusion,
+        edges=None if path is None else path.edges,
     )
 
     # product-derivative identity on an interior window of the root edge
@@ -270,9 +271,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     )
     sol = f.solutions[first.id]
     big_f = Multiplier(
-        f.graph,
-        spec if spec.kind != "averaged" else MultiplierSpec(),
-        canonical_path(f) if spec.kind == "path" else None,
+        f.graph, spec if spec.kind != "averaged" else MultiplierSpec(), path
     ).on_edge(first.id)
     phi = lambda x: edge_eval(sol, x)
     h = first.length / 64.0
@@ -325,10 +324,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows = []
         for b in bs:
             for kl in kls:
-                lam = eig2(vertex_edge_transfer(kl, 1.0 / b)).lam_small
+                # the builder rejects b < 1 before 1 / b is taken
                 fitted = fit_decay_rate(
                     construct("regular_tree", {"b": b, "length": 1.0, "k": kl}, 3)
                 )
+                lam = eig2(vertex_edge_transfer(kl, 1.0 / b)).lam_small
                 bound = 1.0 / (b * math.cosh(kl))
                 ratio = b * lam * lam
                 rows.append(

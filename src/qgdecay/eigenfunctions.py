@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .graph import Edge, FamilyInfo, GraphPoint, MetricGraph, Vertex
 from .graph import family_name, generate_family, keyword_params
-from .metrics import AgmonMetricTable, PathSpec, compute_rho_a, eval_arc
+from .metrics import PathSpec
 from .transfer import (
     TransferMatrix,
     eig2,
@@ -110,13 +110,6 @@ class Eigenfunction:
         self.family = family
         self.mode = mode
         self.meta = dict(meta or {})
-        self.fractions = _collect_fractions(self)
-        self._table: AgmonMetricTable | None = None
-
-    def table(self) -> AgmonMetricTable:
-        if self._table is None:
-            self._table = compute_rho_a(self.graph)
-        return self._table
 
     def value(self, point: GraphPoint) -> float:
         return edge_eval(self.solutions[point.edge], point.offset)
@@ -149,7 +142,7 @@ class Eigenfunction:
 
     def sample_rows(self, samples_per_edge: int = 9) -> list[tuple]:
         """Rows (edge_id, generation, x_local, arc_distance, psi, dpsi)."""
-        table = self.table()
+        arc = self.graph.arc_distances()
         rows = []
         for e in sorted(self.graph.edges, key=lambda e: e.id):
             sol = self.solutions[e.id]
@@ -160,7 +153,7 @@ class Eigenfunction:
                         e.id,
                         e.generation,
                         x,
-                        eval_arc(table, GraphPoint(e.id, x)),
+                        min(arc[e.tail] + x, arc[e.head] + (e.length - x)),
                         edge_eval(sol, x),
                         edge_deriv(sol, x),
                     )
@@ -198,59 +191,35 @@ def kirchhoff_residual(f: Eigenfunction, vid: int) -> float:
     return abs(total) / (magnitude + DERIV_FLOOR)
 
 
-def _collect_fractions(f: Eigenfunction) -> dict[int, dict[int, float]]:
-    """Derivative fraction carried onto each child edge at interior vertices,
-    relative to one incoming edge (picked arbitrarily among symmetric ones)."""
-    fractions: dict[int, dict[int, float]] = {}
-    for vid in f.graph.interior_vertex_ids():
-        incoming = [
-            eid
-            for eid in f.graph.incidence[vid]
-            if f.graph.edge_by_id[eid].head == vid
-        ]
-        outgoing = [
-            eid
-            for eid in f.graph.incidence[vid]
-            if f.graph.edge_by_id[eid].tail == vid
-        ]
-        if not incoming or not outgoing:
-            continue
-        sol_in = f.solutions[incoming[0]]
-        d_in = edge_deriv(sol_in, sol_in.length)
-        if abs(d_in) < DERIV_FLOOR:
-            continue
-        per_child = {}
-        for eid in outgoing:
-            p = edge_deriv(f.solutions[eid], 0.0) / d_in
-            if abs(p - 1.0) < 1e-12:
-                p = 1.0
-            per_child[eid] = p
-        fractions[vid] = per_child
-    return fractions
-
-
 def canonical_path(f: Eigenfunction) -> PathSpec:
-    """Root-to-boundary path following the lowest-id outgoing edge, with the
-    derivative fractions collected at each interior vertex."""
+    """Root-to-boundary path following the lowest-id outgoing edge.  At each
+    vertex it passes, the fraction is the derivative leaving on the path
+    over the derivative arriving on the vertex's first incoming edge."""
+    graph = f.graph
     edges: list[int] = []
     fracs: list[float] = []
-    vid = f.graph.root
+    vid = graph.root
     while True:
-        outgoing = sorted(
-            eid
-            for eid in f.graph.incidence[vid]
-            if f.graph.edge_by_id[eid].tail == vid
-        )
+        incident = [graph.edge_by_id[eid] for eid in graph.incidence[vid]]
+        outgoing = sorted(e.id for e in incident if e.tail == vid)
         if not outgoing:
             break
         eid = outgoing[0]
         if edges:
-            fracs.append(f.fractions[vid][eid])
+            sol_in = f.solutions[next(e.id for e in incident if e.head == vid)]
+            d_in = edge_deriv(sol_in, sol_in.length)
+            if abs(d_in) < DERIV_FLOOR:
+                raise ValueError(
+                    f"vertex {vid}: incoming derivative {d_in} leaves the "
+                    "path's derivative fraction undefined"
+                )
+            p = edge_deriv(f.solutions[eid], 0.0) / d_in
+            fracs.append(1.0 if abs(p - 1.0) < 1e-12 else p)
         edges.append(eid)
-        vid = f.graph.edge_by_id[eid].head
-        if f.graph.vertex_by_id[vid].boundary:
+        vid = graph.edge_by_id[eid].head
+        if graph.vertex_by_id[vid].boundary:
             break
-    return PathSpec(f.graph, tuple(edges), tuple(fracs))
+    return PathSpec(graph, tuple(edges), tuple(fracs))
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,8 @@ class MetricGraph:
                 incidence[e.head].append(e.id)
         self.incidence = {vid: tuple(eids) for vid, eids in incidence.items()}
         self._arc: dict[int, float] | None = None
+        # metrics.compute_rho_a's table at self.energy, built on first use
+        self._rho_table = None
 
     def degree(self, vid: int) -> int:
         deg = 0

@@ -49,12 +49,20 @@ def compute_rho_a(graph: MetricGraph, energy: float | None = None) -> AgmonMetri
     """Single-source action-weighted shortest paths from the root.
 
     Arc-length distances are tabulated alongside so the same table supports
-    the distance orientation and cut-point detection.
+    the distance orientation and cut-point detection.  The table at the
+    graph's own energy is computed once per graph and shared; tables at
+    other energies are built fresh on every call.
     """
     e_eff = graph.energy if energy is None else float(energy)
+    own = e_eff == graph.energy
+    if own and graph._rho_table is not None:
+        return graph._rho_table
     weight = {e.id: edge_action_weight(e, e_eff) for e in graph.edges}
     rho = dijkstra(graph, weight)
-    return AgmonMetricTable(graph, e_eff, rho, graph.arc_distances(), weight)
+    table = AgmonMetricTable(graph, e_eff, rho, graph.arc_distances(), weight)
+    if own:
+        graph._rho_table = table
+    return table
 
 
 def _interp(

@@ -266,12 +266,12 @@ def _plateau(sups: list[float]) -> bool:
 
 
 def _slope_log_psi_vs_rho(f: Eigenfunction) -> float:
-    table = f.table()
+    rho = compute_rho_a(f.graph).rho
     pts = []
     for vid in f.graph.interior_vertex_ids():
         val = abs(f.vertex_value(vid))
         if val > VALUE_FLOOR:
-            pts.append((table.rho[vid], math.log(val)))
+            pts.append((rho[vid], math.log(val)))
     if len(pts) < 2:
         return 0.0
     xs = np.array([p[0] for p in pts])
@@ -297,7 +297,13 @@ def decay_report(
     sup_by_gen: dict[int, float] = {}
     inc_by_gen: dict[int, float] = {}
     for gen, g, lo, hi in _units(f, spec, path):
-        sup, inc = _sup_and_l2(g, lo, hi)
+        try:
+            sup, inc = _sup_and_l2(g, lo, hi)
+        except OverflowError:
+            raise ValueError(
+                f"{spec.kind} multiplier times psi overflows a float at "
+                f"generation {gen}; try a smaller --depth"
+            ) from None
         sup_by_gen[gen] = max(sup_by_gen.get(gen, 0.0), sup)
         inc_by_gen[gen] = inc_by_gen.get(gen, 0.0) + inc
     gens = sorted(sup_by_gen)
@@ -306,9 +312,10 @@ def decay_report(
     max_gen = len(sups) - 1
     if depths is None:
         depths = sorted({min(6, max_gen), max_gen})
-    if max(depths) > max_gen:
+    if min(depths) < 0 or max(depths) > max_gen:
         raise ValueError(
-            f"depth schedule {list(depths)} exceeds constructed depth {max_gen}"
+            f"depth schedule {list(depths)} lies outside the constructed "
+            f"depths 0..{max_gen}"
         )
     rows = []
     cum = 0.0
@@ -388,9 +395,9 @@ def _units(
 
 def vertex_samples(f: Eigenfunction) -> list[tuple[float, float]]:
     """(arc distance, psi value) at every interior vertex."""
-    table = f.table()
+    arc = f.graph.arc_distances()
     return [
-        (table.arc[vid], f.vertex_value(vid))
+        (arc[vid], f.vertex_value(vid))
         for vid in sorted(f.graph.interior_vertex_ids())
     ]
 
@@ -478,7 +485,7 @@ def monotonicity_check(
     ``edges`` restricts the scan (e.g. to one certified path); default is
     the whole graph.
     """
-    table = f.table()
+    arc = f.graph.arc_distances()
     scale = max(abs(sol.A) + abs(sol.B) for sol in f.solutions.values())
     pool = (
         f.graph.edges
@@ -486,11 +493,11 @@ def monotonicity_check(
         else [f.graph.edge_by_id[eid] for eid in edges]
     )
     for e in sorted(pool, key=lambda e: e.id):
-        near = min(table.arc[e.tail], table.arc[e.head])
+        near = min(arc[e.tail], arc[e.head])
         if near < exclusion_radius - 1e-12:
             continue
         sol = f.solutions[e.id]
-        forward = table.arc[e.head] >= table.arc[e.tail]
+        forward = arc[e.head] >= arc[e.tail]
         prev = None
         for i in range(samples_per_edge):
             frac = i / (samples_per_edge - 1)

@@ -3,8 +3,10 @@ import math
 
 import pytest
 
+import qgdecay.graph
+import qgdecay.metrics
 from qgdecay.cli import main
-from qgdecay.graph import build_graph
+from qgdecay.graph import build_graph, dijkstra
 
 
 def run(capsys, *argv):
@@ -186,24 +188,57 @@ class TestVerify:
         assert json.loads(out)["decay_report"]["depths"] == [4]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,message",
         [
             # the multiplier overflows a float at these depths
-            ["--family", "ladder", "--w", "1", "--mode", "antisymmetric",
-             "--depth", "800"],
-            ["--family", "millipede", "--delta", "0.1", "--depth", "600"],
+            (["verify", "--family", "ladder", "--w", "1", "--mode",
+              "antisymmetric", "--depth", "800"],
+             "action multiplier times psi overflows a float at generation "
+             "788; try a smaller --depth"),
+            (["verify", "--family", "millipede", "--delta", "0.1",
+              "--depth", "600"],
+             "action multiplier times psi overflows a float at generation "
+             "394; try a smaller --depth"),
             # tanh(kL2) saturates, so the shared-eigenvector bracket fails
-            ["--family", "two-lengths-tree", "--L1", "1", "--L2", "30",
-             "--depth", "4"],
+            (["verify", "--family", "two-lengths-tree", "--L1", "1", "--L2",
+              "30", "--depth", "4"], ""),
+            # the tree builder, not 1 / b, rejects b = 0
+            (["sweep", "--family", "regular-tree", "--b-range", "0:2:1"],
+             "branching number b must be >= 1"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4",
+              "--depth-schedule", "2,-3"],
+             "depth schedule [2, -3] lies outside the constructed depths 0..4"),
         ],
-        ids=["ladder-deep", "millipede-deep", "twolen-saturated"],
+        ids=["ladder-deep", "millipede-deep", "twolen-saturated", "sweep-b0",
+             "negative-schedule"],
     )
-    def test_numeric_failure_exits_2(self, capsys, argv):
-        code, out, err = run(capsys, "verify", *argv)
+    def test_numeric_failure_exits_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        assert err.startswith("error: " + message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("multiplier", ["action", "path", "averaged"])
+    def test_one_verify_runs_dijkstra_four_times(
+        self, capsys, monkeypatch, multiplier
+    ):
+        # arc lengths, rho at the graph energy (shared by every reader), and
+        # rho at the two shifted energies of the constraint margin
+        runs = []
+
+        def counting(graph, weight):
+            runs.append(len(weight))
+            return dijkstra(graph, weight)
+
+        monkeypatch.setattr(qgdecay.graph, "dijkstra", counting)
+        monkeypatch.setattr(qgdecay.metrics, "dijkstra", counting)
+        code, _, _ = run(
+            capsys, "verify", "--family", "regular-tree", "--b", "2",
+            "--depth", "4", "--multiplier", multiplier,
+        )
+        assert code == 0
+        assert len(runs) == 4
 
     def test_csv_sidecar(self, capsys, tmp_path):
         out_csv = tmp_path / "report.csv"

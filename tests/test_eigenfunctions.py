@@ -396,6 +396,17 @@ class TestAveragedWaveFunction:
             averaged_wave_function(f, 0.5)
 
 
+def fraction_at(f, vid, eid):
+    """The derivative fraction carried onto ``eid`` at ``vid``, relative to
+    the first incoming edge of ``vid``, snapped to 1 within 1e-12."""
+    incoming = next(
+        i for i in f.graph.incidence[vid] if f.graph.edge_by_id[i].head == vid
+    )
+    sol_in = f.solutions[incoming]
+    p = edge_deriv(f.solutions[eid], 0.0) / edge_deriv(sol_in, sol_in.length)
+    return 1.0 if abs(p - 1.0) < 1e-12 else p
+
+
 class TestCanonicalPath:
     def test_tree_fractions(self):
         b = 3
@@ -404,6 +415,48 @@ class TestCanonicalPath:
         assert len(path.edges) == 6
         for p in path.fractions:
             assert math.isclose(p, 1.0 / b, rel_tol=1e-12)
+        # every fraction is the per-vertex definition at the vertex the path
+        # passes, and matches the family's branching law
+        two = construct("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 6)
+        cases = [
+            (f, [1.0 / b] * 5),
+            (
+                construct("braided", {"b_seq": [3, 4, 2], "a_seq": [1, 3, 2, 4],
+                                      "v_seq": [1.0, 1.5, 3.0, 4.0]}, 4),
+                [1 / 3, 3 / 4, 2 / 2],
+            ),
+            (two, [two.meta["p1"]] * 6),
+            (
+                construct("ns_regular_tree", {"b_seq": [2, 3] * 3,
+                                              "length_seq": [1.0, 0.7] * 4}, 5),
+                [1 / 2, 1 / 3, 1 / 2, 1 / 3, 1 / 2],
+            ),
+        ]
+        for g, law in cases:
+            path = canonical_path(g)
+            assert len(path.fractions) == len(path.edges) - 1 == len(law)
+            for eid, p, expected in zip(path.edges[1:], path.fractions, law):
+                vid = g.graph.edge_by_id[eid].tail
+                assert p == fraction_at(g, vid, eid)
+                assert math.isclose(p, expected, rel_tol=1e-12)
+
+    def test_vanishing_incoming_derivative_names_vertex(self):
+        g = MetricGraph(
+            [Vertex(0), Vertex(1), Vertex(2, boundary=True)],
+            [Edge(0, 0, 1, 1.0, 1.0), Edge(1, 1, 2, 1.0, 1.0)],
+            root=0,
+            energy=0.0,
+        )
+        f = Eigenfunction(
+            g,
+            {
+                0: EdgeSolution(0, 0.0, 1.0, 1.0, 0.0),  # flat: psi' = 0
+                1: EdgeSolution(1, 1.0, 1.0, 1.0, -1.0),
+            },
+            family="custom",
+        )
+        with pytest.raises(ValueError, match="vertex 1"):
+            canonical_path(f)
 
     def test_ladder_antisym_follows_rail(self):
         f = construct("ladder", {"w": 1.0, "mode": "antisymmetric"}, 5)

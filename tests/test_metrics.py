@@ -93,6 +93,15 @@ class TestComputeRhoA:
         assert low.arc is high.arc
         assert low.arc == dijkstra(g, {e.id: e.length for e in g.edges})
 
+    def test_own_energy_table_is_shared(self):
+        g = generate_family("regular_tree", {"b": 2, "k": 1.0}, 4)
+        table = compute_rho_a(g)
+        assert compute_rho_a(g) is table
+        assert compute_rho_a(g, energy=g.energy) is table
+        shifted = compute_rho_a(g, energy=g.energy + 0.5)
+        assert shifted is not table
+        assert compute_rho_a(g, energy=g.energy + 0.5) is not shifted
+
     def test_csv_rows_sorted(self):
         g = chain_graph(3)
         rows = compute_rho_a(g).to_csv_rows()

@@ -179,6 +179,9 @@ class TestDecayReport:
         f = tree(5)
         with pytest.raises(ValueError, match="schedule"):
             decay_report(f, MultiplierSpec(), [9])
+        # a negative depth would index the rows from the end
+        with pytest.raises(ValueError, match="schedule"):
+            decay_report(f, MultiplierSpec(), [2, -3])
 
     def test_raw_l2_matches_closed_form(self):
         # with F == 1 the Gauss quadrature must agree with the closed-form
