@@ -231,9 +231,11 @@ def _multiplier_from_args(args: argparse.Namespace) -> MultiplierSpec:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    spec = _multiplier_from_args(args)
+    if not math.isfinite(args.exclusion):
+        raise ValueError(f"exclusion must be finite, got {args.exclusion}")
     name, params, depth = _family_params(args)
     f = construct(name, params, depth)
-    spec = _multiplier_from_args(args)
     depths = _parse_int_list(args.depth_schedule) if args.depth_schedule else None
     path = canonical_path(f) if spec.kind == "path" else None
     report = decay_report(f, spec, depths, path=path)

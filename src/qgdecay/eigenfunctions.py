@@ -479,7 +479,6 @@ def averaged_wave_function(f: Eigenfunction, y: float) -> float:
     for j in range(gen):
         weight *= info.arriving[j] / info.ongoing[j]
     total = 0.0
-    for e in f.graph.edges:
-        if e.generation == gen:
-            total += edge_eval(f.solutions[e.id], min(x, e.length))
+    for e in f.graph.edges_by_generation().get(gen, ()):
+        total += edge_eval(f.solutions[e.id], min(x, e.length))
     return weight * total

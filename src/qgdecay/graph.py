@@ -97,6 +97,7 @@ class MetricGraph:
                 incidence[e.head].append(e.id)
         self.incidence = {vid: tuple(eids) for vid, eids in incidence.items()}
         self._arc: dict[int, float] | None = None
+        self._by_generation: dict[int | None, tuple[Edge, ...]] | None = None
         # metrics.compute_rho_a's table at self.energy, built on first use
         self._rho_table = None
 
@@ -176,6 +177,16 @@ class MetricGraph:
         if self._arc is None:
             self._arc = dijkstra(self, {e.id: e.length for e in self.edges})
         return self._arc
+
+    def edges_by_generation(self) -> dict[int | None, tuple[Edge, ...]]:
+        """Edges grouped by generation, each group in graph order; computed
+        once per graph, and callers must not modify it."""
+        if self._by_generation is None:
+            groups: dict[int | None, list[Edge]] = {}
+            for e in self.edges:
+                groups.setdefault(e.generation, []).append(e)
+            self._by_generation = {g: tuple(es) for g, es in groups.items()}
+        return self._by_generation
 
     def to_json_dict(self) -> dict:
         return {

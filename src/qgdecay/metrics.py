@@ -25,8 +25,7 @@ def edge_action_weight(edge: Edge, energy: float) -> float:
 
 @dataclass
 class AgmonMetricTable:
-    """Per-vertex action-metric and arc-length distances from the root,
-    plus the per-edge action weights used to compute them.
+    """Per-vertex action-metric and arc-length distances from the root.
 
     Immutable after computation; ``energy`` records the (possibly shifted)
     eigenparameter the action weights were evaluated at.
@@ -36,7 +35,12 @@ class AgmonMetricTable:
     energy: float
     rho: dict[int, float]
     arc: dict[int, float]
-    edge_weight: dict[int, float]
+
+    @property
+    def edge_weight(self) -> dict[int, float]:
+        """The per-edge action weights rho was computed from (rebuilt on
+        each access, so a table does not hold them)."""
+        return {e.id: edge_action_weight(e, self.energy) for e in self.graph.edges}
 
     def to_csv_rows(self) -> list[tuple[int, float, float]]:
         return [
@@ -51,15 +55,20 @@ def compute_rho_a(graph: MetricGraph, energy: float | None = None) -> AgmonMetri
     Arc-length distances are tabulated alongside so the same table supports
     the distance orientation and cut-point detection.  The table at the
     graph's own energy is computed once per graph and shared; tables at
-    other energies are built fresh on every call.
+    other energies are built fresh on every call.  A non-finite energy
+    raises ValueError.
     """
     e_eff = graph.energy if energy is None else float(energy)
+    if not math.isfinite(e_eff):
+        # Dijkstra never settles a vertex across a NaN weight
+        raise ValueError(f"energy must be finite, got {e_eff}")
     own = e_eff == graph.energy
     if own and graph._rho_table is not None:
         return graph._rho_table
-    weight = {e.id: edge_action_weight(e, e_eff) for e in graph.edges}
-    rho = dijkstra(graph, weight)
-    table = AgmonMetricTable(graph, e_eff, rho, graph.arc_distances(), weight)
+    rho = dijkstra(
+        graph, {e.id: edge_action_weight(e, e_eff) for e in graph.edges}
+    )
+    table = AgmonMetricTable(graph, e_eff, rho, graph.arc_distances())
     if own:
         graph._rho_table = table
     return table

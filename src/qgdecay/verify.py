@@ -12,23 +12,26 @@ identity, decay-rate fitting, and monotonicity scans.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .eigenfunctions import (
+    EdgeSolution,
     Eigenfunction,
     averaged_wave_function,
     canonical_path,
     continuity_residual,
-    edge_eval,
     kirchhoff_residual,
 )
-from .graph import MetricGraph
+from .graph import Edge, MetricGraph
 from .metrics import (
+    AgmonMetricTable,
     PathSpec,
     ave_action_integral,
     ave_branching_prefactor,
@@ -37,7 +40,7 @@ from .metrics import (
 
 VALUE_FLOOR = 1e-300
 PLATEAU_FACTOR = 1.01
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(16)
+BLOCK_EDGES = 512  # edges per array block of the sampled stages
 
 
 @dataclass(frozen=True)
@@ -55,6 +58,12 @@ class MultiplierSpec:
     shift_sign: int = 1
     epsilon: float = 0.0
     extra_rate: float = 0.0
+
+    def __post_init__(self):
+        for name in ("delta", "epsilon", "extra_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     def effective_energy(self, energy: float) -> float:
         return energy + self.shift_sign * self.delta
@@ -106,6 +115,82 @@ class Multiplier:
 
         return big_f
 
+    def on_edges(
+        self, eids: Sequence[int], x: np.ndarray, overflow: np.ndarray
+    ) -> np.ndarray:
+        """``on_edge`` at offsets ``x[i, j]`` along edge ``eids[i]``, bit for
+        bit; exp overflows are flagged in ``overflow``."""
+        table, spec = self.table, self.spec
+        length, w, rho_tail, rho_head, arc_tail, arc_head = _edge_columns(
+            table, [table.graph.edge_by_id[eid] for eid in eids]
+        )
+        pre = _column(self.prefactor.get(eid, 1.0) for eid in eids)
+        expo = (1.0 - spec.epsilon) * _min(
+            rho_tail + w * x, rho_head + w * (length - x)
+        )
+        if spec.extra_rate != 0.0:
+            expo += spec.extra_rate * _min(arc_tail + x, arc_head + (length - x))
+        return pre * _libm(math.exp, expo, overflow)
+
+
+# The sampled stages run on blocks of BLOCK_EDGES edges as (edges x samples)
+# arrays, with the per-point code's float operations in its order, so their
+# results are bitwise those of on_edge, edge_eval and _sup_and_l2.
+
+
+def _blocks(items: Iterable) -> Iterator[list]:
+    it = iter(items)
+    while block := list(itertools.islice(it, BLOCK_EDGES)):
+        yield block
+
+
+def _column(values: Iterable[float]) -> np.ndarray:
+    return np.array(list(values), dtype=float)[:, None]
+
+
+def _edge_columns(table: AgmonMetricTable, edges: list[Edge]) -> np.ndarray:
+    """Columns L, sqrt((V - E)_+), rho and arc at tail and head."""
+    rho, arc = table.rho, table.arc
+    return np.array([
+        (e.length, math.sqrt(max(e.potential - table.energy, 0.0)),
+         rho[e.tail], rho[e.head], arc[e.tail], arc[e.head])
+        for e in edges
+    ], dtype=float).T[:, :, None]
+
+
+def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min(a, b) elementwise by Python's rule: a unless b < a."""
+    return np.where(b < a, b, a)
+
+
+def _libm(fn: Callable, a: np.ndarray, overflow: np.ndarray) -> np.ndarray:
+    """``fn`` from ``math`` on each element, as numpy's ufuncs differ from
+    libm in the last bit for some inputs; overflows read inf and are
+    flagged in ``overflow``."""
+    flat = memoryview(a.ravel())  # yields one Python float at a time
+    try:
+        out = np.fromiter(map(fn, flat), float, a.size)
+    except OverflowError:
+        out = np.empty(a.size)
+        for i, value in enumerate(flat):
+            try:
+                out[i] = fn(value)
+            except OverflowError:
+                out[i] = math.inf
+                overflow.flat[i] = True
+    return out.reshape(a.shape)
+
+
+def _psi(
+    sols: list[EdgeSolution], x: np.ndarray, overflow: np.ndarray
+) -> np.ndarray:
+    """``edge_eval`` at offsets ``x[i, j]`` on ``sols[i]``, bit for bit."""
+    rows = [(sol.A, sol.B, sol.k) for sol in sols]
+    a, b, k = np.array(rows, dtype=float).T[:, :, None]
+    kx = k * x
+    cosh, sinh = _libm(math.cosh, kx, overflow), _libm(math.sinh, kx, overflow)
+    return np.where(k == 0.0, a + b * x, a * cosh + b * sinh)
+
 
 def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
     """Worst continuity and Kirchhoff residuals over all interior vertices."""
@@ -131,31 +216,31 @@ def constraint_margin(
     hypothesis at the sampled resolution.  Core edges are excluded (the
     constraint is only required outside the compact core)."""
     table = compute_rho_a(graph, energy=spec.effective_energy(graph.energy))
+    kept = (e for e in graph.edges if e.id not in graph.core_edges)
+    steps = np.arange(samples_per_edge) + 0.5
     margin = math.inf
-    for e in graph.edges:
-        if e.id in graph.core_edges:
-            continue
-        w = math.sqrt(max(e.potential - table.energy, 0.0))
-        gap = e.potential - graph.energy
-        for i in range(samples_per_edge):
-            x = e.length * (i + 0.5) / samples_per_edge
-            # one-sided slopes of the piecewise-linear rho and arc at x
-            rho_sign = (
-                1.0
-                if table.rho[e.tail] + w * x
-                <= table.rho[e.head] + w * (e.length - x)
-                else -1.0
+    with np.errstate(all="ignore"):
+        for edges in _blocks(kept):
+            length, w, rho_tail, rho_head, arc_tail, arc_head = (
+                _edge_columns(table, edges)
             )
-            arc_sign = (
-                1.0
-                if table.arc[e.tail] + x <= table.arc[e.head] + (e.length - x)
-                else -1.0
+            gap = _column(e.potential - graph.energy for e in edges)
+            x = length * steps / samples_per_edge
+            # one-sided slopes of the piecewise-linear rho and arc at x
+            rho_sign = np.where(
+                rho_tail + w * x <= rho_head + w * (length - x), 1.0, -1.0
+            )
+            arc_sign = np.where(
+                arc_tail + x <= arc_head + (length - x), 1.0, -1.0
             )
             slope = (
                 (1.0 - spec.epsilon) * rho_sign * w
                 + spec.extra_rate * arc_sign
             )
-            margin = min(margin, gap - slope * slope)
+            # a running min() from inf: fmin skips NaN as min() does
+            margin = float(
+                np.fmin.reduce(gap - slope * slope, axis=None, initial=margin)
+            )
     return margin
 
 
@@ -214,6 +299,13 @@ class DecayReport:
         return buf.getvalue()
 
 
+@functools.cache
+def _gauss() -> tuple[np.ndarray, np.ndarray]:
+    """16-node Gauss-Legendre nodes and weights on [-1, 1].  Built on first
+    use: importing numpy.polynomial adds 0.7 MB to every process."""
+    return np.polynomial.legendre.leggauss(16)
+
+
 def _sup_and_l2(
     g: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float]:
@@ -223,10 +315,41 @@ def _sup_and_l2(
     sup = max(abs(g(y)) for y in ys)
     half = (hi - lo) / 2.0
     total = 0.0
-    for t, wt in zip(_GAUSS_X, _GAUSS_W):
+    for t, wt in zip(*_gauss()):
         v = g(lo + half * (t + 1.0))
         total += wt * v * v
-    return sup, total * half
+    return sup, float(total * half)
+
+
+def _edge_sups_and_l2(
+    f: Eigenfunction, mult: Multiplier, eids: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_sup_and_l2`` of on_edge * edge_eval over [0, L] of each edge, bit
+    for bit, and whether any of the edge's samples overflowed."""
+    nodes, weights = _gauss()
+    lo = 0.0
+    hi = _column(f.graph.edge_by_id[eid].length for eid in eids)
+    half = (hi - lo) / 2.0
+    x = np.hstack([
+        np.full_like(hi, lo),
+        hi,
+        lo + (hi - lo) * np.arange(1, 17) / 17.0,
+        lo + half * (nodes + 1.0),
+    ])
+    overflow = np.zeros(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        g = mult.on_edges(eids, x, overflow) * _psi(
+            [f.solutions[eid] for eid in eids], x, overflow
+        )
+        sup_g = np.abs(g[:, :18])
+        sup = sup_g[:, 0]
+        for j in range(1, 18):  # max(): only a greater value replaces
+            sup = np.where(sup_g[:, j] > sup, sup_g[:, j], sup)
+        total = np.zeros(len(eids))
+        for j, wt in enumerate(weights):
+            v = g[:, 18 + j]
+            total = total + wt * v * v
+    return sup, total * half[:, 0], overflow.any(axis=1)
 
 
 def closed_form_edge_l2(sol) -> float:
@@ -296,14 +419,7 @@ def decay_report(
     """
     sup_by_gen: dict[int, float] = {}
     inc_by_gen: dict[int, float] = {}
-    for gen, g, lo, hi in _units(f, spec, path):
-        try:
-            sup, inc = _sup_and_l2(g, lo, hi)
-        except OverflowError:
-            raise ValueError(
-                f"{spec.kind} multiplier times psi overflows a float at "
-                f"generation {gen}; try a smaller --depth"
-            ) from None
+    for gen, sup, inc in _unit_sups_and_l2(f, spec, path):
         sup_by_gen[gen] = max(sup_by_gen.get(gen, 0.0), sup)
         inc_by_gen[gen] = inc_by_gen.get(gen, 0.0) + inc
     gens = sorted(sup_by_gen)
@@ -341,37 +457,42 @@ def decay_report(
     )
 
 
-def _units(
+def _overflow_error(spec: MultiplierSpec, gen: int) -> ValueError:
+    return ValueError(
+        f"{spec.kind} multiplier times psi overflows a float at "
+        f"generation {gen}; try a smaller --depth"
+    )
+
+
+def _unit_sups_and_l2(
     f: Eigenfunction, spec: MultiplierSpec, path: PathSpec | None
-) -> Iterator[tuple[int, Callable[[float], float], float, float]]:
-    """(generation, g, lo, hi) for each edge or segment the report sums:
-    g = F * psi on [0, L] of every edge (kind "action") or of each path
-    edge (kind "path"), g = F_ave * averaged psi on [v_g, v_{g+1}] (kind
-    "averaged").  Lazy, so one unit is held at a time."""
+) -> Iterator[tuple[int, float, float]]:
+    """(generation, sup of |g|, L2 increment of g) for each unit the report
+    sums, in order: g = F * psi on [0, L] of every edge (kind "action") or
+    of each path edge (kind "path"), g = F_ave * averaged psi on
+    [v_g, v_{g+1}] (kind "averaged")."""
     graph = f.graph
     if spec.kind != "averaged":
         if spec.kind == "path" and path is None:
             path = canonical_path(f)
         mult = Multiplier(graph, spec, path)
-
-        def edge_unit(eid: int):
-            big_f, sol = mult.on_edge(eid), f.solutions[eid]
-            e = graph.edge_by_id[eid]
-            g = lambda x: big_f(x) * edge_eval(sol, x)
-            return int(e.generation), g, 0.0, e.length
-
-        pool = path.edges if spec.kind == "path" else f.solutions.keys()
-        return map(edge_unit, pool)
+        for eids in _blocks(path.edges if spec.kind == "path" else f.solutions):
+            gens = [int(graph.edge_by_id[eid].generation) for eid in eids]
+            sups, incs, overflow = _edge_sups_and_l2(f, mult, eids)
+            if overflow.any():  # the first such edge in pool order
+                raise _overflow_error(spec, gens[int(overflow.argmax())])
+            yield from zip(gens, sups.tolist(), incs.tolist())
+        return
 
     info = graph.family_info
     if info is None or info.positions is None:
         raise ValueError("averaged multiplier requires a regular-topology family")
     positions = info.positions
-    n_gens = len(positions) - 1
     v_inner = positions[1:]
+    by_generation = graph.edges_by_generation()
     envelopes = [
-        min(e.potential for e in graph.edges if e.generation == g)
-        for g in range(n_gens)
+        min(e.potential for e in by_generation.get(g, ()))
+        for g in range(len(positions) - 1)
     ]
     e_eff = spec.effective_energy(graph.energy)
 
@@ -383,9 +504,12 @@ def _units(
         )
         return big_f * averaged_wave_function(f, y)
 
-    return (
-        (g, f_ave_psi, positions[g], positions[g + 1]) for g in range(n_gens)
-    )
+    for g in range(len(envelopes)):
+        try:
+            sup, inc = _sup_and_l2(f_ave_psi, positions[g], positions[g + 1])
+        except OverflowError:
+            raise _overflow_error(spec, g) from None
+        yield g, sup, inc
 
 
 # ---------------------------------------------------------------------------
@@ -492,25 +616,40 @@ def monotonicity_check(
         if edges is None
         else [f.graph.edge_by_id[eid] for eid in edges]
     )
-    for e in sorted(pool, key=lambda e: e.id):
-        near = min(arc[e.tail], arc[e.head])
-        if near < exclusion_radius - 1e-12:
-            continue
-        sol = f.solutions[e.id]
-        forward = arc[e.head] >= arc[e.tail]
-        prev = None
-        for i in range(samples_per_edge):
-            frac = i / (samples_per_edge - 1)
-            x = e.length * (frac if forward else 1.0 - frac)
-            val = abs(edge_eval(sol, x))
-            if prev is not None and val > prev * (1 + rel_tol) + rel_tol * scale:
-                return MonotonicityResult(
-                    False,
-                    edge=e.id,
-                    offset=x,
-                    detail=f"|psi| increases along edge {e.id} at x={x}",
+    kept = (
+        e
+        for e in sorted(pool, key=lambda e: e.id)
+        if not min(arc[e.tail], arc[e.head]) < exclusion_radius - 1e-12
+    )
+    frac = np.array(
+        [i / (samples_per_edge - 1) for i in range(samples_per_edge)]
+    )
+    for edges in _blocks(kept):
+        forward = np.array([arc[e.head] >= arc[e.tail] for e in edges])
+        x = _column(e.length for e in edges) * np.where(
+            forward[:, None], frac, 1.0 - frac
+        )
+        overflow = np.zeros(x.shape, dtype=bool)
+        with np.errstate(all="ignore"):
+            val = np.abs(_psi([f.solutions[e.id] for e in edges], x, overflow))
+            # the first overflow or increase, by edge id and then by sample
+            stop = overflow.copy()
+            stop[:, 1:] |= (
+                val[:, 1:] > val[:, :-1] * (1 + rel_tol) + rel_tol * scale
+            )
+        if stop.any():
+            i, j = np.unravel_index(stop.argmax(), stop.shape)
+            eid, at = edges[i].id, float(x[i, j])
+            if overflow[i, j]:
+                raise OverflowError(
+                    f"|psi| overflows a float along edge {eid} at x={at}"
                 )
-            prev = val
+            return MonotonicityResult(
+                False,
+                edge=eid,
+                offset=at,
+                detail=f"|psi| increases along edge {eid} at x={at}",
+            )
     if f.mode == "antisymmetric":
         for vid in f.meta.get("rung_midpoints", []):
             val = abs(f.vertex_value(vid))

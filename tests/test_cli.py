@@ -3,9 +3,13 @@ import math
 
 import pytest
 
+import qgdecay.cli
+import qgdecay.eigenfunctions
 import qgdecay.graph
 import qgdecay.metrics
+import qgdecay.verify
 from qgdecay.cli import main
+from qgdecay.eigenfunctions import edge_eval
 from qgdecay.graph import build_graph, dijkstra
 
 
@@ -208,9 +212,29 @@ class TestVerify:
             (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4",
               "--depth-schedule", "2,-3"],
              "depth schedule [2, -3] lies outside the constructed depths 0..4"),
+            # non-finite numeric flags
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4",
+              "--epsilon", "nan"], "epsilon must be finite, got nan"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4",
+              "--extra-rate", "nan"], "extra_rate must be finite, got nan"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4",
+              "--extra-rate", "nan", "--multiplier", "path"],
+             "extra_rate must be finite, got nan"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4",
+              "--shift-delta", "nan"], "delta must be finite, got nan"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4",
+              "--shift-delta", "inf"], "delta must be finite, got inf"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4",
+              "--exclusion", "nan"], "exclusion must be finite, got nan"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4",
+              "--exclusion", "inf"], "exclusion must be finite, got inf"),
+            (["metric", "--family", "regular-tree", "--b", "2", "--depth", "4",
+              "--energy-shift", "nan"], "energy must be finite, got nan"),
         ],
         ids=["ladder-deep", "millipede-deep", "twolen-saturated", "sweep-b0",
-             "negative-schedule"],
+             "negative-schedule", "epsilon-nan", "extra-rate-nan",
+             "extra-rate-nan-path", "shift-delta-nan", "shift-delta-inf",
+             "exclusion-nan", "exclusion-inf", "energy-shift-nan"],
     )
     def test_numeric_failure_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -239,6 +263,32 @@ class TestVerify:
         )
         assert code == 0
         assert len(runs) == 4
+
+    def test_one_verify_evaluates_psi_per_vertex_not_per_point(
+        self, capsys, monkeypatch
+    ):
+        # the sampled stages run as array kernels; pointwise evaluations
+        # remain for the vertex residuals, the vertex fits and the identity
+        # check.  Per-point sampling would add 51 per edge (34 in the decay
+        # report, 17 in the monotonicity scan): 6,477 on these 127 edges.
+        calls = []
+
+        def counting(sol, x):
+            calls.append(x)
+            return edge_eval(sol, x)
+
+        for module in (qgdecay.eigenfunctions, qgdecay.verify, qgdecay.cli):
+            monkeypatch.setattr(module, "edge_eval", counting, raising=False)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            code, _, _ = run(
+                capsys, "verify", "--family", "regular-tree", "--b", "2",
+                "--depth", "6",
+            )
+            assert code == 0
+            counts.append(len(calls))
+        assert counts == [513, 513]
 
     def test_csv_sidecar(self, capsys, tmp_path):
         out_csv = tmp_path / "report.csv"

@@ -385,6 +385,29 @@ class TestAveragedWaveFunction:
         values = [abs(averaged_wave_function(f, y)) for y in ys]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    def test_sum_over_own_generation_matches_full_scan(self):
+        f = construct(
+            "braided",
+            {"b_seq": [4] * 6, "a_seq": [2] * 6,
+             "v_seq": [float(j) for j in range(1, 7)]},
+            6,
+        )
+        info = f.graph.family_info
+        for y in (0.0, 0.3, 1.0, 2.5, 4.0, 5.75, 6.0):
+            gen = max(
+                g for g in range(len(info.positions) - 1)
+                if info.positions[g] <= y
+            )
+            x = y - info.positions[gen]
+            weight = 1.0 / info.root_edges
+            for j in range(gen):
+                weight *= info.arriving[j] / info.ongoing[j]
+            total = 0.0
+            for e in f.graph.edges:
+                if e.generation == gen:
+                    total += edge_eval(f.solutions[e.id], min(x, e.length))
+            assert averaged_wave_function(f, y) == weight * total
+
     def test_beyond_truncation(self):
         f = construct("regular_tree", {"b": 2}, 3)
         with pytest.raises(ValueError, match="outside"):

@@ -49,6 +49,12 @@ class TestComputeRhoA:
             assert table.rho[i] == float(i)
             assert table.arc[i] == float(i)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_rejected(self, energy):
+        # Dijkstra would never settle a vertex across a NaN weight
+        with pytest.raises(ValueError, match="energy must be finite"):
+            compute_rho_a(chain_graph(3), energy=energy)
+
     def test_cycle_takes_min(self):
         g = MetricGraph(
             [Vertex(0), Vertex(1)],

@@ -4,17 +4,21 @@ import math
 import pytest
 
 from qgdecay.graph import Edge, GraphPoint, MetricGraph, Vertex
+import qgdecay.verify
 from qgdecay.eigenfunctions import (
     EdgeSolution,
     Eigenfunction,
     canonical_path,
     construct,
+    edge_eval,
 )
 from qgdecay.metrics import compute_rho_a, eval_arc, eval_rho_a
 from qgdecay.transfer import eig2, vertex_edge_transfer
 from qgdecay.verify import (
+    BLOCK_EDGES,
     Multiplier,
     MultiplierSpec,
+    _sup_and_l2,
     closed_form_edge_l2,
     constraint_margin,
     continuity_and_kirchhoff,
@@ -72,6 +76,12 @@ class TestMultiplier:
                     + spec.extra_rate * eval_arc(table, point)
                 )
                 assert big_f(x) == expected, (e.id, x)
+
+    @pytest.mark.parametrize("field", ["delta", "epsilon", "extra_rate"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_spec_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            MultiplierSpec(**{field: value})
 
     def test_path_kind_needs_path(self):
         with pytest.raises(ValueError, match="PathSpec"):
@@ -206,6 +216,16 @@ class TestDecayReport:
         lines = text.strip().split("\n")
         assert lines[0] == "generation,sup_F_psi,cum_L2,depth"
         assert len(lines) == 2 + 5
+        # plain float reprs, for every multiplier kind
+        for kind in ("action", "path", "averaged"):
+            f = construct(
+                "braided", {"b_seq": [2] * 4, "a_seq": [1] * 4,
+                            "v_seq": [1.0, 2.0, 3.0, 4.0]}, 4,
+            )
+            text = decay_report(f, MultiplierSpec(kind=kind)).to_csv_text()
+            for line in text.strip().split("\n")[1:]:
+                gen, sup, cum, depth = line.split(",")
+                assert float(sup) >= 0.0 and float(cum) >= 0.0
 
 
 class TestFitDecayRate:
@@ -324,3 +344,206 @@ class TestContinuityAndKirchhoff:
             res = continuity_and_kirchhoff(f)
             assert res["max_continuity"] <= 1e-10
             assert res["max_kirchhoff"] <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The array kernel of the sampled stages against the per-point code
+# ---------------------------------------------------------------------------
+
+KERNEL_FAMILIES = [
+    ("regular_tree", {"b": 2, "length": 1.0, "k": 1.0}),
+    ("ns_regular_tree", {"b_seq": [3, 2] * 3, "length_seq": [0.5, 1.0] * 4}),
+    ("braided", {"b_seq": [4] * 6, "a_seq": [2] * 6,
+                 "v_seq": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}),
+    ("two_lengths_tree", {"L1": 1.0, "L2": 2.0}),
+    ("ladder", {"w": 1.0, "mode": "symmetric"}),
+    ("ladder", {"w": 1.0, "mode": "antisymmetric"}),
+    ("millipede", {"delta": 0.1}),
+]
+KERNEL_FAMILY_IDS = [
+    "regular", "ns-regular", "braided", "two-lengths", "ladder-symmetric",
+    "ladder-antisymmetric", "millipede",
+]
+KERNEL_SPECS = [
+    MultiplierSpec(epsilon=0.3),
+    MultiplierSpec(epsilon=0.3, extra_rate=0.2, delta=0.3),
+    MultiplierSpec(extra_rate=-0.2, delta=0.2, shift_sign=-1),
+]
+KERNEL_SPEC_IDS = ["epsilon", "extra-shift-up", "negative-extra-shift-down"]
+
+
+@pytest.fixture(params=[BLOCK_EDGES, 3], ids=["block", "block-3"])
+def block_edges(request, monkeypatch):
+    """Run with the module's block size and with blocks of 3 edges, so that
+    partial blocks and block boundaries fall inside every graph."""
+    monkeypatch.setattr(qgdecay.verify, "BLOCK_EDGES", request.param)
+    return request.param
+
+
+def bits(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+def per_point_rows(f, spec, path):
+    """The per-edge reduction of the per-point sampler the kernel replaced."""
+    mult = Multiplier(f.graph, spec, path)
+    pool = path.edges if spec.kind == "path" else f.solutions
+    sup_by_gen, inc_by_gen = {}, {}
+    for eid in pool:
+        big_f, sol = mult.on_edge(eid), f.solutions[eid]
+        e = f.graph.edge_by_id[eid]
+        sup, inc = _sup_and_l2(
+            lambda x: big_f(x) * edge_eval(sol, x), 0.0, e.length
+        )
+        gen = int(e.generation)
+        sup_by_gen[gen] = max(sup_by_gen.get(gen, 0.0), sup)
+        inc_by_gen[gen] = inc_by_gen.get(gen, 0.0) + inc
+    rows, cum = [], 0.0
+    for gen in sorted(sup_by_gen):
+        cum += inc_by_gen[gen]
+        rows.append(bits((gen, sup_by_gen[gen], inc_by_gen[gen], cum)))
+    return rows
+
+
+def per_point_margin(graph, spec, samples_per_edge=16):
+    table = compute_rho_a(graph, energy=spec.effective_energy(graph.energy))
+    margin = math.inf
+    for e in graph.edges:
+        if e.id in graph.core_edges:
+            continue
+        w = math.sqrt(max(e.potential - table.energy, 0.0))
+        gap = e.potential - graph.energy
+        for i in range(samples_per_edge):
+            x = e.length * (i + 0.5) / samples_per_edge
+            rho_sign = (
+                1.0
+                if table.rho[e.tail] + w * x
+                <= table.rho[e.head] + w * (e.length - x)
+                else -1.0
+            )
+            arc_sign = (
+                1.0
+                if table.arc[e.tail] + x <= table.arc[e.head] + (e.length - x)
+                else -1.0
+            )
+            slope = (
+                (1.0 - spec.epsilon) * rho_sign * w
+                + spec.extra_rate * arc_sign
+            )
+            margin = min(margin, gap - slope * slope)
+    return margin
+
+
+def per_point_monotonicity(f, exclusion_radius=0.0, edges=None,
+                           samples_per_edge=17, rel_tol=1e-12):
+    """(ok, edge, offset, detail) of the edge scan, rung zeros left out."""
+    arc = f.graph.arc_distances()
+    scale = max(abs(sol.A) + abs(sol.B) for sol in f.solutions.values())
+    pool = (
+        f.graph.edges
+        if edges is None
+        else [f.graph.edge_by_id[eid] for eid in edges]
+    )
+    for e in sorted(pool, key=lambda e: e.id):
+        if min(arc[e.tail], arc[e.head]) < exclusion_radius - 1e-12:
+            continue
+        sol = f.solutions[e.id]
+        forward = arc[e.head] >= arc[e.tail]
+        prev = None
+        for i in range(samples_per_edge):
+            frac = i / (samples_per_edge - 1)
+            x = e.length * (frac if forward else 1.0 - frac)
+            val = abs(edge_eval(sol, x))
+            if prev is not None and val > prev * (1 + rel_tol) + rel_tol * scale:
+                return (False, e.id, x,
+                        f"|psi| increases along edge {e.id} at x={x}")
+            prev = val
+    return (True, None, None, "")
+
+
+class TestKernelMatchesPerPointCode:
+    @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
+                             ids=KERNEL_FAMILY_IDS)
+    @pytest.mark.parametrize("kind", ["action", "path"])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_SPEC_IDS)
+    def test_decay_report_rows(self, block_edges, family, params, kind, spec):
+        f = construct(family, dict(params), 6)
+        spec = MultiplierSpec(
+            kind=kind, delta=spec.delta, shift_sign=spec.shift_sign,
+            epsilon=spec.epsilon, extra_rate=spec.extra_rate,
+        )
+        path = canonical_path(f) if kind == "path" else None
+        report = decay_report(f, spec, path=path)
+        got = [
+            bits((r.generation, r.sup_F_psi, r.l2_increment, r.l2_cumulative))
+            for r in report.rows
+        ]
+        assert got == per_point_rows(f, spec, path)
+
+    @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
+                             ids=KERNEL_FAMILY_IDS)
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_SPEC_IDS)
+    def test_constraint_margin(self, block_edges, family, params, spec):
+        graph = construct(family, dict(params), 6).graph
+        assert bits([constraint_margin(graph, spec)]) == bits(
+            [per_point_margin(graph, spec)]
+        )
+
+    @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
+                             ids=KERNEL_FAMILY_IDS)
+    @pytest.mark.parametrize("exclusion", [0.0, 2.5])
+    @pytest.mark.parametrize("on_path", [False, True], ids=["graph", "path"])
+    def test_monotonicity(self, block_edges, family, params, exclusion, on_path):
+        f = construct(family, dict(params), 6)
+        edges = canonical_path(f).edges if on_path else None
+        result = monotonicity_check(f, exclusion_radius=exclusion, edges=edges)
+        expected = per_point_monotonicity(f, exclusion, edges)
+        assert (result.ok, result.edge, result.offset, result.detail) == expected
+
+    def test_first_monotonicity_violation(self, block_edges):
+        f = construct("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 4)
+        result = monotonicity_check(f)
+        expected = (False, 2, 0.375, "|psi| increases along edge 2 at x=0.375")
+        assert (result.ok, result.edge, result.offset, result.detail) == expected
+        assert per_point_monotonicity(f) == expected
+
+    def test_violation_in_a_late_block(self, block_edges):
+        # growing solutions on two late edges: the lower id is reported
+        f = tree(6)
+        for eid in (117, 100):
+            sol = f.solutions[eid]
+            f.solutions[eid] = EdgeSolution(eid, sol.k, sol.length, sol.A, -sol.B)
+        result = monotonicity_check(f)
+        expected = per_point_monotonicity(f)
+        assert expected[:2] == (False, 100)
+        assert (result.ok, result.edge, result.offset, result.detail) == expected
+
+    @pytest.mark.parametrize(
+        "family,params,depth,gen",
+        [
+            ("ladder", {"w": 1.0, "mode": "antisymmetric"}, 800, 788),
+            ("millipede", {"delta": 0.1}, 600, 394),
+        ],
+    )
+    def test_overflow_names_first_generation(
+        self, block_edges, family, params, depth, gen
+    ):
+        # the generation is that of the first edge in pool order, not the
+        # first edge of its block
+        f = construct(family, dict(params), depth)
+        with pytest.raises(ValueError, match=f"at generation {gen};"):
+            decay_report(f, MultiplierSpec(epsilon=0.1))
+
+    def test_monotonicity_overflow_raises(self):
+        # cosh(k x) overflows past k x = 710.5, at the 16th of 17 samples
+        g = MetricGraph(
+            [Vertex(0), Vertex(1, boundary=True)],
+            [Edge(0, 0, 1, 800.0, 1.0)],
+            root=0,
+            energy=0.0,
+        )
+        f = Eigenfunction(
+            g, {0: EdgeSolution(0, 1.0, 800.0, 1.0, -1.0)}, family="custom"
+        )
+        with pytest.raises(OverflowError, match=r"edge 0 at x=750\.0$"):
+            monotonicity_check(f)
