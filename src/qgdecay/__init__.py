@@ -12,7 +12,6 @@ from .graph import (
     build_graph,
     generate_family,
     load_graph_spec,
-    truncate,
 )
 from .metrics import (
     AgmonMetricTable,

@@ -11,8 +11,10 @@ leaves, where the infinite-graph solution is simply cut off.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from .graph import Edge, FamilyInfo, GraphPoint, MetricGraph, Vertex
 from .graph import family_name, generate_family, keyword_params
@@ -95,28 +97,52 @@ def ode_residual(sol: EdgeSolution, h: float, n_samples: int = 16) -> float:
 
 
 class Eigenfunction:
-    """One EdgeSolution per edge of a graph, plus construction metadata."""
+    """One EdgeSolution per edge of a graph, plus construction metadata.
+    The solutions are read-only, so what is derived from them stays valid."""
 
     def __init__(
         self,
         graph: MetricGraph,
-        solutions: dict[int, EdgeSolution],
+        solutions: Mapping[int, EdgeSolution],
         family: str,
         mode: str | None = None,
         meta: dict | None = None,
     ):
         self.graph = graph
-        self.solutions = dict(solutions)
+        self._solutions = MappingProxyType(dict(solutions))
+        self._runs: dict | None = None
         self.family = family
         self.mode = mode
         self.meta = dict(meta or {})
 
+    @property
+    def solutions(self) -> Mapping[int, EdgeSolution]:
+        return self._solutions
+
+    def _generation_runs(self) -> dict:
+        """Per generation, its edges in graph order as runs [solution, edge
+        length, count] of bitwise-equal (solution, length).  Computed once."""
+        if self._runs is None:
+            self._runs = {}
+            for gen, edges in self.graph.edges_by_generation().items():
+                runs, last = [], None
+                for e in edges:
+                    sol = self._solutions[e.id]
+                    key = struct.pack("5d", sol.k, sol.length, sol.A, sol.B, e.length)
+                    if key == last:
+                        runs[-1][2] += 1
+                    else:
+                        runs.append([sol, e.length, 1])
+                        last = key
+                self._runs[gen] = runs
+        return self._runs
+
     def value(self, point: GraphPoint) -> float:
-        return edge_eval(self.solutions[point.edge], point.offset)
+        return edge_eval(self._solutions[point.edge], point.offset)
 
     def edge_end_value(self, eid: int, vid: int) -> float:
         e = self.graph.edge_by_id[eid]
-        sol = self.solutions[eid]
+        sol = self._solutions[eid]
         if vid == e.tail:
             return edge_eval(sol, 0.0)
         if vid == e.head:
@@ -126,7 +152,7 @@ class Eigenfunction:
     def outgoing_derivative(self, vid: int, eid: int) -> float:
         """Derivative limit at the vertex in the direction leaving it."""
         e = self.graph.edge_by_id[eid]
-        sol = self.solutions[eid]
+        sol = self._solutions[eid]
         out = 0.0
         if vid == e.tail:
             out += edge_deriv(sol, 0.0)
@@ -145,7 +171,7 @@ class Eigenfunction:
         arc = self.graph.arc_distances()
         rows = []
         for e in sorted(self.graph.edges, key=lambda e: e.id):
-            sol = self.solutions[e.id]
+            sol = self._solutions[e.id]
             for i in range(samples_per_edge):
                 x = e.length * i / max(samples_per_edge - 1, 1)
                 rows.append(
@@ -478,7 +504,9 @@ def averaged_wave_function(f: Eigenfunction, y: float) -> float:
     weight = 1.0 / info.root_edges
     for j in range(gen):
         weight *= info.arriving[j] / info.ongoing[j]
-    total = 0.0
-    for e in f.graph.edges_by_generation().get(gen, ()):
-        total += edge_eval(f.solutions[e.id], min(x, e.length))
+    total = 0.0  # in edge order, one evaluation per run of equal edges
+    for sol, length, count in f._generation_runs().get(gen, ()):
+        value = edge_eval(sol, min(x, length))
+        for _ in range(count):
+            total += value
     return weight * total

@@ -108,10 +108,6 @@ class MetricGraph:
             deg += 2 if e.tail == e.head else 1
         return deg
 
-    @property
-    def ell_min(self) -> float:
-        return min(e.length for e in self.edges)
-
     def interior_vertex_ids(self) -> list[int]:
         """Vertices where vertex conditions are checkable: not the root, not
         boundary-flagged, degree at least 2."""
@@ -209,13 +205,11 @@ class MetricGraph:
 def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float]:
     """Label-setting sweep from the root; weights must be nonnegative."""
     dist = {graph.root: 0.0}
-    done: set[int] = set()
     heap: list[tuple[float, int]] = [(0.0, graph.root)]
     while heap:
         d, vid = heapq.heappop(heap)
-        if vid in done:
+        if d > dist[vid]:  # stale: a strictly shorter push came later
             continue
-        done.add(vid)
         for eid in graph.incidence[vid]:
             e = graph.edge_by_id[eid]
             w = weight[eid]
@@ -655,86 +649,3 @@ FAMILIES = {
     "ladder": _ladder,
     "braided": _braided,
 }
-
-
-# ---------------------------------------------------------------------------
-# Truncation
-# ---------------------------------------------------------------------------
-
-
-def truncate(graph: MetricGraph, radius: float) -> MetricGraph:
-    """Clip the graph to all points within arc-length ``radius`` of the root.
-
-    Edges cut mid-span gain a fresh degree-1 terminal vertex flagged as
-    boundary.  Idempotent, and monotone in ``radius`` as an edge set with
-    clipped lengths.
-    """
-    if radius < graph.ell_min:
-        raise GraphValidationError("radius must be >= the minimum edge length")
-    dist = graph.arc_distances()
-    tol = 1e-12 * max(radius, 1.0)
-    kept_edges: list[Edge] = []
-    new_vertices: list[Vertex] = []
-    next_vid = max(v.id for v in graph.vertices) + 1
-    next_eid = max(e.id for e in graph.edges) + 1
-    changed = False
-    lost_edge: set[int] = set()
-    for e in graph.edges:
-        du, dv = dist[e.tail], dist[e.head]
-        if du + dv + e.length <= 2 * radius + tol:
-            kept_edges.append(e)
-            continue
-        changed = True
-        lost_edge.update((e.tail, e.head))
-        span_u = radius - du
-        span_v = radius - dv
-        if span_u > tol:
-            new_vertices.append(
-                Vertex(next_vid, generation=e.generation, boundary=True)
-            )
-            kept_edges.append(
-                Edge(
-                    id=e.id,
-                    tail=e.tail,
-                    head=next_vid,
-                    length=span_u,
-                    potential=e.potential,
-                    generation=e.generation,
-                )
-            )
-            next_vid += 1
-        if span_v > tol:
-            new_vertices.append(
-                Vertex(next_vid, generation=e.generation, boundary=True)
-            )
-            kept_edges.append(
-                Edge(
-                    id=next_eid,
-                    tail=e.head,
-                    head=next_vid,
-                    length=span_v,
-                    potential=e.potential,
-                    generation=e.generation,
-                )
-            )
-            next_vid += 1
-            next_eid += 1
-    if not changed:
-        return graph
-    kept_vids = {v.id for v in graph.vertices if dist[v.id] <= radius + tol}
-    vertices = [
-        Vertex(v.id, v.generation, boundary=v.boundary or v.id in lost_edge)
-        for v in graph.vertices
-        if v.id in kept_vids
-    ] + new_vertices
-    core = {e.id for e in kept_edges} & graph.core_edges
-    g = MetricGraph(
-        vertices,
-        kept_edges,
-        root=graph.root,
-        energy=graph.energy,
-        core_edges=core,
-        family_info=None,
-    )
-    g.validate()
-    return g

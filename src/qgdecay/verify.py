@@ -16,13 +16,13 @@ import functools
 import io
 import itertools
 import math
+import struct
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .eigenfunctions import (
-    EdgeSolution,
     Eigenfunction,
     averaged_wave_function,
     canonical_path,
@@ -116,15 +116,13 @@ class Multiplier:
         return big_f
 
     def on_edges(
-        self, eids: Sequence[int], x: np.ndarray, overflow: np.ndarray
+        self, rows: np.ndarray, x: np.ndarray, overflow: np.ndarray
     ) -> np.ndarray:
-        """``on_edge`` at offsets ``x[i, j]`` along edge ``eids[i]``, bit for
-        bit; exp overflows are flagged in ``overflow``."""
-        table, spec = self.table, self.spec
-        length, w, rho_tail, rho_head, arc_tail, arc_head = _edge_columns(
-            table, [table.graph.edge_by_id[eid] for eid in eids]
-        )
-        pre = _column(self.prefactor.get(eid, 1.0) for eid in eids)
+        """``on_edge`` at offsets ``x[i, j]`` along the edge of ``rows[i]``
+        (``_edge_rows`` and the path prefactor), bit for bit; exp overflows
+        are flagged in ``overflow``."""
+        spec = self.spec
+        length, w, rho_tail, rho_head, arc_tail, arc_head, pre = _columns(rows)
         expo = (1.0 - spec.epsilon) * _min(
             rho_tail + w * x, rho_head + w * (length - x)
         )
@@ -135,7 +133,8 @@ class Multiplier:
 
 # The sampled stages run on blocks of BLOCK_EDGES edges as (edges x samples)
 # arrays, with the per-point code's float operations in its order, so their
-# results are bitwise those of on_edge, edge_eval and _sup_and_l2.
+# results are bitwise those of on_edge, edge_eval and _sup_and_l2.  Within a
+# block, edges whose key rows are bitwise equal are evaluated once.
 
 
 def _blocks(items: Iterable) -> Iterator[list]:
@@ -144,18 +143,38 @@ def _blocks(items: Iterable) -> Iterator[list]:
         yield block
 
 
-def _column(values: Iterable[float]) -> np.ndarray:
-    return np.array(list(values), dtype=float)[:, None]
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of the first appearance of each distinct row of ``keys``,
+    in order, and each row's index into those.  Rows compare as raw bytes,
+    so 0.0 and -0.0, or NaNs with different payloads, stay apart."""
+    keys = np.ascontiguousarray(keys, dtype=float)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
+    index: dict[bytes, int] = {}  # numbered in order of first appearance
+    inverse = np.array(
+        [index.setdefault(row, len(index)) for row in rows.ravel().tolist()]
+    )
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
-def _edge_columns(table: AgmonMetricTable, edges: list[Edge]) -> np.ndarray:
-    """Columns L, sqrt((V - E)_+), rho and arc at tail and head."""
+def _columns(rows: np.ndarray) -> np.ndarray:
+    """The columns of (n, m) ``rows`` as m arrays of shape (n, 1)."""
+    return rows.T[:, :, None]
+
+
+def _edge_rows(table: AgmonMetricTable, edges: list[Edge]) -> np.ndarray:
+    """Rows L, sqrt((V - E)_+), rho and arc at tail and head."""
     rho, arc = table.rho, table.arc
     return np.array([
         (e.length, math.sqrt(max(e.potential - table.energy, 0.0)),
          rho[e.tail], rho[e.head], arc[e.tail], arc[e.head])
         for e in edges
-    ], dtype=float).T[:, :, None]
+    ], dtype=float)
+
+
+def _solution_rows(f: Eigenfunction, eids: Iterable[int]) -> np.ndarray:
+    """Rows A, B, k of the solutions on edges ``eids``."""
+    sols = [f.solutions[eid] for eid in eids]
+    return np.array([(s.A, s.B, s.k) for s in sols], dtype=float)
 
 
 def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -181,26 +200,52 @@ def _libm(fn: Callable, a: np.ndarray, overflow: np.ndarray) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def _psi(
-    sols: list[EdgeSolution], x: np.ndarray, overflow: np.ndarray
-) -> np.ndarray:
-    """``edge_eval`` at offsets ``x[i, j]`` on ``sols[i]``, bit for bit."""
-    rows = [(sol.A, sol.B, sol.k) for sol in sols]
-    a, b, k = np.array(rows, dtype=float).T[:, :, None]
+def _psi(rows: np.ndarray, x: np.ndarray, overflow: np.ndarray) -> np.ndarray:
+    """``edge_eval`` at offsets ``x[i, j]`` on the solution of ``rows[i]``
+    (from ``_solution_rows``), bit for bit."""
+    a, b, k = _columns(rows)
     kx = k * x
     cosh, sinh = _libm(math.cosh, kx, overflow), _libm(math.sinh, kx, overflow)
     return np.where(k == 0.0, a + b * x, a * cosh + b * sinh)
 
 
+def _vertex_keys(f: Eigenfunction, vids: list[int]) -> np.ndarray:
+    """Per vertex, for each incident edge in order: its solution, length
+    and end roles.  Zero padding matches no edge end, whose roles sum to
+    at least 1."""
+    incidence, edge_by_id = f.graph.incidence, f.graph.edge_by_id
+    sols = f.solutions
+    rows = []
+    for vid in vids:
+        ends = []
+        for eid in incidence[vid]:
+            e, sol = edge_by_id[eid], sols[eid]
+            ends.append(struct.pack("7d", sol.k, sol.length, sol.A, sol.B,
+                                    e.length, vid == e.tail, vid == e.head))
+        rows.append(b"".join(ends))
+    width = max(map(len, rows))
+    padded = b"".join(row.ljust(width, b"\0") for row in rows)
+    return np.frombuffer(padded).reshape(len(rows), -1)
+
+
 def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
-    """Worst continuity and Kirchhoff residuals over all interior vertices."""
+    """Worst continuity and Kirchhoff residuals over all interior vertices;
+    vertices with bitwise-equal keys are evaluated once."""
     interior = f.graph.interior_vertex_ids()
     if not interior:
         return {"max_continuity": 0.0, "max_kirchhoff": 0.0}
-    return {
-        "max_continuity": max(continuity_residual(f, v) for v in interior),
-        "max_kirchhoff": max(kirchhoff_residual(f, v) for v in interior),
-    }
+    cont, kirch = [], []
+    for vids in _blocks(interior):
+        first, inverse = _distinct(_vertex_keys(f, vids))
+        reps = [
+            (continuity_residual(f, vids[i]), kirchhoff_residual(f, vids[i]))
+            for i in first.tolist()
+        ]
+        inverse = inverse.tolist()
+        # max() over all vertices in order, its running value carried over
+        cont = [max(cont + [reps[r][0] for r in inverse])]
+        kirch = [max(kirch + [reps[r][1] for r in inverse])]
+    return {"max_continuity": cont[0], "max_kirchhoff": kirch[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +266,12 @@ def constraint_margin(
     margin = math.inf
     with np.errstate(all="ignore"):
         for edges in _blocks(kept):
-            length, w, rho_tail, rho_head, arc_tail, arc_head = (
-                _edge_columns(table, edges)
+            gaps = [e.potential - graph.energy for e in edges]
+            keys = np.column_stack([_edge_rows(table, edges), gaps])
+            first, inverse = _distinct(keys)
+            length, w, rho_tail, rho_head, arc_tail, arc_head, gap = (
+                _columns(keys[first])
             )
-            gap = _column(e.potential - graph.energy for e in edges)
             x = length * steps / samples_per_edge
             # one-sided slopes of the piecewise-linear rho and arc at x
             rho_sign = np.where(
@@ -237,10 +284,10 @@ def constraint_margin(
                 (1.0 - spec.epsilon) * rho_sign * w
                 + spec.extra_rate * arc_sign
             )
-            # a running min() from inf: fmin skips NaN as min() does
-            margin = float(
-                np.fmin.reduce(gap - slope * slope, axis=None, initial=margin)
-            )
+            # a running min() from inf over every edge: fmin skips NaN as
+            # min() does
+            values = (gap - slope * slope)[inverse]
+            margin = float(np.fmin.reduce(values, axis=None, initial=margin))
     return margin
 
 
@@ -327,8 +374,15 @@ def _edge_sups_and_l2(
     """``_sup_and_l2`` of on_edge * edge_eval over [0, L] of each edge, bit
     for bit, and whether any of the edge's samples overflowed."""
     nodes, weights = _gauss()
+    keys = np.column_stack([
+        _edge_rows(mult.table, [f.graph.edge_by_id[eid] for eid in eids]),
+        [mult.prefactor.get(eid, 1.0) for eid in eids],
+        _solution_rows(f, eids),
+    ])
+    first, inverse = _distinct(keys)
+    keys = keys[first]
     lo = 0.0
-    hi = _column(f.graph.edge_by_id[eid].length for eid in eids)
+    hi = keys[:, :1]  # L
     half = (hi - lo) / 2.0
     x = np.hstack([
         np.full_like(hi, lo),
@@ -338,18 +392,19 @@ def _edge_sups_and_l2(
     ])
     overflow = np.zeros(x.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        g = mult.on_edges(eids, x, overflow) * _psi(
-            [f.solutions[eid] for eid in eids], x, overflow
+        g = mult.on_edges(keys[:, :7], x, overflow) * _psi(
+            keys[:, 7:], x, overflow
         )
         sup_g = np.abs(g[:, :18])
         sup = sup_g[:, 0]
         for j in range(1, 18):  # max(): only a greater value replaces
             sup = np.where(sup_g[:, j] > sup, sup_g[:, j], sup)
-        total = np.zeros(len(eids))
+        total = np.zeros(len(keys))
         for j, wt in enumerate(weights):
             v = g[:, 18 + j]
             total = total + wt * v * v
-    return sup, total * half[:, 0], overflow.any(axis=1)
+    l2 = total * half[:, 0]
+    return sup[inverse], l2[inverse], overflow.any(axis=1)[inverse]
 
 
 def closed_form_edge_l2(sol) -> float:
@@ -625,22 +680,27 @@ def monotonicity_check(
         [i / (samples_per_edge - 1) for i in range(samples_per_edge)]
     )
     for edges in _blocks(kept):
-        forward = np.array([arc[e.head] >= arc[e.tail] for e in edges])
-        x = _column(e.length for e in edges) * np.where(
-            forward[:, None], frac, 1.0 - frac
-        )
+        keys = np.hstack([
+            [(arc[e.head] >= arc[e.tail], e.length) for e in edges],
+            _solution_rows(f, (e.id for e in edges)),
+        ])
+        first, inverse = _distinct(keys)
+        forward, length = _columns(keys[first, :2])
+        x = length * np.where(forward != 0.0, frac, 1.0 - frac)
         overflow = np.zeros(x.shape, dtype=bool)
         with np.errstate(all="ignore"):
-            val = np.abs(_psi([f.solutions[e.id] for e in edges], x, overflow))
-            # the first overflow or increase, by edge id and then by sample
+            val = np.abs(_psi(keys[first, 2:], x, overflow))
             stop = overflow.copy()
             stop[:, 1:] |= (
                 val[:, 1:] > val[:, :-1] * (1 + rel_tol) + rel_tol * scale
             )
+        # the first overflow or increase, by edge id and then by sample
+        stop = stop[inverse]
         if stop.any():
             i, j = np.unravel_index(stop.argmax(), stop.shape)
-            eid, at = edges[i].id, float(x[i, j])
-            if overflow[i, j]:
+            i_rep = inverse[i]
+            eid, at = edges[i].id, float(x[i_rep, j])
+            if overflow[i_rep, j]:
                 raise OverflowError(
                     f"|psi| overflows a float along edge {eid} at x={at}"
                 )

@@ -268,9 +268,12 @@ class TestVerify:
         self, capsys, monkeypatch
     ):
         # the sampled stages run as array kernels; pointwise evaluations
-        # remain for the vertex residuals, the vertex fits and the identity
-        # check.  Per-point sampling would add 51 per edge (34 in the decay
-        # report, 17 in the monotonicity scan): 6,477 on these 127 edges.
+        # remain for the vertex fits (2 x 63 interior vertices), the
+        # identity check (198) and the vertex residuals, which evaluate one
+        # vertex per distinct key: 6 generations x 3 incident edges = 18.
+        # Per-vertex residuals would add 171 (513 in all), and per-point
+        # sampling 51 per edge (34 in the decay report, 17 in the
+        # monotonicity scan): 6,477 on these 127 edges.
         calls = []
 
         def counting(sol, x):
@@ -288,7 +291,7 @@ class TestVerify:
             )
             assert code == 0
             counts.append(len(calls))
-        assert counts == [513, 513]
+        assert counts == [342, 342]
 
     def test_csv_sidecar(self, capsys, tmp_path):
         out_csv = tmp_path / "report.csv"

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+import qgdecay.eigenfunctions
 from qgdecay.graph import Edge, GraphPoint, MetricGraph, Vertex, generate_family
 from qgdecay.eigenfunctions import (
     EdgeSolution,
@@ -146,6 +147,13 @@ class TestConstructions:
         f = Eigenfunction(g, sols, family="custom")
         assert kirchhoff_residual(f, 1) <= 1e-12
 
+    def test_solutions_are_read_only(self):
+        f = construct("regular_tree", {"b": 2}, 2)
+        with pytest.raises(TypeError):
+            f.solutions[0] = f.solutions[1]
+        with pytest.raises(AttributeError):
+            f.solutions = {}
+
     def test_perturbation_is_detected(self):
         f = construct("regular_tree", {"b": 2}, 4)
         vid = next(
@@ -155,9 +163,11 @@ class TestConstructions:
             e.id for e in f.graph.edges if e.tail == vid
         )
         sol = f.solutions[child]
-        f.solutions[child] = EdgeSolution(
+        sols = dict(f.solutions)
+        sols[child] = EdgeSolution(
             sol.edge, sol.k, sol.length, sol.A, sol.B + 1e-3
         )
+        f = Eigenfunction(f.graph, sols, family=f.family)
         assert kirchhoff_residual(f, vid) >= 1e-4
 
     def test_two_lengths_matching_metadata(self):
@@ -407,6 +417,28 @@ class TestAveragedWaveFunction:
                 if e.generation == gen:
                     total += edge_eval(f.solutions[e.id], min(x, e.length))
             assert averaged_wave_function(f, y) == weight * total
+
+    def test_evaluates_once_per_distinct_solution(self, monkeypatch):
+        f = construct(
+            "braided",
+            {"b_seq": [4] * 6, "a_seq": [2] * 6,
+             "v_seq": [float(j) for j in range(1, 7)]},
+            6,
+        )
+        calls = []
+
+        def counting(sol, x):
+            calls.append(sol.edge)
+            return edge_eval(sol, x)
+
+        monkeypatch.setattr(qgdecay.eigenfunctions, "edge_eval", counting)
+        by_generation = f.graph.edges_by_generation()
+        for gen in range(1, 6):
+            # every edge of a braided generation carries the same solution
+            assert len(by_generation[gen]) > 1
+            calls.clear()
+            averaged_wave_function(f, gen + 0.5)
+            assert calls == [by_generation[gen][0].id]
 
     def test_beyond_truncation(self):
         f = construct("regular_tree", {"b": 2}, 3)

@@ -1,19 +1,14 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from qgdecay.eigenfunctions import CONSTRUCTORS
 from qgdecay.graph import (
     FAMILIES,
     FamilyParameterError,
     GraphValidationError,
-    MetricGraph,
-    Edge,
-    Vertex,
     build_graph,
     generate_family,
-    truncate,
 )
 
 
@@ -208,63 +203,3 @@ class TestGenerators:
         for name, params in cases:
             g = generate_family(name, params, depth=2)
             g.validate()  # must not raise
-
-
-class TestTruncate:
-    def test_radius_beyond_extent_is_identity(self):
-        g = build_graph(single_edge_spec())
-        assert truncate(g, 2.0) is g
-
-    def test_tree_half_edges(self):
-        g = generate_family("regular_tree", {"b": 2, "length": 1.0}, depth=5)
-        t = truncate(g, 2.5)
-        whole = [e for e in t.edges if e.length == 1.0]
-        halves = [e for e in t.edges if e.length == 0.5]
-        assert len(whole) == 1 + 2  # vertex generations 0-2 intact
-        assert len(halves) == 4  # the edges toward generation 3, clipped
-        assert all(
-            t.vertex_by_id[e.head].boundary for e in halves
-        )
-        t.validate()
-
-    def test_idempotent(self):
-        g = generate_family("regular_tree", {"b": 2, "length": 1.0}, depth=5)
-        once = truncate(g, 2.5)
-        assert truncate(once, 2.5) is once
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        r1=st.floats(min_value=1.0, max_value=6.0),
-        r2=st.floats(min_value=1.0, max_value=6.0),
-    )
-    def test_monotone_in_radius(self, r1, r2):
-        if r1 > r2:
-            r1, r2 = r2, r1
-        g = generate_family("regular_tree", {"b": 2, "length": 1.0}, depth=5)
-        small = truncate(g, r1)
-        large = truncate(g, r2)
-        large_lengths = {e.id: e.length for e in large.edges}
-        for e in small.edges:
-            if e.id in large_lengths:
-                assert e.length <= large_lengths[e.id] + 1e-12
-            else:
-                # fresh stub ids only appear for the second clip of an edge
-                assert e.length <= 1.0
-
-    def test_loop_edge_clipping(self):
-        # stub to vertex 1, then a length-4 loop there: clipping at radius
-        # 1.5 keeps two loop stubs of length 1 each
-        g = MetricGraph(
-            [Vertex(0), Vertex(1)],
-            [Edge(0, 0, 1, 0.5, 1.0), Edge(1, 1, 1, 4.0, 1.0)],
-            root=0,
-            energy=0.0,
-        )
-        t = truncate(g, 1.5)
-        assert sorted(e.length for e in t.edges) == [0.5, 1.0, 1.0]
-        t.validate()
-
-    def test_radius_below_minimum_edge_length(self):
-        g = build_graph(single_edge_spec())
-        with pytest.raises(GraphValidationError):
-            truncate(g, 0.5)

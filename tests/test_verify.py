@@ -1,16 +1,22 @@
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
 
-from qgdecay.graph import Edge, GraphPoint, MetricGraph, Vertex
+from qgdecay.graph import Edge, FamilyInfo, GraphPoint, MetricGraph, Vertex
+import qgdecay.eigenfunctions
 import qgdecay.verify
 from qgdecay.eigenfunctions import (
     EdgeSolution,
     Eigenfunction,
+    averaged_wave_function,
     canonical_path,
     construct,
+    continuity_residual,
     edge_eval,
+    kirchhoff_residual,
 )
 from qgdecay.metrics import compute_rho_a, eval_arc, eval_rho_a
 from qgdecay.transfer import eig2, vertex_edge_transfer
@@ -18,6 +24,7 @@ from qgdecay.verify import (
     BLOCK_EDGES,
     Multiplier,
     MultiplierSpec,
+    _distinct,
     _sup_and_l2,
     closed_form_edge_l2,
     constraint_margin,
@@ -510,9 +517,11 @@ class TestKernelMatchesPerPointCode:
     def test_violation_in_a_late_block(self, block_edges):
         # growing solutions on two late edges: the lower id is reported
         f = tree(6)
+        sols = dict(f.solutions)
         for eid in (117, 100):
-            sol = f.solutions[eid]
-            f.solutions[eid] = EdgeSolution(eid, sol.k, sol.length, sol.A, -sol.B)
+            sol = sols[eid]
+            sols[eid] = EdgeSolution(eid, sol.k, sol.length, sol.A, -sol.B)
+        f = Eigenfunction(f.graph, sols, family=f.family)
         result = monotonicity_check(f)
         expected = per_point_monotonicity(f)
         assert expected[:2] == (False, 100)
@@ -547,3 +556,188 @@ class TestKernelMatchesPerPointCode:
         )
         with pytest.raises(OverflowError, match=r"edge 0 at x=750\.0$"):
             monotonicity_check(f)
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per bitwise-distinct edge against the per-edge code
+# ---------------------------------------------------------------------------
+
+AVERAGED_FAMILIES = [
+    ("braided", {"b_seq": [4] * 6, "a_seq": [2] * 6,
+                 "v_seq": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}),
+    ("ns_regular_tree", {"b_seq": [3, 2] * 3, "length_seq": [0.5, 1.0] * 4}),
+]
+
+
+def per_edge_average(f, y):
+    """The averaged wave function as the in-order sum over every edge of
+    its generation."""
+    info = f.graph.family_info
+    gen = max(
+        g for g in range(len(info.positions) - 1) if info.positions[g] <= y
+    )
+    x = y - info.positions[gen]
+    weight = 1.0 / info.root_edges
+    for j in range(gen):
+        weight *= info.arriving[j] / info.ongoing[j]
+    total = 0.0
+    for e in f.graph.edges:
+        if e.generation == gen:
+            total += edge_eval(f.solutions[e.id], min(x, e.length))
+    return weight * total
+
+
+def per_vertex_residuals(f):
+    interior = f.graph.interior_vertex_ids()
+    return bits([
+        max(continuity_residual(f, v) for v in interior),
+        max(kirchhoff_residual(f, v) for v in interior),
+    ])
+
+
+def with_signed_zero_children():
+    """A root edge and two child edges whose solutions differ only in the
+    sign of B = 0, with the averaging data of a binary branching."""
+    g = MetricGraph(
+        [Vertex(0), Vertex(1, generation=1),
+         Vertex(2, generation=2, boundary=True),
+         Vertex(3, generation=2, boundary=True)],
+        [Edge(0, 0, 1, 1.0, 1.0, generation=0),
+         Edge(1, 1, 2, 1.0, 1.0, generation=1),
+         Edge(2, 1, 3, 1.0, 1.0, generation=1)],
+        root=0,
+        energy=0.0,
+        family_info=FamilyInfo(positions=(0.0, 1.0, 2.0), arriving=(1,),
+                               ongoing=(2,)),
+    )
+    sols = {
+        0: EdgeSolution(0, 1.0, 1.0, 1.0, -0.9),
+        1: EdgeSolution(1, 1.0, 1.0, 0.5, 0.0),
+        2: EdgeSolution(2, 1.0, 1.0, 0.5, -0.0),
+    }
+    return Eigenfunction(g, sols, family="custom")
+
+
+class TestDistinctEdgesMatchPerEdgeCode:
+    def test_distinct_rows_compare_as_bytes(self):
+        nan, other_nan = struct.unpack(
+            "2d", struct.pack("2Q", 0x7FF8000000000000, 0x7FF8000000000001)
+        )
+        keys = np.array([[0.0, 1.0], [-0.0, 1.0], [nan, 1.0],
+                         [other_nan, 1.0], [0.0, 1.0], [nan, 1.0]])
+        first, inverse = _distinct(keys)
+        assert first.tolist() == [0, 1, 2, 3]
+        assert inverse.tolist() == [0, 1, 2, 3, 0, 2]
+
+    @pytest.mark.parametrize("family,params", AVERAGED_FAMILIES,
+                             ids=["braided", "ns-regular"])
+    def test_averaged_wave_function(self, block_edges, family, params):
+        f = construct(family, dict(params), 6)
+        positions = f.graph.family_info.positions
+        interior = [
+            a + t * (b - a)
+            for a, b in zip(positions, positions[1:])
+            for t in (0.1, 0.5, 0.9)
+        ]
+        for y in [*positions, *interior]:
+            assert averaged_wave_function(f, y).hex() == (
+                per_edge_average(f, y).hex()
+            )
+
+    @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
+                             ids=KERNEL_FAMILY_IDS)
+    def test_continuity_and_kirchhoff(self, block_edges, family, params):
+        f = construct(family, dict(params), 6)
+        res = continuity_and_kirchhoff(f)
+        got = bits([res["max_continuity"], res["max_kirchhoff"]])
+        assert got == per_vertex_residuals(f)
+
+    def test_continuity_and_kirchhoff_late_violation(self, block_edges):
+        f = tree(6)
+        sols = dict(f.solutions)
+        for eid in (117, 100):
+            sol = sols[eid]
+            sols[eid] = EdgeSolution(eid, sol.k, sol.length, sol.A, 2 * sol.B)
+        f = Eigenfunction(f.graph, sols, family=f.family)
+        res = continuity_and_kirchhoff(f)
+        assert res["max_kirchhoff"] > 1e-3
+        got = bits([res["max_continuity"], res["max_kirchhoff"]])
+        assert got == per_vertex_residuals(f)
+
+    def test_end_roles_are_part_of_the_vertex_key(self, block_edges):
+        # vertex 1 is the head of a solution-1 edge and the tail of a
+        # solution-2 edge, vertex 2 the other way round, in the same
+        # incidence order
+        g = MetricGraph(
+            [Vertex(0), Vertex(1), Vertex(2), Vertex(3, boundary=True)],
+            [Edge(0, 0, 1, 1.0, 1.0), Edge(1, 2, 3, 1.0, 1.0),
+             Edge(2, 1, 2, 1.0, 1.0)],
+            root=0,
+            energy=0.0,
+        )
+        sols = {
+            0: EdgeSolution(0, 1.0, 1.0, 1.0, 0.0),
+            1: EdgeSolution(1, 1.0, 1.0, 1.0, 0.0),
+            2: EdgeSolution(2, 1.0, 1.0, 1.5, 0.0),
+        }
+        f = Eigenfunction(g, sols, family="custom")
+        res = continuity_and_kirchhoff(f)
+        got = bits([res["max_continuity"], res["max_kirchhoff"]])
+        assert got == per_vertex_residuals(f)
+        assert res["max_continuity"] > 0.5
+
+    def test_first_violation_after_duplicate_edges(self, block_edges):
+        # edges 0 and 1 are equal and decay; edge 2, shorter, grows
+        g = MetricGraph(
+            [Vertex(0), Vertex(1, boundary=True), Vertex(2, boundary=True),
+             Vertex(3, boundary=True)],
+            [Edge(0, 0, 1, 2.0, 1.0), Edge(1, 0, 2, 2.0, 1.0),
+             Edge(2, 0, 3, 1.0, 1.0)],
+            root=0,
+            energy=0.0,
+        )
+        sols = {
+            0: EdgeSolution(0, 1.0, 2.0, 1.0, -1.0),
+            1: EdgeSolution(1, 1.0, 2.0, 1.0, -1.0),
+            2: EdgeSolution(2, 1.0, 1.0, 1.0, 0.0),
+        }
+        f = Eigenfunction(g, sols, family="custom")
+        result = monotonicity_check(f)
+        expected = (False, 2, 0.0625, "|psi| increases along edge 2 at x=0.0625")
+        assert (result.ok, result.edge, result.offset, result.detail) == expected
+        assert per_point_monotonicity(f) == expected
+
+    def test_signed_zero_edges_are_not_merged(self, block_edges, monkeypatch):
+        f = with_signed_zero_children()
+        evaluated = []
+
+        def recording(sol, x):
+            evaluated.append(sol.edge)
+            return edge_eval(sol, x)
+
+        monkeypatch.setattr(qgdecay.eigenfunctions, "edge_eval", recording)
+        assert averaged_wave_function(f, 1.5).hex() == (
+            per_edge_average(f, 1.5).hex()
+        )
+        assert evaluated == [1, 2]
+
+        psi_rows = []
+
+        def recording_psi(rows, x, overflow):
+            psi_rows.extend(bits(rows[:, 1].tolist()))
+            return psi(rows, x, overflow)
+
+        psi = qgdecay.verify._psi
+        monkeypatch.setattr(qgdecay.verify, "_psi", recording_psi)
+        report = decay_report(f, MultiplierSpec())
+        got = [
+            bits((r.generation, r.sup_F_psi, r.l2_increment, r.l2_cumulative))
+            for r in report.rows
+        ]
+        assert got == per_point_rows(f, MultiplierSpec(), None)
+        assert sorted(psi_rows) == sorted(bits([-0.9, 0.0, -0.0]))
+        psi_rows.clear()
+        result = monotonicity_check(f)
+        expected = per_point_monotonicity(f)
+        assert (result.ok, result.edge, result.offset, result.detail) == expected
+        assert sorted(psi_rows) == sorted(bits([-0.9, 0.0, -0.0]))
