@@ -46,6 +46,13 @@ class EdgeSolution:
     B: float
 
 
+def solution_key(sol: EdgeSolution, length: float) -> bytes:
+    """The raw bytes of ``sol`` but its edge id, on an edge of ``length``:
+    equal keys evaluate bit for bit alike, and 0.0 and -0.0, or NaNs with
+    different payloads, stay apart."""
+    return struct.pack("5d", sol.k, sol.length, sol.A, sol.B, length)
+
+
 def edge_eval(sol: EdgeSolution, x: float) -> float:
     if not (0.0 <= x <= sol.length):
         raise ValueError(f"x={x} outside edge {sol.edge} of length {sol.length}")
@@ -127,12 +134,11 @@ class Eigenfunction:
             for gen, edges in self.graph.edges_by_generation().items():
                 runs, last = [], None
                 for e in edges:
-                    sol = self._solutions[e.id]
-                    key = struct.pack("5d", sol.k, sol.length, sol.A, sol.B, e.length)
+                    key = solution_key(self._solutions[e.id], e.length)
                     if key == last:
                         runs[-1][2] += 1
                     else:
-                        runs.append([sol, e.length, 1])
+                        runs.append([self._solutions[e.id], e.length, 1])
                         last = key
                 self._runs[gen] = runs
         return self._runs

@@ -16,9 +16,8 @@ import functools
 import io
 import itertools
 import math
-import struct
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .eigenfunctions import (
     canonical_path,
     continuity_residual,
     kirchhoff_residual,
+    solution_key,
 )
 from .graph import Edge, MetricGraph
 from .metrics import (
@@ -143,17 +143,18 @@ def _blocks(items: Iterable) -> Iterator[list]:
         yield block
 
 
-def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of the first appearance of each distinct row of ``keys``,
-    in order, and each row's index into those.  Rows compare as raw bytes,
-    so 0.0 and -0.0, or NaNs with different payloads, stay apart."""
-    keys = np.ascontiguousarray(keys, dtype=float)
-    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))
-    index: dict[bytes, int] = {}  # numbered in order of first appearance
-    inverse = np.array(
-        [index.setdefault(row, len(index)) for row in rows.ravel().tolist()]
-    )
-    return np.unique(inverse, return_index=True)[1], inverse
+def _distinct(keys: Sequence[Hashable]) -> tuple[list[int], list[int]]:
+    """The index of the first appearance of each distinct key, in order,
+    and each key's index into those."""
+    index: dict = {}  # numbered in order of first appearance
+    inverse = [index.setdefault(key, len(index)) for key in keys]
+    return np.unique(inverse, return_index=True)[1].tolist(), inverse
+
+
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    """The raw bytes of each row: signed zeros and NaN payloads stay apart."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
 
 
 def _columns(rows: np.ndarray) -> np.ndarray:
@@ -209,23 +210,20 @@ def _psi(rows: np.ndarray, x: np.ndarray, overflow: np.ndarray) -> np.ndarray:
     return np.where(k == 0.0, a + b * x, a * cosh + b * sinh)
 
 
-def _vertex_keys(f: Eigenfunction, vids: list[int]) -> np.ndarray:
-    """Per vertex, for each incident edge in order: its solution, length
-    and end roles.  Zero padding matches no edge end, whose roles sum to
-    at least 1."""
-    incidence, edge_by_id = f.graph.incidence, f.graph.edge_by_id
-    sols = f.solutions
-    rows = []
+def _vertex_keys(f: Eigenfunction, vids: list[int]) -> list[bytes]:
+    """Per vertex, the solution key and end roles of each incident edge,
+    in order."""
+    graph, sols = f.graph, f.solutions
+    keys = []
     for vid in vids:
         ends = []
-        for eid in incidence[vid]:
-            e, sol = edge_by_id[eid], sols[eid]
-            ends.append(struct.pack("7d", sol.k, sol.length, sol.A, sol.B,
-                                    e.length, vid == e.tail, vid == e.head))
-        rows.append(b"".join(ends))
-    width = max(map(len, rows))
-    padded = b"".join(row.ljust(width, b"\0") for row in rows)
-    return np.frombuffer(padded).reshape(len(rows), -1)
+        for eid in graph.incidence[vid]:
+            e = graph.edge_by_id[eid]
+            ends.append(solution_key(sols[eid], e.length))
+            ends.append(b"t" if vid == e.tail else b"-")
+            ends.append(b"h" if vid == e.head else b"-")
+        keys.append(b"".join(ends))
+    return keys
 
 
 def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
@@ -239,9 +237,8 @@ def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
         first, inverse = _distinct(_vertex_keys(f, vids))
         reps = [
             (continuity_residual(f, vids[i]), kirchhoff_residual(f, vids[i]))
-            for i in first.tolist()
+            for i in first
         ]
-        inverse = inverse.tolist()
         # max() over all vertices in order, its running value carried over
         cont = [max(cont + [reps[r][0] for r in inverse])]
         kirch = [max(kirch + [reps[r][1] for r in inverse])]
@@ -268,7 +265,7 @@ def constraint_margin(
         for edges in _blocks(kept):
             gaps = [e.potential - graph.energy for e in edges]
             keys = np.column_stack([_edge_rows(table, edges), gaps])
-            first, inverse = _distinct(keys)
+            first, inverse = _distinct(_row_bytes(keys))
             length, w, rho_tail, rho_head, arc_tail, arc_head, gap = (
                 _columns(keys[first])
             )
@@ -284,8 +281,7 @@ def constraint_margin(
                 (1.0 - spec.epsilon) * rho_sign * w
                 + spec.extra_rate * arc_sign
             )
-            # a running min() from inf over every edge: fmin skips NaN as
-            # min() does
+            # a running min() from inf over all edges: fmin skips NaN as min()
             values = (gap - slope * slope)[inverse]
             margin = float(np.fmin.reduce(values, axis=None, initial=margin))
     return margin
@@ -379,7 +375,7 @@ def _edge_sups_and_l2(
         [mult.prefactor.get(eid, 1.0) for eid in eids],
         _solution_rows(f, eids),
     ])
-    first, inverse = _distinct(keys)
+    first, inverse = _distinct(_row_bytes(keys))
     keys = keys[first]
     lo = 0.0
     hi = keys[:, :1]  # L
@@ -684,7 +680,7 @@ def monotonicity_check(
             [(arc[e.head] >= arc[e.tail], e.length) for e in edges],
             _solution_rows(f, (e.id for e in edges)),
         ])
-        first, inverse = _distinct(keys)
+        first, inverse = _distinct(_row_bytes(keys))
         forward, length = _columns(keys[first, :2])
         x = length * np.where(forward != 0.0, frac, 1.0 - frac)
         overflow = np.zeros(x.shape, dtype=bool)
@@ -698,9 +694,8 @@ def monotonicity_check(
         stop = stop[inverse]
         if stop.any():
             i, j = np.unravel_index(stop.argmax(), stop.shape)
-            i_rep = inverse[i]
-            eid, at = edges[i].id, float(x[i_rep, j])
-            if overflow[i_rep, j]:
+            eid, at = edges[i].id, float(x[inverse[i], j])
+            if overflow[inverse[i], j]:
                 raise OverflowError(
                     f"|psi| overflows a float along edge {eid} at x={at}"
                 )

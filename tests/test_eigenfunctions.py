@@ -16,6 +16,7 @@ from qgdecay.eigenfunctions import (
     kirchhoff_residual,
     ode_residual,
     propagate,
+    solution_key,
 )
 from qgdecay.transfer import (
     eig2,
@@ -439,6 +440,12 @@ class TestAveragedWaveFunction:
             calls.clear()
             averaged_wave_function(f, gen + 0.5)
             assert calls == [by_generation[gen][0].id]
+
+    def test_solution_key_is_bitwise_and_ignores_edge_id(self):
+        key = solution_key(EdgeSolution(0, 1.0, 2.0, 0.5, 0.0), 2.0)
+        assert key == solution_key(EdgeSolution(7, 1.0, 2.0, 0.5, 0.0), 2.0)
+        assert key != solution_key(EdgeSolution(0, 1.0, 2.0, 0.5, -0.0), 2.0)
+        assert key != solution_key(EdgeSolution(0, 1.0, 2.0, 0.5, 0.0), 1.0)
 
     def test_beyond_truncation(self):
         f = construct("regular_tree", {"b": 2}, 3)

@@ -25,6 +25,7 @@ from qgdecay.verify import (
     Multiplier,
     MultiplierSpec,
     _distinct,
+    _row_bytes,
     _sup_and_l2,
     closed_form_edge_l2,
     constraint_margin,
@@ -625,9 +626,9 @@ class TestDistinctEdgesMatchPerEdgeCode:
         )
         keys = np.array([[0.0, 1.0], [-0.0, 1.0], [nan, 1.0],
                          [other_nan, 1.0], [0.0, 1.0], [nan, 1.0]])
-        first, inverse = _distinct(keys)
-        assert first.tolist() == [0, 1, 2, 3]
-        assert inverse.tolist() == [0, 1, 2, 3, 0, 2]
+        first, inverse = _distinct(_row_bytes(keys))
+        assert first == [0, 1, 2, 3]
+        assert inverse == [0, 1, 2, 3, 0, 2]
 
     @pytest.mark.parametrize("family,params", AVERAGED_FAMILIES,
                              ids=["braided", "ns-regular"])

@@ -7,15 +7,15 @@ Run from anywhere, with two checkouts of the repository:
         --workload braided-averaged --pairs 10 --seconds 20 --seed 0
 
 Each pair runs ``bench/run.py --trace 0`` once in each checkout, one process
-at a time, alternating which side goes first.  For each metric the table
-gives both sides' medians and quartiles and the pairs the change won (ties
-count for neither).  The verdict follows the benchmark's rules: ``gain``
-when the change wins at least nine tenths of the pairs and the medians
-differ, in its favour, by more than the parent's interquartile range;
-``regression`` when the change's median is worse by more than the bound in
-``BENCHMARK.json``; ``unresolved`` when either side's quartiles are further
-apart than the bound and not every change run beats every parent run;
-``within bound`` otherwise.
+at a time, alternating which side goes first; every run's metrics go to
+stderr as one JSON line.  For each metric the table on stdout gives both
+sides' medians and quartiles and the pairs the change won (ties count for
+neither).  The verdict follows the benchmark's rules: ``gain`` when the
+change wins at least nine tenths of the pairs and the medians differ, in its
+favour, by more than the parent's interquartile range; ``regression`` when
+the change's median is worse by more than the bound in ``BENCHMARK.json``;
+``unresolved`` when either side's quartiles are further apart than the bound
+and not every change run beats every parent run; ``within bound`` otherwise.
 """
 
 from __future__ import annotations
@@ -81,8 +81,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--log", type=Path,
-                        help="append every run's metrics here as JSON lines")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -99,12 +97,9 @@ def main(argv: list[str] | None = None) -> int:
                 values = run_bench(getattr(args, side), workload, args.seed,
                                    args.seconds)
                 runs[side].append(values)
-                if args.log:
-                    with args.log.open("a") as log:
-                        log.write(json.dumps({
-                            "workload": workload, "seed": args.seed,
-                            "pair": i, "side": side, "metrics": values,
-                        }) + "\n")
+                print(json.dumps({"workload": workload, "pair": i,
+                                  "side": side, "metrics": values}),
+                      file=sys.stderr, flush=True)
         for m in metrics:
             parent = [r[m["name"]] for r in runs["parent"]]
             change = [r[m["name"]] for r in runs["change"]]
