@@ -17,13 +17,10 @@ from .metrics import (
     AgmonMetricTable,
     PathSpec,
     compute_rho_a,
-    distance_orientation,
     edge_action_weight,
     eval_arc,
     eval_rho_a,
-    f_ave,
     insert_cut_points,
-    rho_path,
 )
 from .transfer import (
     ComplexSpectrumError,
@@ -54,7 +51,6 @@ from .verify import (
     MonotonicityResult,
     Multiplier,
     MultiplierSpec,
-    closed_form_edge_l2,
     constraint_margin,
     decay_report,
     fit_decay_rate,

@@ -88,9 +88,12 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
 
 def _parse_grid(spec: str) -> list[float]:
     """start:stop:step inclusive of both endpoints within half a step, or a
-    comma-separated list."""
+    comma-separated list; every value must be finite."""
+    values = [float(s) for s in spec.split(":" if ":" in spec else ",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid values must be finite, got {spec}")
     if ":" in spec:
-        start, stop, step = (float(s) for s in spec.split(":"))
+        start, stop, step = values
         if step <= 0:
             raise ValueError("grid step must be > 0")
         values = []
@@ -101,8 +104,7 @@ def _parse_grid(spec: str) -> list[float]:
                 break
             values.append(v)
             i += 1
-        return values
-    return [float(s) for s in spec.split(",")]
+    return values
 
 
 def _parse_int_list(spec: str) -> list[int]:

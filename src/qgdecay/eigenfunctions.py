@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .graph import Edge, FamilyInfo, GraphPoint, MetricGraph, Vertex
-from .graph import family_name, generate_family, keyword_params
+from .graph import Edge, GraphPoint, MetricGraph, Vertex
+from .graph import family_arguments, family_name, generate_family, keyword_params
 from .metrics import PathSpec
 from .transfer import (
     TransferMatrix,
@@ -31,7 +31,7 @@ from .transfer import (
 DERIV_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeSolution:
     """Coefficients of one edge's solution in the (cosh, sinh) basis.
 
@@ -387,13 +387,13 @@ def _construct_ladder(
         raise ValueError(f"unknown ladder mode {mode!r}")
     # constant rung solutions require V = E on the rungs; those edges form
     # the designated core where V - E > 0 is waived
-    energy = float(params.get("energy", -1.0))
+    energy = family_arguments(name, params, depth)["energy"]
     g = generate_family(
         name, dict(params, rung_potential=energy), depth
     )
     solutions: dict[int, EdgeSolution] = {}
     for e in g.edges:
-        if e.length == 1.0 and e.potential == energy + 1.0:  # rail edge
+        if e.length == 1.0 and e.potential == g.energy + 1.0:  # rail edge
             scale = math.exp(-float(e.generation))
             solutions[e.id] = EdgeSolution(e.id, 1.0, e.length, scale, -scale)
         else:  # rung: constant at the shared rail value
@@ -406,11 +406,9 @@ def _construct_ladder(
 def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
     """Half of the ladder (one rail plus rung halves up to the reflection
     axis); the other half is the odd mirror image."""
-    w = float(params["w"])
-    n = int(params.get("rungs", depth))
-    energy = float(params.get("energy", -1.0))
-    if w <= 0 or n < 1:
-        raise ValueError("need rung length w > 0 and rungs >= 1")
+    # the ladder builder checks the params and fills in their defaults
+    info = generate_family("ladder", params, depth).family_info
+    w, n, energy = (info.params[key] for key in ("w", "rungs", "energy"))
     potential = energy + 1.0  # k = 1 on rails and rungs
     step = ladder_antisym_transfer(w)
     coeffs = _propagate_decaying([step] * n)
@@ -427,7 +425,6 @@ def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
         vertices.append(Vertex(vid, generation=j, boundary=True))
         edges.append(Edge(len(edges), j, vid, w / 2.0, potential, generation=j))
         midpoint_ids.append(vid)
-    info = FamilyInfo(params={"w": w, "rungs": n, "energy": energy})
     g = MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
     g.validate()
     solutions: dict[int, EdgeSolution] = {}

@@ -23,14 +23,14 @@ class GraphValidationError(ValueError):
     """A graph spec violated a structural invariant (message names the id)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     id: int
     generation: int | None = None
     boundary: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: int
     tail: int
@@ -319,13 +319,22 @@ def generate_family(family: str, params: dict, depth: int) -> MetricGraph:
     name = family_name(family)
     if name not in FAMILIES:
         raise FamilyParameterError(f"unknown family {family!r}")
-    try:  # unknown and missing params, against the builder's signature
-        _signature(FAMILIES[name]).bind(depth, **params)
-    except TypeError as exc:
-        raise FamilyParameterError(f"{name} params: {exc}") from None
+    family_arguments(name, params, depth)
     g = FAMILIES[name](depth, **params)
     g.validate()
     return g
+
+
+def family_arguments(name: str, params: dict, depth: int) -> dict:
+    """``params`` bound to the keyword arguments of the builder of family
+    ``name``, with the builder's defaults filled in.  Unknown and missing
+    params raise FamilyParameterError."""
+    try:
+        bound = _signature(FAMILIES[name]).bind(depth, **params)
+    except TypeError as exc:
+        raise FamilyParameterError(f"{name} params: {exc}") from None
+    bound.apply_defaults()
+    return bound.arguments
 
 
 def _k_and_energy(k: float, energy: float) -> tuple[float, float, float]:
@@ -514,9 +523,8 @@ def _ladder(
     rung_v = rail_potential if rung_potential is None else float(rung_potential)
     core: list[int] = []
     # Two half-line rails joined at the root (position 0); rungs of length w
-    # join the rails at integer positions 1..n_rungs.  Rails extend one unit
-    # past the last rung's position is not needed: they end at position
-    # n_rungs, whose rung vertices form the truncation frontier.
+    # join the rails at integer positions 1..n_rungs.  The rails end at
+    # position n_rungs, whose rung vertices form the truncation frontier.
     vertices = [Vertex(0, generation=0, boundary=True)]
     bottom: dict[int, int] = {0: 0}
     top: dict[int, int] = {0: 0}

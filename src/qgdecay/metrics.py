@@ -1,11 +1,12 @@
 """Weighted shortest-path metrics on rooted metric graphs.
 
-Three exponential-weight constructions live here: the classical action
-metric (WKB/Liouville-Green action integrals minimized over paths), the
-path metric that adds half-log vertex terms for the derivative fractions,
-and the averaged multiplier for braided graphs.  Cut-point insertion turns
-a graph with cycles into one that admits a global away-from-root edge
-orientation.
+The classical action metric (WKB/Liouville-Green action integrals
+minimized over paths) lives here, with the inputs of the two sharper
+multipliers that ``verify.Multiplier`` and ``verify.decay_report`` build:
+the root-to-boundary path with its derivative fractions, and the branching
+prefactor and action integral of the averaged multiplier for braided
+graphs.  Cut-point insertion turns a graph with cycles into one that admits
+a global away-from-root edge orientation.
 """
 
 from __future__ import annotations
@@ -36,12 +37,6 @@ class AgmonMetricTable:
     rho: dict[int, float]
     arc: dict[int, float]
 
-    @property
-    def edge_weight(self) -> dict[int, float]:
-        """The per-edge action weights rho was computed from (rebuilt on
-        each access, so a table does not hold them)."""
-        return {e.id: edge_action_weight(e, self.energy) for e in self.graph.edges}
-
     def to_csv_rows(self) -> list[tuple[int, float, float]]:
         return [
             (v.id, self.arc[v.id], self.rho[v.id])
@@ -52,8 +47,7 @@ class AgmonMetricTable:
 def compute_rho_a(graph: MetricGraph, energy: float | None = None) -> AgmonMetricTable:
     """Single-source action-weighted shortest paths from the root.
 
-    Arc-length distances are tabulated alongside so the same table supports
-    the distance orientation and cut-point detection.  The table at the
+    Arc-length distances are tabulated alongside.  The table at the
     graph's own energy is computed once per graph and shared; tables at
     other energies are built fresh on every call.  A non-finite energy
     raises ValueError.
@@ -107,9 +101,7 @@ def eval_arc(table: AgmonMetricTable, point: GraphPoint) -> float:
     return _interp(table.arc, _point_edge(table, point), 1.0, point.offset)
 
 
-def insert_cut_points(
-    graph: MetricGraph, table: AgmonMetricTable | None = None
-) -> MetricGraph:
+def insert_cut_points(graph: MetricGraph) -> MetricGraph:
     """Split every edge containing an interior point that is equidistant
     (arc length) from the root via both endpoints.
 
@@ -117,9 +109,7 @@ def insert_cut_points(
     the edge (relative tolerance absorbs float noise); endpoint ties need no
     split.  Returns the input graph unchanged when there are no cut points.
     """
-    if table is None:
-        table = compute_rho_a(graph)
-    arc = table.arc
+    arc = graph.arc_distances()
     new_edges: list[Edge] = []
     new_vertices: list[Vertex] = list(graph.vertices)
     next_vid = max(v.id for v in graph.vertices) + 1
@@ -161,23 +151,6 @@ def insert_cut_points(
     return g
 
 
-def distance_orientation(graph: MetricGraph) -> dict[int, int]:
-    """Orientation of each edge away from the root: +1 keeps tail->head,
-    -1 flips it.  Raises if any edge has equidistant endpoints (insert cut
-    points first)."""
-    arc = graph.arc_distances()
-    orientation: dict[int, int] = {}
-    for e in graph.edges:
-        du, dv = arc[e.tail], arc[e.head]
-        if du == dv:
-            raise ValueError(
-                f"edge {e.id} has equidistant endpoints; no distance "
-                "orientation without cut-point insertion"
-            )
-        orientation[e.id] = 1 if dv > du else -1
-    return orientation
-
-
 @dataclass(frozen=True)
 class PathSpec:
     """A root-to-terminal chain of edges with the derivative fraction carried
@@ -210,19 +183,6 @@ class PathSpec:
             prev = e
 
 
-def rho_path(path: PathSpec, energy: float) -> float:
-    """Action along the path plus half the log of the reciprocal derivative
-    fractions at its vertices."""
-    total = 0.0
-    for eid in path.edges:
-        total += edge_action_weight(path.graph.edge_by_id[eid], energy)
-    for p in path.fractions:
-        if p <= 0.0:
-            raise ValueError("path not admissible: nonpositive fraction")
-        total += 0.5 * math.log(1.0 / p)
-    return total
-
-
 def ave_branching_prefactor(
     y: float,
     positions: tuple[float, ...] | list[float],
@@ -247,7 +207,9 @@ def ave_action_integral(
     envelope_potentials: tuple[float, ...] | list[float],
     energy: float,
 ) -> float:
-    """int_0^y sqrt(V_m(t) - E) dt for a per-generation constant envelope."""
+    """int_0^y sqrt(V_m(t) - E) dt for a per-generation constant envelope:
+    ``envelope_potentials`` give V_m on [0, v_1), [v_1, v_2), ... for the
+    generation positions v_1 < v_2 < ... (root at 0 excluded)."""
     segments = [0.0] + list(positions)
     integral = 0.0
     for j in range(len(segments)):
@@ -263,26 +225,3 @@ def ave_action_integral(
             )
         integral += math.sqrt(gap) * span
     return integral
-
-
-def f_ave(
-    y: float,
-    positions: tuple[float, ...] | list[float],
-    arriving: tuple[int, ...] | list[int],
-    ongoing: tuple[int, ...] | list[int],
-    envelope_potentials: tuple[float, ...] | list[float],
-    energy: float,
-) -> float:
-    """Averaged-mode multiplier at arc distance y:
-
-        prod_{j: v_j < y} sqrt(b_j / a_j) * exp(int_0^y sqrt(V_m(t) - E) dt)
-
-    ``positions`` are the generation positions v_1 < v_2 < ... (root at 0
-    excluded); ``envelope_potentials`` give the lower-envelope potential on
-    the segments [0, v_1), [v_1, v_2), ...  (one more entry than positions is
-    allowed for the final open segment)."""
-    if y < 0:
-        raise ValueError("y must be >= 0")
-    return ave_branching_prefactor(y, positions, arriving, ongoing) * math.exp(
-        ave_action_integral(y, positions, envelope_potentials, energy)
-    )

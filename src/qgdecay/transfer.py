@@ -10,6 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# bisection of match_shared_eigenvector: bracket width and step cap
+MATCH_TOL = 1e-12
+MATCH_MAX_ITER = 200
+
 
 class ComplexSpectrumError(ValueError):
     pass
@@ -165,9 +169,7 @@ def _lam_small_reciprocal(c: float, p: float) -> float:
     return 2.0 * p / (B + math.sqrt(B * B - 4.0 * p))
 
 
-def match_shared_eigenvector(
-    kl1: float, kl2: float, tol: float = 1e-12, max_iter: int = 200
-) -> SharedEigenvectorMatch:
+def match_shared_eigenvector(kl1: float, kl2: float) -> SharedEigenvectorMatch:
     """Find p1 in (0, 1) equating the eigenvector slopes of the two steps:
 
         (lam(p1) - c1)/s1 = (mu(1-p1) - c2)/s2
@@ -193,7 +195,7 @@ def match_shared_eigenvector(
             f"bracket sign check failed: gap(0)={glo}, gap(1)={ghi}"
         )
     p1 = 0.5
-    for _ in range(max_iter):
+    for _ in range(MATCH_MAX_ITER):
         p1 = 0.5 * (lo + hi)
         g = gap(p1)
         if g == 0.0:
@@ -202,7 +204,7 @@ def match_shared_eigenvector(
             lo = p1
         else:
             hi = p1
-        if hi - lo <= tol:
+        if hi - lo <= MATCH_TOL:
             p1 = 0.5 * (lo + hi)
             break
     lam = _lam_small_reciprocal(c1, p1)

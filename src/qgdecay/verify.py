@@ -41,6 +41,10 @@ from .metrics import (
 VALUE_FLOOR = 1e-300
 PLATEAU_FACTOR = 1.01
 BLOCK_EDGES = 512  # edges per array block of the sampled stages
+MARGIN_SAMPLES = 16  # per edge, at the midpoints of equal cells
+MONOTONICITY_SAMPLES = 17  # per edge, both ends included
+MONOTONICITY_REL_TOL = 1e-12
+IDENTITY_SAMPLES = 33
 
 
 @dataclass(frozen=True)
@@ -250,16 +254,14 @@ def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
-def constraint_margin(
-    graph: MetricGraph, spec: MultiplierSpec, samples_per_edge: int = 16
-) -> float:
+def constraint_margin(graph: MetricGraph, spec: MultiplierSpec) -> float:
     """min over sampled points of V - E - (F'/F)^2 for F = the action-type
     multiplier of ``spec``.  A positive return certifies the decay
     hypothesis at the sampled resolution.  Core edges are excluded (the
     constraint is only required outside the compact core)."""
     table = compute_rho_a(graph, energy=spec.effective_energy(graph.energy))
     kept = (e for e in graph.edges if e.id not in graph.core_edges)
-    steps = np.arange(samples_per_edge) + 0.5
+    steps = np.arange(MARGIN_SAMPLES) + 0.5
     margin = math.inf
     with np.errstate(all="ignore"):
         for edges in _blocks(kept):
@@ -269,7 +271,7 @@ def constraint_margin(
             length, w, rho_tail, rho_head, arc_tail, arc_head, gap = (
                 _columns(keys[first])
             )
-            x = length * steps / samples_per_edge
+            x = length * steps / MARGIN_SAMPLES
             # one-sided slopes of the piecewise-linear rho and arc at x
             rho_sign = np.where(
                 rho_tail + w * x <= rho_head + w * (length - x), 1.0, -1.0
@@ -401,21 +403,6 @@ def _edge_sups_and_l2(
             total = total + wt * v * v
     l2 = total * half[:, 0]
     return sup[inverse], l2[inverse], overflow.any(axis=1)[inverse]
-
-
-def closed_form_edge_l2(sol) -> float:
-    """Exact integral of (A cosh kx + B sinh kx)^2 over the edge."""
-    a, b, k, length = sol.A, sol.B, sol.k, sol.length
-    if k == 0.0:
-        return (
-            a * a * length + a * b * length * length + b * b * length**3 / 3.0
-        )
-    s2, c2 = math.sinh(2 * k * length), math.cosh(2 * k * length)
-    return (
-        (a * a - b * b) * length / 2.0
-        + (a * a + b * b) * s2 / (4.0 * k)
-        + a * b * (c2 - 1.0) / (2.0 * k)
-    )
 
 
 def _fit_tail_ratio(increments: list[float]) -> float:
@@ -607,7 +594,6 @@ def identity_check(
     x0: float,
     x1: float,
     h: float,
-    n_samples: int = 33,
 ) -> float:
     """Max residual of (F phi)'(phi/F)' = (phi')^2 - (F'/F)^2 phi^2 with all
     derivatives replaced by centered differences of step h.  O(h^2) for
@@ -615,8 +601,8 @@ def identity_check(
     if not (x1 - x0 > 2 * h > 0):
         raise ValueError("need x1 - x0 > 2h > 0")
     worst = 0.0
-    for i in range(n_samples):
-        x = (x0 + h) + (x1 - x0 - 2 * h) * i / max(n_samples - 1, 1)
+    for i in range(IDENTITY_SAMPLES):
+        x = (x0 + h) + (x1 - x0 - 2 * h) * i / (IDENTITY_SAMPLES - 1)
         fp, fm = big_f(x + h), big_f(x - h)
         pp, pm = phi(x + h), phi(x - h)
         d_phi = (pp - pm) / (2 * h)
@@ -649,8 +635,6 @@ class MonotonicityResult:
 def monotonicity_check(
     f: Eigenfunction,
     exclusion_radius: float = 0.0,
-    samples_per_edge: int = 17,
-    rel_tol: float = 1e-12,
     edges: Sequence[int] | None = None,
 ) -> MonotonicityResult:
     """Scan |psi| along every distance-oriented edge beyond the exclusion
@@ -672,9 +656,9 @@ def monotonicity_check(
         for e in sorted(pool, key=lambda e: e.id)
         if not min(arc[e.tail], arc[e.head]) < exclusion_radius - 1e-12
     )
-    frac = np.array(
-        [i / (samples_per_edge - 1) for i in range(samples_per_edge)]
-    )
+    frac = np.array([
+        i / (MONOTONICITY_SAMPLES - 1) for i in range(MONOTONICITY_SAMPLES)
+    ])
     for edges in _blocks(kept):
         keys = np.hstack([
             [(arc[e.head] >= arc[e.tail], e.length) for e in edges],
@@ -687,8 +671,9 @@ def monotonicity_check(
         with np.errstate(all="ignore"):
             val = np.abs(_psi(keys[first, 2:], x, overflow))
             stop = overflow.copy()
-            stop[:, 1:] |= (
-                val[:, 1:] > val[:, :-1] * (1 + rel_tol) + rel_tol * scale
+            stop[:, 1:] |= val[:, 1:] > (
+                val[:, :-1] * (1 + MONOTONICITY_REL_TOL)
+                + MONOTONICITY_REL_TOL * scale
             )
         # the first overflow or increase, by edge id and then by sample
         stop = stop[inverse]

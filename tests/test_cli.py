@@ -230,11 +230,22 @@ class TestVerify:
               "--exclusion", "inf"], "exclusion must be finite, got inf"),
             (["metric", "--family", "regular-tree", "--b", "2", "--depth", "4",
               "--energy-shift", "nan"], "energy must be finite, got nan"),
+            # non-finite sweep grids, which would otherwise never end
+            (["sweep", "--family", "ladder", "--w", "0.5:1:nan"],
+             "grid values must be finite, got 0.5:1:nan"),
+            (["sweep", "--family", "ladder", "--w", "0.5:inf:0.5"],
+             "grid values must be finite, got 0.5:inf:0.5"),
+            (["sweep", "--family", "regular-tree", "--kL-range", "nan:1:0.5"],
+             "grid values must be finite, got nan:1:0.5"),
+            (["sweep", "--family", "millipede", "--delta-grid", "0.1,inf"],
+             "grid values must be finite, got 0.1,inf"),
         ],
         ids=["ladder-deep", "millipede-deep", "twolen-saturated", "sweep-b0",
              "negative-schedule", "epsilon-nan", "extra-rate-nan",
              "extra-rate-nan-path", "shift-delta-nan", "shift-delta-inf",
-             "exclusion-nan", "exclusion-inf", "energy-shift-nan"],
+             "exclusion-nan", "exclusion-inf", "energy-shift-nan",
+             "grid-step-nan", "grid-stop-inf", "grid-start-nan",
+             "grid-list-inf"],
     )
     def test_numeric_failure_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -3,7 +3,14 @@ import math
 import pytest
 
 import qgdecay.eigenfunctions
-from qgdecay.graph import Edge, GraphPoint, MetricGraph, Vertex, generate_family
+from qgdecay.graph import (
+    Edge,
+    FamilyParameterError,
+    GraphPoint,
+    MetricGraph,
+    Vertex,
+    generate_family,
+)
 from qgdecay.eigenfunctions import (
     EdgeSolution,
     Eigenfunction,
@@ -230,6 +237,23 @@ class TestConstructions:
         values = [f.value(GraphPoint(eid, 0.0)) for _, eid in rails]
         for j in range(len(values) - 1):
             assert math.isclose(values[j + 1] / values[j], lam, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric"])
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ({"w": 1.0, "bogus": 3}, "unexpected keyword argument 'bogus'"),
+            ({}, "missing a required argument: 'w'"),
+            ({"w": 0.0}, "rung length w must be > 0"),
+            ({"w": -1.0}, "rung length w must be > 0"),
+            ({"w": 1.0, "rungs": 0}, "rungs >= 1 required"),
+        ],
+    )
+    def test_ladder_params_checked_alike_in_both_modes(
+        self, mode, params, message
+    ):
+        with pytest.raises(FamilyParameterError, match=message):
+            construct("ladder", dict(params, mode=mode), 4)
 
     def test_millipede_body_decay(self):
         f = construct("millipede", {"delta": 0.2}, 8)

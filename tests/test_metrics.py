@@ -13,14 +13,14 @@ from qgdecay.graph import (
 )
 from qgdecay.metrics import (
     PathSpec,
+    ave_action_integral,
+    ave_branching_prefactor,
     compute_rho_a,
-    distance_orientation,
     edge_action_weight,
     eval_rho_a,
-    f_ave,
     insert_cut_points,
-    rho_path,
 )
+from qgdecay.verify import Multiplier, MultiplierSpec
 
 
 def chain_graph(n, length=1.0, potential=1.0, energy=0.0):
@@ -81,7 +81,7 @@ class TestComputeRhoA:
         for e in g.edges:
             assert (
                 abs(table.rho[e.head] - table.rho[e.tail])
-                <= table.edge_weight[e.id] + 1e-12
+                <= edge_action_weight(e, table.energy) + 1e-12
             )
 
     def test_monotone_in_energy(self):
@@ -185,19 +185,18 @@ class TestInsertCutPoints:
         n = 4
         w = 1.0
         g = generate_family("ladder", {"w": w}, n)
-        with pytest.raises(ValueError):
-            distance_orientation(g)  # rung endpoints are equidistant
+        arc = g.arc_distances()
+        # rung endpoints are equidistant: no edge orientation away from root
+        assert any(arc[e.head] == arc[e.tail] for e in g.edges)
         cut = insert_cut_points(g)
         new_vertices = [v for v in cut.vertices if v.id not in g.vertex_by_id]
         assert len(new_vertices) == n
         table = compute_rho_a(cut)
         mids = sorted(table.arc[v.id] for v in new_vertices)
         assert mids == [j + w / 2 for j in range(1, n + 1)]
-        orientation = distance_orientation(cut)  # now well defined
         arc = cut.arc_distances()
-        for e in cut.edges:
-            away = arc[e.head] - arc[e.tail]
-            assert away * orientation[e.id] > 0
+        for e in cut.edges:  # now every edge leads away from the root
+            assert arc[e.head] != arc[e.tail]
 
     def test_idempotent_on_ladder(self):
         g = generate_family("ladder", {"w": 1.0}, 3)
@@ -237,10 +236,9 @@ class TestInsertCutPoints:
         g = MetricGraph(vertices, edges, root=0, energy=0.0)
         g.validate()
         cut = insert_cut_points(g)
-        orientation = distance_orientation(cut)  # must not raise
         arc = cut.arc_distances()
-        for e in cut.edges:
-            assert (arc[e.head] - arc[e.tail]) * orientation[e.id] > 0
+        for e in cut.edges:  # every edge leads away from the root
+            assert arc[e.head] != arc[e.tail]
         # total length is preserved by splitting
         assert math.isclose(
             sum(e.length for e in cut.edges),
@@ -249,11 +247,16 @@ class TestInsertCutPoints:
         )
 
 
-class TestRhoPath:
+def path_prefactor(path):
+    return Multiplier(path.graph, MultiplierSpec(kind="path"), path).prefactor
+
+
+class TestPathPrefactor:
+    # the path multiplier's factor prod sqrt(1 / p) over the vertices passed
     def test_unit_fractions_reduce_to_action(self):
         g = chain_graph(4)
         path = PathSpec(g, (0, 1, 2, 3), (1.0, 1.0, 1.0))
-        assert rho_path(path, 0.0) == 4.0
+        assert path_prefactor(path) == {0: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}
 
     def test_single_vertex_term_on_zero_action_path(self):
         g = MetricGraph(
@@ -264,7 +267,9 @@ class TestRhoPath:
             core_edges=[0, 1],
         )
         path = PathSpec(g, (0, 1), (1.0 / 3.0,))
-        assert math.isclose(rho_path(path, 0.0), 0.5 * math.log(3.0))
+        pre = path_prefactor(path)
+        assert pre[0] == 1.0
+        assert math.isclose(math.log(pre[1]), 0.5 * math.log(3.0))
 
     def test_regular_tree_closed_form(self):
         from qgdecay.eigenfunctions import canonical_path, construct
@@ -272,15 +277,9 @@ class TestRhoPath:
         b, k, L, depth = 3, 1.0, 1.0, 6
         f = construct("regular_tree", {"b": b, "length": L, "k": k}, depth)
         path = canonical_path(f)
-        n_vertices = len(path.edges) - 1
-        expected = (n_vertices + 1) * k * L + 0.5 * n_vertices * math.log(b)
-        assert math.isclose(rho_path(path, f.graph.energy), expected, rel_tol=1e-12)
-
-    def test_rho_path_dominates_rho_a(self):
-        g = chain_graph(5)
-        table = compute_rho_a(g)
-        path = PathSpec(g, (0, 1, 2, 3, 4), (0.5, 1.0, 0.25, 0.9))
-        assert rho_path(path, 0.0) >= table.rho[5] - 1e-12
+        pre = path_prefactor(path)
+        for n, eid in enumerate(path.edges):  # n vertices passed
+            assert math.isclose(pre[eid], b ** (n / 2.0), rel_tol=1e-12)
 
     def test_path_validation(self):
         g = chain_graph(4)
@@ -299,10 +298,18 @@ class TestRhoPath:
             st.floats(min_value=1e-3, max_value=1.0), min_size=3, max_size=3
         )
     )
-    def test_rho_path_exceeds_action_for_any_fractions(self, fracs):
+    def test_prefactor_at_least_one_for_any_fractions(self, fracs):
         g = chain_graph(4)
         path = PathSpec(g, (0, 1, 2, 3), tuple(fracs))
-        assert rho_path(path, 0.0) >= 4.0 - 1e-12
+        assert all(p >= 1.0 for p in path_prefactor(path).values())
+
+
+def f_ave(y, positions, arriving, ongoing, envelopes, energy):
+    """The averaged multiplier of verify.decay_report with epsilon and
+    extra rate 0."""
+    return ave_branching_prefactor(y, positions, arriving, ongoing) * math.exp(
+        ave_action_integral(y, positions, envelopes, energy)
+    )
 
 
 class TestFAve:
@@ -329,8 +336,4 @@ class TestFAve:
 
     def test_nonpositive_envelope_rejected(self):
         with pytest.raises(ValueError, match="<= 0"):
-            f_ave(1.5, [1.0], [1], [2], [1.0, -1.0], 0.0)
-
-    def test_negative_y_rejected(self):
-        with pytest.raises(ValueError):
-            f_ave(-0.5, [1.0], [1], [2], [1.0, 1.0], 0.0)
+            ave_action_integral(1.5, [1.0], [1.0, -1.0], 0.0)

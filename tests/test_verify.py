@@ -27,7 +27,6 @@ from qgdecay.verify import (
     _distinct,
     _row_bytes,
     _sup_and_l2,
-    closed_form_edge_l2,
     constraint_margin,
     continuity_and_kirchhoff,
     decay_report,
@@ -39,6 +38,21 @@ from qgdecay.verify import (
 
 def tree(depth=8, b=2, k=1.0, length=1.0):
     return construct("regular_tree", {"b": b, "length": length, "k": k}, depth)
+
+
+def closed_form_edge_l2(sol) -> float:
+    """Exact integral of (A cosh kx + B sinh kx)^2 over the edge."""
+    a, b, k, length = sol.A, sol.B, sol.k, sol.length
+    if k == 0.0:
+        return (
+            a * a * length + a * b * length * length + b * b * length**3 / 3.0
+        )
+    s2, c2 = math.sinh(2 * k * length), math.cosh(2 * k * length)
+    return (
+        (a * a - b * b) * length / 2.0
+        + (a * a + b * b) * s2 / (4.0 * k)
+        + a * b * (c2 - 1.0) / (2.0 * k)
+    )
 
 
 class TestMultiplier:

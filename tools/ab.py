@@ -10,12 +10,13 @@ Each pair runs ``bench/run.py --trace 0`` once in each checkout, one process
 at a time, alternating which side goes first; every run's metrics go to
 stderr as one JSON line.  For each metric the table on stdout gives both
 sides' medians and quartiles and the pairs the change won (ties count for
-neither).  The verdict follows the benchmark's rules: ``gain`` when the
-change wins at least nine tenths of the pairs and the medians differ, in its
-favour, by more than the parent's interquartile range; ``regression`` when
-the change's median is worse by more than the bound in ``BENCHMARK.json``;
-``unresolved`` when either side's quartiles are further apart than the bound
-and not every change run beats every parent run; ``within bound`` otherwise.
+neither).  The verdict follows the benchmark's rules: ``gain`` when at
+least ten pairs ran, the change wins at least nine tenths of them and the
+medians differ, in its favour, by more than the parent's interquartile
+range; ``regression`` when the change's median is worse by more than the
+bound in ``BENCHMARK.json``; ``unresolved`` when either side's quartiles are
+further apart than the bound and not every change run beats every parent
+run; ``within bound`` otherwise.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+MIN_GAIN_PAIRS = 10  # fewer pairs cannot show a gain
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -63,7 +66,8 @@ def verdict(parent: list[float], change: list[float], better: str,
     p_q1, p_med, p_q3 = quartiles(parent)
     c_q1, c_med, c_q3 = quartiles(change)
     median_gain = sign * (p_med - c_med)
-    if wins >= 0.9 * len(gains) and median_gain > p_q3 - p_q1:
+    if (len(gains) >= MIN_GAIN_PAIRS and wins >= 0.9 * len(gains)
+            and median_gain > p_q3 - p_q1):
         return wins, "gain"
     if -median_gain > bound:
         return wins, "regression"
