@@ -51,6 +51,7 @@ from .verify import (
 )
 
 ENV_OUTDIR = "QGDECAY_OUTDIR"
+MAX_GRID_POINTS = 100_000  # per start:stop:step sweep grid
 
 
 def fmt(x) -> str:
@@ -96,6 +97,11 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = values
         if step <= 0:
             raise ValueError("grid step must be > 0")
+        # the values are start + i * step for i = 0 .. floor(span + 1/2)
+        if (stop - start) / step + 0.5 >= MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid {spec} has more than {MAX_GRID_POINTS} points"
+            )
         values = []
         i = 0
         while True:

@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class GraphValidationError(ValueError):
@@ -137,6 +137,10 @@ class MetricGraph:
                     )
             if not (e.length > 0.0) or not math.isfinite(e.length):
                 raise GraphValidationError(f"edge {e.id}: non-positive length")
+            if not math.isfinite(e.potential):
+                raise GraphValidationError(
+                    f"edge {e.id}: non-finite potential {e.potential}"
+                )
         if self.root not in self.vertex_by_id:
             raise GraphValidationError(f"root {self.root} is not a vertex")
         reached = self._reachable_from_root()
@@ -171,7 +175,7 @@ class MetricGraph:
         """Single-source shortest arc-length distance from the root, computed
         once per graph; callers share the dict and must not modify it."""
         if self._arc is None:
-            self._arc = dijkstra(self, {e.id: e.length for e in self.edges})
+            self._arc = dijkstra(self, EdgeWeights(self, lambda e: e.length))
         return self._arc
 
     def edges_by_generation(self) -> dict[int | None, tuple[Edge, ...]]:
@@ -202,8 +206,31 @@ class MetricGraph:
         }
 
 
+class EdgeWeights(Mapping[int, float]):
+    """Edge id -> ``weight(edge)``, evaluated on each lookup, so a Dijkstra
+    run holds no table of weights beside the distances it builds."""
+
+    def __init__(self, graph: MetricGraph, weight: Callable[[Edge], float]):
+        self._edges = graph.edge_by_id
+        self._weight = weight
+
+    def __getitem__(self, eid: int) -> float:
+        return self._weight(self._edges[eid])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._edges)
+
+    def __len__(self) -> int:
+        return len(self._edges)
+
+
 def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float]:
-    """Label-setting sweep from the root; weights must be nonnegative."""
+    """Label-setting sweep from the root; weights must be nonnegative.
+    Where the root's component is a tree, one breadth-first pass gives the
+    heap's floats without the heap."""
+    dist = _tree_distances(graph, weight)
+    if dist is not None:
+        return dist
     dist = {graph.root: 0.0}
     heap: list[tuple[float, int]] = [(0.0, graph.root)]
     while heap:
@@ -218,6 +245,33 @@ def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float
             if nd < dist.get(other, math.inf):
                 dist[other] = nd
                 heapq.heappush(heap, (nd, other))
+    return dist
+
+
+def _tree_distances(
+    graph: MetricGraph, weight: Mapping[int, float]
+) -> dict[int, float] | None:
+    """Root distances as ``dist[parent] + weight``, each vertex reached once
+    breadth first; None at the first edge back to a reached vertex other
+    than the edge it was reached by (a cycle, parallel edge or self-loop)."""
+    dist = {graph.root: 0.0}
+    order = [graph.root]
+    arrived_by: list[int | None] = [None]
+    # both lists grow while zip walks them, which list iterators allow
+    for vid, back in zip(order, arrived_by):
+        d = dist[vid]
+        for eid in graph.incidence[vid]:
+            if eid == back:
+                continue
+            e = graph.edge_by_id[eid]
+            other = e.head if e.tail == vid else e.tail
+            if other in dist:
+                return None
+            nd = d + weight[eid]
+            if nd < math.inf:  # the heap's rule: inf and NaN reach nothing
+                dist[other] = nd
+                order.append(other)
+                arrived_by.append(eid)
     return dist
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Edge, GraphPoint, MetricGraph, Vertex, dijkstra
+from .graph import Edge, EdgeWeights, GraphPoint, MetricGraph, Vertex, dijkstra
 
 CUT_POINT_REL_TOL = 1e-12
 
@@ -60,7 +60,7 @@ def compute_rho_a(graph: MetricGraph, energy: float | None = None) -> AgmonMetri
     if own and graph._rho_table is not None:
         return graph._rho_table
     rho = dijkstra(
-        graph, {e.id: edge_action_weight(e, e_eff) for e in graph.edges}
+        graph, EdgeWeights(graph, lambda e: edge_action_weight(e, e_eff))
     )
     table = AgmonMetricTable(graph, e_eff, rho, graph.arc_distances())
     if own:

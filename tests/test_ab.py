@@ -1,6 +1,7 @@
 """The verdict rules of ``tools/ab.py``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,49 @@ class TestVerdict:
                       for p in PARENT[:9]]
         # nine wins and one tie in ten pairs is nine tenths: a gain
         assert ab.verdict(PARENT, change, better, 0.25) == (9, "gain")
+
+
+RESULT_LINE = {"correct": True, "metrics": {"wall_s": {"value": 1.0}}}
+
+
+def checkout(root: Path, name: str) -> Path:
+    """A checkout whose bench/run.py prints one fixed result line."""
+    path = root / name
+    (path / "bench" / "__pycache__").mkdir(parents=True)
+    (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "better": "lower", "bound": 0.25},
+    ]}))
+    (path / "bench" / "run.py").write_text(
+        f"print({json.dumps(json.dumps(RESULT_LINE))})\n"
+    )
+    (path / "bench" / "__pycache__" / "run.pyc").write_bytes(name.encode())
+    return path
+
+
+def ab_main(parent: Path, change: Path) -> None:
+    ab.main(["--parent", str(parent), "--change", str(change),
+             "--workload", "w", "--pairs", "1", "--seconds", "0"])
+
+
+class TestSameBenchmark:
+    def test_runs_when_only_pycache_differs(self, tmp_path, capsys):
+        parent, change = checkout(tmp_path, "a"), checkout(tmp_path, "b")
+        assert ab.differing_benchmark_files(parent, change) == []
+        ab_main(parent, change)
+        assert "w wall_s [1 1 1] [1 1 1] 0/1 within bound" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit", ["BENCHMARK.json", "bench/run.py",
+                                      "bench/reference/new.out"])
+    def test_refuses_differing_benchmark_files(self, tmp_path, capsys, edit):
+        parent, change = checkout(tmp_path, "a"), checkout(tmp_path, "b")
+        target = change / edit
+        target.parent.mkdir(exist_ok=True)
+        with target.open("a") as fh:  # append to the file, or create it
+            fh.write(" ")
+        assert ab.differing_benchmark_files(parent, change) == [edit]
+        with pytest.raises(SystemExit) as exc:
+            ab_main(parent, change)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{edit} differ" in captured.err

@@ -1,5 +1,7 @@
+import heapq
 import json
 import math
+import types
 
 import pytest
 
@@ -51,6 +53,11 @@ class TestGenerate:
         graph = {"vertices": [{"id": 0}], "edges": [edge], "root": 0,
                  "energy": 1.0}
         no_length = {k: v for k, v in edge.items() if k != "length"}
+        # an infinite potential leaves the head out of the action table
+        inf_potential = dict(
+            graph, vertices=[{"id": 0}, {"id": 7}],
+            edges=[dict(edge, potential=math.inf)],
+        )
         # (spec document, text the error message must contain)
         cases = [
             (graph, "7"),
@@ -58,13 +65,15 @@ class TestGenerate:
             ({"family": "regular_tree", "params": {}, "depth": 3}, "'b'"),
             (dict(graph, edges=[no_length]), "length"),
             (dict(graph, vertices=5), "vertices"),
+            (inf_potential, "edge 0: non-finite potential inf"),
         ]
         spec = tmp_path / "broken.json"
         for doc, needle in cases:
             spec.write_text(json.dumps(doc))
-            code, _, err = run(capsys, "generate", "--spec", str(spec))
-            assert code == 2, doc
-            assert needle in err, err
+            for command in ("generate", "metric"):
+                code, _, err = run(capsys, command, "--spec", str(spec))
+                assert code == 2, (command, doc)
+                assert needle in err, err
 
     def test_invalid_json_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "bad.json"
@@ -239,13 +248,16 @@ class TestVerify:
              "grid values must be finite, got nan:1:0.5"),
             (["sweep", "--family", "millipede", "--delta-grid", "0.1,inf"],
              "grid values must be finite, got 0.1,inf"),
+            # a finite grid too large to build
+            (["sweep", "--family", "ladder", "--w", "1:1e9:1"],
+             "grid 1:1e9:1 has more than 100000 points"),
         ],
         ids=["ladder-deep", "millipede-deep", "twolen-saturated", "sweep-b0",
              "negative-schedule", "epsilon-nan", "extra-rate-nan",
              "extra-rate-nan-path", "shift-delta-nan", "shift-delta-inf",
              "exclusion-nan", "exclusion-inf", "energy-shift-nan",
              "grid-step-nan", "grid-stop-inf", "grid-start-nan",
-             "grid-list-inf"],
+             "grid-list-inf", "grid-too-large"],
     )
     def test_numeric_failure_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -274,6 +286,36 @@ class TestVerify:
         )
         assert code == 0
         assert len(runs) == 4
+
+    @pytest.mark.parametrize("family_argv,pushes", [
+        (["regular-tree", "--b", "2"], False),
+        (["ns-regular-tree", "--b-seq", "2,3,2,2",
+          "--length-seq", "1,0.5,1.5,1,2"], False),
+        (["two-lengths-tree", "--L1", "1", "--L2", "2",
+          "--multiplier", "path"], False),
+        (["millipede", "--delta", "0.1"], False),
+        (["ladder", "--w", "1"], True),
+        (["braided", "--b-seq", "4,4,4,4", "--a-seq", "2,2,2,2",
+          "--v-seq", "1,2,3,4"], True),
+    ], ids=["regular", "ns", "twolen", "millipede", "ladder", "braided"])
+    def test_only_cyclic_families_push_on_the_heap(
+        self, capsys, monkeypatch, family_argv, pushes
+    ):
+        # trees take the breadth-first pass; the ladder's rungs and the
+        # braided graph's parallel edges send Dijkstra to the heap
+        calls = []
+
+        def counting(heap, item):
+            calls.append(item)
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(qgdecay.graph, "heapq", types.SimpleNamespace(
+            heappush=counting, heappop=heapq.heappop,
+        ))
+        code, _, _ = run(capsys, "verify", "--family", *family_argv,
+                         "--depth", "4")
+        assert code in (0, 1)
+        assert (len(calls) > 0) == pushes
 
     def test_one_verify_evaluates_psi_per_vertex_not_per_point(
         self, capsys, monkeypatch
@@ -349,6 +391,12 @@ class TestSweep:
         assert code == 0
         lines = out.strip().split("\n")
         assert len(lines) == 3
+
+    def test_grid_size_cap(self):
+        n = qgdecay.cli.MAX_GRID_POINTS
+        assert len(qgdecay.cli._parse_grid(f"0:{n - 1}:1")) == n
+        with pytest.raises(ValueError, match=f"more than {n} points"):
+            qgdecay.cli._parse_grid(f"0:{n}:1")
 
     def test_unknown_family_exits_2(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "two-lengths-tree")

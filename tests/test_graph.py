@@ -1,15 +1,34 @@
+import heapq
 import math
+import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgdecay.eigenfunctions import CONSTRUCTORS
 from qgdecay.graph import (
     FAMILIES,
+    Edge,
+    EdgeWeights,
     FamilyParameterError,
     GraphValidationError,
+    MetricGraph,
+    Vertex,
     build_graph,
+    dijkstra,
     generate_family,
 )
+from qgdecay.metrics import edge_action_weight
+
+# one small graph per family
+FAMILY_CASES = [
+    ("regular_tree", {"b": 3}),
+    ("ns_regular_tree", {"b_seq": [2, 3, 2], "length_seq": [1.0, 0.5, 1.5, 1.0]}),
+    ("two_lengths_tree", {"L1": 1.0, "L2": 2.0}),
+    ("millipede", {"delta": 0.2}),
+    ("ladder", {"w": 1.5}),
+    ("braided", {"b_seq": [4, 4], "a_seq": [2, 2, 2], "v_seq": [1.0, 2.5, 3.0]}),
+]
 
 
 def single_edge_spec():
@@ -190,16 +209,83 @@ class TestGenerators:
             generate_family("regular_tree", {"b": 2}, depth=0)
 
     def test_generated_families_validate(self):
-        cases = [
-            ("regular_tree", {"b": 3}),
-            ("ns_regular_tree", {"b_seq": [2, 3, 2], "length_seq": [1.0, 0.5, 1.5, 1.0]}),
-            ("two_lengths_tree", {"L1": 1.0, "L2": 2.0}),
-            ("millipede", {"delta": 0.2}),
-            ("ladder", {"w": 1.5}),
-            ("braided", {"b_seq": [4, 4], "a_seq": [2, 2], "v_seq": [1.0, 2.5]}),
-        ]
         # every family in the table is covered here and has a constructor
-        assert sorted(name for name, _ in cases) == sorted(FAMILIES) == sorted(CONSTRUCTORS)
-        for name, params in cases:
+        assert (sorted(name for name, _ in FAMILY_CASES) == sorted(FAMILIES)
+                == sorted(CONSTRUCTORS))
+        for name, params in FAMILY_CASES:
             g = generate_family(name, params, depth=2)
             g.validate()  # must not raise
+
+
+def heap_dijkstra(graph, weight):
+    """The label-setting heap loop ``dijkstra`` falls back to, as the
+    oracle for every graph."""
+    dist = {graph.root: 0.0}
+    heap = [(0.0, graph.root)]
+    while heap:
+        d, vid = heapq.heappop(heap)
+        if d > dist[vid]:
+            continue
+        for eid in graph.incidence[vid]:
+            e = graph.edge_by_id[eid]
+            w = weight[eid]
+            other = e.head if e.tail == vid else e.tail
+            nd = d + w
+            if nd < dist.get(other, math.inf):
+                dist[other] = nd
+                heapq.heappush(heap, (nd, other))
+    return dist
+
+
+def bits(dist):
+    return {vid: struct.pack("<d", d) for vid, d in dist.items()}
+
+
+WEIGHTS = st.one_of(
+    st.sampled_from([0.0, math.inf, math.nan]),
+    st.floats(min_value=5e-324, allow_infinity=False),
+)
+
+
+@st.composite
+def weighted_graphs(draw):
+    """A random forest, plus extra edges that may close cycles, double an
+    edge or loop at a vertex; edges in random order and orientation."""
+    n = draw(st.integers(1, 10))
+    ends = [
+        (draw(st.integers(0, v - 1)), v)
+        for v in range(1, n)
+        if draw(st.integers(0, 4))  # about one vertex in five starts a tree
+    ]
+    ends += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3
+    ))
+    ends = [end[::-1] if draw(st.booleans()) else end
+            for end in draw(st.permutations(ends))]
+    edges = [Edge(eid, tail, head, 1.0, 0.0) for eid, (tail, head) in enumerate(ends)]
+    graph = MetricGraph([Vertex(v) for v in range(n)], edges,
+                        root=draw(st.integers(0, n - 1)), energy=0.0)
+    weight = {e.id: draw(WEIGHTS) for e in edges}
+    return graph, weight
+
+
+class TestDijkstra:
+    @settings(max_examples=400, deadline=None)
+    @given(weighted_graphs())
+    def test_matches_the_heap_bit_for_bit(self, case):
+        graph, weight = case
+        assert bits(dijkstra(graph, weight)) == bits(heap_dijkstra(graph, weight))
+
+    @pytest.mark.parametrize("name,params", FAMILY_CASES,
+                             ids=[name for name, _ in FAMILY_CASES])
+    def test_families_match_the_heap_bit_for_bit(self, name, params):
+        g = generate_family(name, params, depth=3)
+        rules = [lambda e: e.length] + [
+            lambda e, energy=g.energy + shift: edge_action_weight(e, energy)
+            for shift in (0.0, 0.5, 2.0)  # 2.0 zeroes every action weight
+        ]
+        for rule in rules:
+            weight = {e.id: rule(e) for e in g.edges}
+            expected = bits(heap_dijkstra(g, weight))
+            assert bits(dijkstra(g, weight)) == expected
+            assert bits(dijkstra(g, EdgeWeights(g, rule))) == expected

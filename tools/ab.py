@@ -17,6 +17,10 @@ range; ``regression`` when the change's median is worse by more than the
 bound in ``BENCHMARK.json``; ``unresolved`` when either side's quartiles are
 further apart than the bound and not every change run beats every parent
 run; ``within bound`` otherwise.
+
+Both sides must run the same benchmark: it refuses to start when
+``BENCHMARK.json`` or a file under ``bench/`` (``__pycache__`` aside)
+differs between the checkouts.
 """
 
 from __future__ import annotations
@@ -29,6 +33,23 @@ import sys
 from pathlib import Path
 
 MIN_GAIN_PAIRS = 10  # fewer pairs cannot show a gain
+
+
+def benchmark_files(checkout: Path) -> dict[str, bytes]:
+    """``BENCHMARK.json`` and every file under ``bench/`` outside
+    ``__pycache__``, by path relative to ``checkout``."""
+    files = {}
+    for path in [checkout / "BENCHMARK.json", *(checkout / "bench").rglob("*")]:
+        name = path.relative_to(checkout)
+        if path.is_file() and "__pycache__" not in name.parts:
+            files[name.as_posix()] = path.read_bytes()
+    return files
+
+
+def differing_benchmark_files(parent: Path, change: Path) -> list[str]:
+    """The benchmark files that are not byte-identical in both checkouts."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -88,6 +109,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    differing = differing_benchmark_files(args.parent, args.change)
+    if differing:
+        parser.error("the checkouts run different benchmarks: "
+                     + ", ".join(differing) + " differ")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
 
