@@ -215,10 +215,12 @@ def _cmd_metric(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     f = construct(*_family_params(args))
     rows = [
         (eid, "" if gen is None else gen, x, arc, psi, dpsi)
-        for eid, gen, x, arc, psi, dpsi in f.sample_rows(args.samples)
+        for eid, gen, x, arc, psi, dpsi in f.quotient.sample_rows(args.samples)
     ]
     text = _csv_text(
         ["edge_id", "generation", "x_local", "arc_distance", "psi", "dpsi"],
@@ -254,17 +256,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         and residuals["max_kirchhoff"] <= 1e-9
     )
 
+    q = f.quotient  # one edge per class: the minima below read each once
     gap_min = min(
-        e.potential - f.graph.energy
-        for e in f.graph.edges
-        if e.id not in f.graph.core_edges
+        e.potential - q.graph.energy
+        for e in q.graph.edges
+        if e.id not in q.graph.core_edges
     )
     margin_delta = args.shift_delta if args.shift_delta > 0 else 0.5 * gap_min
     margin_plus = constraint_margin(
-        f.graph, MultiplierSpec(delta=margin_delta, shift_sign=1)
+        q.graph, MultiplierSpec(delta=margin_delta, shift_sign=1)
     )
     margin_minus = constraint_margin(
-        f.graph, MultiplierSpec(delta=margin_delta, shift_sign=-1)
+        q.graph, MultiplierSpec(delta=margin_delta, shift_sign=-1)
     )
     margin_ok = margin_plus >= margin_delta - 1e-9
 
@@ -276,12 +279,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # product-derivative identity on an interior window of the root edge
     first = min(
-        (e for e in f.graph.edges if e.tail == f.graph.root),
+        (e for e in q.graph.edges if e.tail == q.graph.root),
         key=lambda e: e.id,
     )
-    sol = f.solutions[first.id]
+    sol = q.solutions[first.id]
     big_f = Multiplier(
-        f.graph, spec if spec.kind != "averaged" else MultiplierSpec(), path
+        q.graph, spec if spec.kind != "averaged" else MultiplierSpec(), path
     ).on_edge(first.id)
     phi = lambda x: edge_eval(sol, x)
     h = first.length / 64.0
@@ -327,7 +330,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     name = family_name(args.family or "")
     if name == "regular_tree":
-        bs = [int(b) for b in _parse_grid(args.b_range or "2:10:1")]
+        bs = _parse_grid(args.b_range or "2:10:1")
+        if any(b != int(b) for b in bs):
+            raise ValueError(f"b grid values must be integers, got {args.b_range}")
+        bs = [int(b) for b in bs]
         kls = _parse_grid(args.kL_range or "0.1:3.0:0.1")
         header = ["b", "kL", "lambda_small", "fitted_rate", "bound",
                   "bound_ok", "l2_ratio", "l2_ok"]

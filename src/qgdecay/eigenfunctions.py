@@ -11,13 +11,13 @@ leaves, where the infinite-graph solution is simply cut off.
 from __future__ import annotations
 
 import math
-import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .graph import Edge, GraphPoint, MetricGraph, Vertex
-from .graph import family_arguments, family_name, generate_family, keyword_params
+from .graph import build_family, family_arguments, family_name, generate_family
+from .graph import keyword_params
 from .metrics import PathSpec
 from .transfer import (
     TransferMatrix,
@@ -28,7 +28,11 @@ from .transfer import (
     vertex_edge_step,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DERIV_FLOOR = 1e-300
+REPEAT_CHUNK = 4096  # additions per np.add.accumulate in repeated_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,11 +50,29 @@ class EdgeSolution:
     B: float
 
 
-def solution_key(sol: EdgeSolution, length: float) -> bytes:
-    """The raw bytes of ``sol`` but its edge id, on an edge of ``length``:
-    equal keys evaluate bit for bit alike, and 0.0 and -0.0, or NaNs with
-    different payloads, stay apart."""
-    return struct.pack("5d", sol.k, sol.length, sol.A, sol.B, length)
+def _numpy():
+    """numpy, imported on first use: loaded before verify.py compiles, it
+    raises the peak RSS of a process that writes no bytecode by 0.4 MB."""
+    import numpy
+
+    return numpy
+
+
+def repeated_sum(start: float, x: float, n: int) -> float:
+    """``start + x + ... + x`` with ``n`` additions, left to right: bit for
+    bit a loop of ``+=``, replayed by np.add.accumulate in chunks that carry
+    the running value, so no array of ``n`` floats is built."""
+    if n == 1:
+        return start + x
+    np = _numpy()
+    chunk = np.full(min(n, REPEAT_CHUNK) + 1, x)
+    while n > 0:
+        m = min(n, REPEAT_CHUNK)
+        chunk[0] = start
+        with np.errstate(all="ignore"):  # overflow reads inf, as += gives
+            start = float(np.add.accumulate(chunk[: m + 1])[-1])
+        n -= m
+    return start
 
 
 def edge_eval(sol: EdgeSolution, x: float) -> float:
@@ -105,7 +127,11 @@ def ode_residual(sol: EdgeSolution, h: float, n_samples: int = 16) -> float:
 
 class Eigenfunction:
     """One EdgeSolution per edge of a graph, plus construction metadata.
-    The solutions are read-only, so what is derived from them stays valid."""
+    The solutions are read-only, so what is derived from them stays valid.
+
+    The graph may be a synchronized family's GenerationTable, with one
+    solution per generation on its first edge: an eigenfunction on the
+    generation quotient, each edge standing for its class."""
 
     def __init__(
         self,
@@ -115,40 +141,33 @@ class Eigenfunction:
         mode: str | None = None,
         meta: dict | None = None,
     ):
-        self.graph = graph
+        self._graph = graph
         self._solutions = MappingProxyType(dict(solutions))
-        self._runs: dict | None = None
+        self._interior: tuple[list[int], np.ndarray] | None = None
         self.family = family
         self.mode = mode
         self.meta = dict(meta or {})
 
     @property
+    def graph(self) -> MetricGraph:
+        return self._graph
+
+    @property
     def solutions(self) -> Mapping[int, EdgeSolution]:
         return self._solutions
 
-    def _generation_runs(self) -> dict:
-        """Per generation, its edges in graph order as runs [solution, edge
-        length, count] of bitwise-equal (solution, length).  Computed once."""
-        if self._runs is None:
-            self._runs = {}
-            for gen, edges in self.graph.edges_by_generation().items():
-                runs, last = [], None
-                for e in edges:
-                    key = solution_key(self._solutions[e.id], e.length)
-                    if key == last:
-                        runs[-1][2] += 1
-                    else:
-                        runs.append([self._solutions[e.id], e.length, 1])
-                        last = key
-                self._runs[gen] = runs
-        return self._runs
+    @property
+    def quotient(self) -> Eigenfunction:
+        """What the certificate stages read: one representative per class
+        of edges and vertices, whose counts its graph gives."""
+        return self
 
     def value(self, point: GraphPoint) -> float:
-        return edge_eval(self._solutions[point.edge], point.offset)
+        return edge_eval(self.solutions[point.edge], point.offset)
 
     def edge_end_value(self, eid: int, vid: int) -> float:
         e = self.graph.edge_by_id[eid]
-        sol = self._solutions[eid]
+        sol = self.solutions[eid]
         if vid == e.tail:
             return edge_eval(sol, 0.0)
         if vid == e.head:
@@ -158,7 +177,7 @@ class Eigenfunction:
     def outgoing_derivative(self, vid: int, eid: int) -> float:
         """Derivative limit at the vertex in the direction leaving it."""
         e = self.graph.edge_by_id[eid]
-        sol = self._solutions[eid]
+        sol = self.solutions[eid]
         out = 0.0
         if vid == e.tail:
             out += edge_deriv(sol, 0.0)
@@ -172,34 +191,89 @@ class Eigenfunction:
         eid = self.graph.incidence[vid][0]
         return self.edge_end_value(eid, vid)
 
+    def interior_values(self) -> tuple[list[int], np.ndarray]:
+        """The graph's interior vertex ids, and psi at each; computed once,
+        as both vertex fits of a verify read them."""
+        if self._interior is None:
+            vids = self.graph.interior_vertex_ids()
+            values = _numpy().fromiter(map(self.vertex_value, vids), float, len(vids))
+            self._interior = (vids, values)
+        return self._interior
+
+    def vertex_residuals(self, vid: int) -> tuple[float, float]:
+        """Continuity and Kirchhoff residuals at ``vid``: the relative spread
+        of the incident edge values, and |sum of outgoing derivatives| over
+        the sum of their magnitudes, each edge class counted at its
+        multiplicity at the vertex."""
+        values = []
+        total = magnitude = 0.0
+        for eid in self.graph.incidence[vid]:
+            values.append(self.edge_end_value(eid, vid))
+            d = self.outgoing_derivative(vid, eid)
+            n = self.graph.incident_count(vid, eid)
+            total = repeated_sum(total, d, n)
+            magnitude = repeated_sum(magnitude, abs(d), n)
+        scale = max(abs(v) for v in values)
+        return (
+            (max(values) - min(values)) / (scale + DERIV_FLOOR),
+            abs(total) / (magnitude + DERIV_FLOOR),
+        )
+
     def sample_rows(self, samples_per_edge: int = 9) -> list[tuple]:
-        """Rows (edge_id, generation, x_local, arc_distance, psi, dpsi)."""
+        """Rows (edge_id, generation, x_local, arc_distance, psi, dpsi); the
+        rows of a class repeat for each of its edges (ids e.id, e.id + 1, ...)."""
         arc = self.graph.arc_distances()
         rows = []
         for e in sorted(self.graph.edges, key=lambda e: e.id):
-            sol = self._solutions[e.id]
+            sol = self.solutions[e.id]
+            samples = []
             for i in range(samples_per_edge):
                 x = e.length * i / max(samples_per_edge - 1, 1)
-                rows.append(
-                    (
-                        e.id,
-                        e.generation,
-                        x,
-                        min(arc[e.tail] + x, arc[e.head] + (e.length - x)),
-                        edge_eval(sol, x),
-                        edge_deriv(sol, x),
-                    )
-                )
+                samples.append((
+                    x,
+                    min(arc[e.tail] + x, arc[e.head] + (e.length - x)),
+                    edge_eval(sol, x),
+                    edge_deriv(sol, x),
+                ))
+            for eid in range(e.id, e.id + self.graph.edge_count(e.id)):
+                rows += [(eid, e.generation, *sample) for sample in samples]
         return rows
+
+
+class SynchronizedEigenfunction(Eigenfunction):
+    """The eigenfunction of a synchronized family, held on its generation
+    table (``quotient``); the graph and the solution on each of its edges
+    are expanded on first use."""
+
+    def __init__(self, quotient: Eigenfunction):
+        super().__init__(None, {}, quotient.family, quotient.mode, quotient.meta)
+        self._quotient = quotient
+
+    @property
+    def graph(self) -> MetricGraph:
+        if self._graph is None:
+            self._graph = self._quotient.graph.expand()
+        return self._graph
+
+    @property
+    def solutions(self) -> Mapping[int, EdgeSolution]:
+        if not self._solutions:
+            q = self._quotient
+            self._solutions = MappingProxyType({
+                eid: replace(sol, edge=eid)
+                for first, sol in q.solutions.items()
+                for eid in range(first, first + q.graph.edge_count(first))
+            })
+        return self._solutions
+
+    @property
+    def quotient(self) -> Eigenfunction:
+        return self._quotient
 
 
 def continuity_residual(f: Eigenfunction, vid: int) -> float:
     """Relative spread of the incident edge values at a vertex."""
-    values = [
-        f.edge_end_value(eid, vid) for eid in f.graph.incidence[vid]
-    ]
-    scale = max(abs(v) for v in values)
-    return (max(values) - min(values)) / (scale + DERIV_FLOOR)
+    return f.vertex_residuals(vid)[0]
 
 
 def kirchhoff_residual(f: Eigenfunction, vid: int) -> float:
@@ -214,19 +288,14 @@ def kirchhoff_residual(f: Eigenfunction, vid: int) -> float:
             f"vertex {vid}: Kirchhoff condition not applicable at the "
             "truncation boundary"
         )
-    total = 0.0
-    magnitude = 0.0
-    for eid in f.graph.incidence[vid]:
-        d = f.outgoing_derivative(vid, eid)
-        total += d
-        magnitude += abs(d)
-    return abs(total) / (magnitude + DERIV_FLOOR)
+    return f.vertex_residuals(vid)[1]
 
 
 def canonical_path(f: Eigenfunction) -> PathSpec:
     """Root-to-boundary path following the lowest-id outgoing edge.  At each
     vertex it passes, the fraction is the derivative leaving on the path
     over the derivative arriving on the vertex's first incoming edge."""
+    f = f.quotient
     graph = f.graph
     edges: list[int] = []
     fracs: list[float] = []
@@ -295,29 +364,22 @@ def _solution_for_edge(e: Edge, energy: float, coeff: tuple[float, float]) -> Ed
 
 
 def _construct_generation_family(name: str, params: dict, depth: int) -> Eigenfunction:
-    """Trees and braided graphs: one coefficient pair per edge generation."""
-    graph = generate_family(name, params, depth)
-    info = graph.family_info
-    k = math.sqrt(
-        max(graph.edges[0].potential - graph.energy, 0.0)
-    )
-    n_gens = len(info.positions) - 1
-    # per-generation lengths from the stored edges: exact floats, so equal
-    # generations give bitwise-equal step matrices
-    gen_length: dict[int, float] = {}
-    for e in graph.edges:
-        gen_length.setdefault(e.generation, e.length)
+    """Trees and braided graphs: one coefficient pair per edge generation,
+    on the generation table; no graph is built."""
+    table = build_family(name, params, depth)
+    info = table.family_info
+    k = math.sqrt(max(table.potential - table.energy, 0.0))
     steps = []
-    for g in range(n_gens - 1):
+    for e in table.edges[:-1]:
         # p > 1 where a braided generation narrows
-        p = info.arriving[g] / info.ongoing[g]
-        steps.append(vertex_edge_step(k * gen_length[g], p))
+        p = info.arriving[e.generation] / info.ongoing[e.generation]
+        steps.append(vertex_edge_step(k * e.length, p))
     coeffs = _propagate_decaying(steps)
     solutions = {
-        e.id: _solution_for_edge(e, graph.energy, coeffs[e.generation])
-        for e in graph.edges
+        e.id: _solution_for_edge(e, table.energy, coeffs[e.generation])
+        for e in table.edges
     }
-    return Eigenfunction(graph, solutions, family=name)
+    return SynchronizedEigenfunction(Eigenfunction(table, solutions, family=name))
 
 
 def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction:
@@ -487,6 +549,7 @@ def averaged_wave_function(f: Eigenfunction, y: float) -> float:
     """Weighted average of psi over all points at arc distance y from the
     root; the weights multiply a_j/b_j per generation passed (and 1/root_edges
     at the root) so they always sum to 1."""
+    f = f.quotient
     info = f.graph.family_info
     if info is None or info.positions is None:
         raise ValueError(
@@ -507,9 +570,9 @@ def averaged_wave_function(f: Eigenfunction, y: float) -> float:
     weight = 1.0 / info.root_edges
     for j in range(gen):
         weight *= info.arriving[j] / info.ongoing[j]
-    total = 0.0  # in edge order, one evaluation per run of equal edges
-    for sol, length, count in f._generation_runs().get(gen, ()):
-        value = edge_eval(sol, min(x, length))
-        for _ in range(count):
-            total += value
+    total = 0.0  # the in-order sum over the edges of the generation
+    for e in f.graph.edges:
+        if e.generation == gen:
+            value = edge_eval(f.solutions[e.id], min(x, e.length))
+            total = repeated_sum(total, value, f.graph.edge_count(e.id))
     return weight * total

@@ -97,9 +97,20 @@ class MetricGraph:
                 incidence[e.head].append(e.id)
         self.incidence = {vid: tuple(eids) for vid, eids in incidence.items()}
         self._arc: dict[int, float] | None = None
-        self._by_generation: dict[int | None, tuple[Edge, ...]] | None = None
         # metrics.compute_rho_a's table at self.energy, built on first use
         self._rho_table = None
+
+    # A graph is its own quotient: each edge and vertex is its own class
+    # (see GenerationTable).
+
+    def edge_count(self, eid: int) -> int:
+        return 1
+
+    def vertex_count(self, vid: int) -> int:
+        return 1
+
+    def incident_count(self, vid: int, eid: int) -> int:
+        return 1
 
     def degree(self, vid: int) -> int:
         deg = 0
@@ -171,22 +182,16 @@ class MetricGraph:
                         stack.append(nxt)
         return seen
 
+    def distances(self, weight: Callable[[Edge], float]) -> dict[int, float]:
+        """Shortest ``weight`` distance from the root of each vertex reached."""
+        return dijkstra(self, EdgeWeights(self, weight))
+
     def arc_distances(self) -> dict[int, float]:
         """Single-source shortest arc-length distance from the root, computed
         once per graph; callers share the dict and must not modify it."""
         if self._arc is None:
-            self._arc = dijkstra(self, EdgeWeights(self, lambda e: e.length))
+            self._arc = self.distances(lambda e: e.length)
         return self._arc
-
-    def edges_by_generation(self) -> dict[int | None, tuple[Edge, ...]]:
-        """Edges grouped by generation, each group in graph order; computed
-        once per graph, and callers must not modify it."""
-        if self._by_generation is None:
-            groups: dict[int | None, list[Edge]] = {}
-            for e in self.edges:
-                groups.setdefault(e.generation, []).append(e)
-            self._by_generation = {g: tuple(es) for g, es in groups.items()}
-        return self._by_generation
 
     def to_json_dict(self) -> dict:
         return {
@@ -227,10 +232,12 @@ class EdgeWeights(Mapping[int, float]):
 def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float]:
     """Label-setting sweep from the root; weights must be nonnegative.
     Where the root's component is a tree, one breadth-first pass gives the
-    heap's floats without the heap."""
-    dist = _tree_distances(graph, weight)
-    if dist is not None:
-        return dist
+    heap's floats without the heap.  Each weight is looked up at most once
+    where the graph has as many edges as vertices or more."""
+    if len(graph.edges) < len(graph.vertices):  # else it has a cycle
+        dist = _tree_distances(graph, weight)
+        if dist is not None:
+            return dist
     dist = {graph.root: 0.0}
     heap: list[tuple[float, int]] = [(0.0, graph.root)]
     while heap:
@@ -239,9 +246,10 @@ def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float
             continue
         for eid in graph.incidence[vid]:
             e = graph.edge_by_id[eid]
-            w = weight[eid]
             other = e.head if e.tail == vid else e.tail
-            nd = d + w
+            if dist.get(other, math.inf) <= d:
+                continue  # settled: d + w >= d for w >= 0, and NaN reaches nothing
+            nd = d + weight[eid]
             if nd < dist.get(other, math.inf):
                 dist[other] = nd
                 heapq.heappush(heap, (nd, other))
@@ -273,6 +281,124 @@ def _tree_distances(
                 order.append(other)
                 arrived_by.append(eid)
     return dist
+
+
+@dataclass(frozen=True, slots=True)
+class Generation:
+    """One generation of edges of a GenerationTable, and the vertices they
+    arrive at.  The edges leaving each vertex of the generation before take
+    the ``lengths`` in turn; ``arriving`` edges end at each new vertex, and
+    ``ongoing`` edges leave it for the next generation (0 at the frontier)."""
+
+    lengths: tuple[float, ...]
+    edges: int
+    vertices: int
+    arriving: int
+    ongoing: int
+    first_edge: int
+    first_vertex: int
+
+
+class GenerationTable(MetricGraph):
+    """A family grown generation by generation from the root, one row per
+    generation; ``expand()`` builds the family's graph from it, with edge
+    and vertex ids running by generation.
+
+    As a MetricGraph the table is the family's generation quotient: the
+    first edge and vertex of each generation, each standing for its class
+    (``edge_count``, ``vertex_count``, ``incident_count``).  It is exact for
+    a synchronized family (``family_info.positions`` set), where every edge
+    of a generation has one length, potential and root distance.
+    """
+
+    def __init__(
+        self,
+        lengths: Sequence[tuple[float, ...]],
+        arriving: Sequence[int],
+        ongoing: Sequence[int],
+        root_edges: int,
+        potential: float,
+        energy: float,
+        family_info: FamilyInfo,
+    ):
+        rows, edges, first_edge, first_vertex = [], root_edges, 0, 1
+        for gen, (lens, a, b) in enumerate(zip(lengths, arriving, ongoing)):
+            if edges % a != 0:
+                raise FamilyParameterError(
+                    f"generation {gen + 1}: {edges} arriving edges not "
+                    f"divisible by a_{gen + 1} = {a}"
+                )
+            rows.append(Generation(tuple(lens), edges, edges // a, a, b,
+                                   first_edge, first_vertex))
+            first_edge += edges
+            first_vertex += edges // a
+            edges = edges // a * b
+        self.rows = tuple(rows)
+        self.potential = potential
+        vertices = [Vertex(0, generation=0, boundary=True)] + [
+            Vertex(r.first_vertex, generation=g + 1, boundary=r.ongoing == 0)
+            for g, r in enumerate(rows)
+        ]
+        super().__init__(
+            vertices,
+            [Edge(r.first_edge, tail.id, r.first_vertex, r.lengths[0],
+                  potential, generation=g)
+             for g, (r, tail) in enumerate(zip(rows, vertices))],
+            root=0, energy=energy, family_info=family_info,
+        )
+        # per first vertex: its generation's vertices, arriving and ongoing
+        self._classes = {0: (1, 0, root_edges), **{
+            r.first_vertex: (r.vertices, r.arriving, r.ongoing) for r in rows
+        }}
+        self._edge_counts = {r.first_edge: r.edges for r in rows}
+
+    def edge_count(self, eid: int) -> int:
+        """Edges of the generation of ``eid``: ids eid, eid + 1, ..."""
+        return self._edge_counts[eid]
+
+    def vertex_count(self, vid: int) -> int:
+        return self._classes[vid][0]
+
+    def incident_count(self, vid: int, eid: int) -> int:
+        """Edges of the generation of ``eid`` at each vertex of ``vid``'s."""
+        _, arriving, ongoing = self._classes[vid]
+        return arriving if self.edge_by_id[eid].head == vid else ongoing
+
+    def degree(self, vid: int) -> int:
+        return sum(self._classes[vid][1:])
+
+    def distances(self, weight: Callable[[Edge], float]) -> dict[int, float]:
+        """Per generation ``prev + weight``: the float addition that
+        ``dijkstra`` makes on the expansion, by pass and by heap alike."""
+        dist = {self.root: 0.0}
+        d = 0.0
+        for e in self.edges:
+            d += weight(e)
+            if not d < math.inf:  # the heap's rule: inf and NaN reach nothing
+                break
+            dist[e.head] = d
+        return dist
+
+    def expand(self) -> MetricGraph:
+        """The family's graph: edge i of a generation leaves vertex i // ongoing
+        of the generation before and arrives at vertex i // arriving."""
+        vertices, edges = [self.vertices[0]], []
+        tails, per_tail = [0], self._classes[0][2]
+        for gen, row in enumerate(self.rows):
+            # one int object per vertex id, shared by its vertex and edges
+            heads = list(range(row.first_vertex, row.first_vertex + row.vertices))
+            vertices += [Vertex(v, generation=gen + 1, boundary=row.ongoing == 0)
+                         for v in heads]
+            lens = row.lengths
+            edges += [
+                Edge(row.first_edge + i, tails[i // per_tail],
+                     heads[i // row.arriving], lens[i % len(lens)],
+                     self.potential, generation=gen)
+                for i in range(row.edges)
+            ]
+            tails, per_tail = heads, row.ongoing
+        return MetricGraph(vertices, edges, root=0, energy=self.energy,
+                           family_info=self.family_info)
 
 
 # ---------------------------------------------------------------------------
@@ -368,15 +494,24 @@ def keyword_params(fn) -> dict[str, inspect.Parameter]:
 def generate_family(family: str, params: dict, depth: int) -> MetricGraph:
     """Generate a named family truncated to ``depth`` generations.  The
     params must be keyword arguments of the family's builder."""
+    built = build_family(family, params, depth)
+    return built.expand() if isinstance(built, GenerationTable) else built
+
+
+def build_family(family: str, params: dict, depth: int) -> MetricGraph:
+    """What the family's builder makes, validated: the generation table of
+    the synchronized trees and braided graphs, the graph of the others."""
     if depth < 1:
         raise FamilyParameterError("depth must be >= 1")
     name = family_name(family)
     if name not in FAMILIES:
         raise FamilyParameterError(f"unknown family {family!r}")
     family_arguments(name, params, depth)
-    g = FAMILIES[name](depth, **params)
-    g.validate()
-    return g
+    built = FAMILIES[name](depth, **params)
+    if isinstance(built, GenerationTable) and built.family_info.positions is None:
+        built = built.expand()  # not a quotient: check every edge
+    built.validate()
+    return built
 
 
 def family_arguments(name: str, params: dict, depth: int) -> dict:
@@ -405,7 +540,7 @@ def _k_and_energy(k: float, energy: float) -> tuple[float, float, float]:
 
 def _regular_tree(
     depth: int, *, b: int, length: float = 1.0, k: float = 1.0, energy: float = -1.0
-) -> MetricGraph:
+) -> GenerationTable:
     b, length = int(b), float(length)
     k, potential, energy = _k_and_energy(k, energy)
     if b < 1:
@@ -423,7 +558,7 @@ def _regular_tree(
 def _ns_regular_tree(
     depth: int, *, b_seq: Sequence[int], length_seq: Sequence[float],
     k: float = 1.0, energy: float = -1.0,
-) -> MetricGraph:
+) -> GenerationTable:
     b_seq = [int(b) for b in b_seq]
     length_seq = [float(x) for x in length_seq]
     k, potential, energy = _k_and_energy(k, energy)
@@ -448,7 +583,7 @@ def _generation_tree(
     potential: float,
     energy: float,
     synchronized: bool = True,
-) -> MetricGraph:
+) -> GenerationTable:
     """Rooted tree grown breadth first: the root (generation 0) and then
     every generation-g vertex spawn one edge per entry of ``children[g]``,
     of that length.  The last generation's vertices form the boundary.
@@ -457,41 +592,25 @@ def _generation_tree(
     the family info carries the generation positions and branching.
     """
     depth = len(children) - 1
+    arriving = (1,) * (depth + 1)
+    ongoing = tuple(len(c) for c in children[1:]) + (0,)
     info = FamilyInfo(params=params)
     if synchronized:
         info = FamilyInfo(
             params=params,
             positions=(0.0, *itertools.accumulate(c[0] for c in children)),
-            arriving=tuple([1] * (depth + 1)),
-            ongoing=tuple(len(c) for c in children[1:]) + (0,),
+            arriving=arriving,
+            ongoing=ongoing,
         )
-    vertices = [Vertex(0, generation=0, boundary=True)]
-    edges: list[Edge] = []
-    frontier = [0]
-    for gen, lengths in enumerate(children):
-        new_frontier = []
-        for parent in frontier:
-            for length in lengths:
-                vid = len(vertices)
-                vertices.append(Vertex(vid, generation=gen + 1, boundary=gen == depth))
-                edges.append(
-                    Edge(
-                        id=len(edges),
-                        tail=parent,
-                        head=vid,
-                        length=length,
-                        potential=potential,
-                        generation=gen,
-                    )
-                )
-                new_frontier.append(vid)
-        frontier = new_frontier
-    return MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
+    return GenerationTable(
+        [tuple(c) for c in children], arriving, ongoing, len(children[0]),
+        potential, energy, info,
+    )
 
 
 def _two_lengths_tree(
     depth: int, *, L1: float, L2: float, k: float = 1.0, energy: float = -1.0
-) -> MetricGraph:
+) -> GenerationTable:
     l1, l2 = float(L1), float(L2)
     k, potential, energy = _k_and_energy(k, energy)
     if l1 <= 0 or l2 <= 0:
@@ -630,7 +749,7 @@ def _braided(
     depth: int, *, b_seq: Sequence[int], a_seq: Sequence[int],
     v_seq: Sequence[float], k: float = 1.0, energy: float = -1.0,
     root_edges: int | None = None,
-) -> MetricGraph:
+) -> GenerationTable:
     b_seq = [int(b) for b in b_seq]
     a_seq = [int(a) for a in a_seq]
     v_seq = [float(v) for v in v_seq]
@@ -649,41 +768,7 @@ def _braided(
     if root_edges < 1 or root_edges % a_seq[0] != 0:
         raise FamilyParameterError("root_edges must be a positive multiple of a_1")
 
-    vertices = [Vertex(0, generation=0, boundary=True)]
-    edges: list[Edge] = []
-    next_vid = 1
     positions = [0.0] + v_seq[:depth]
-    # stubs: outgoing edge endpoints of the previous generation, in order
-    stubs = [0] * root_edges
-    for gen in range(depth):
-        a = a_seq[gen]
-        if len(stubs) % a != 0:
-            raise FamilyParameterError(
-                f"generation {gen + 1}: {len(stubs)} arriving edges not "
-                f"divisible by a_{gen + 1} = {a}"
-            )
-        n_vertices = len(stubs) // a
-        last = gen == depth - 1
-        gen_vids = []
-        for _ in range(n_vertices):
-            vertices.append(Vertex(next_vid, generation=gen + 1, boundary=last))
-            gen_vids.append(next_vid)
-            next_vid += 1
-        length = positions[gen + 1] - positions[gen]
-        for i, parent in enumerate(stubs):
-            edges.append(
-                Edge(
-                    id=len(edges),
-                    tail=parent,
-                    head=gen_vids[i // a],
-                    length=length,
-                    potential=potential,
-                    generation=gen,
-                )
-            )
-        if not last:
-            b = b_seq[gen]
-            stubs = [vid for vid in gen_vids for _ in range(b)]
     info = FamilyInfo(
         params={
             "b_seq": b_seq,
@@ -698,7 +783,10 @@ def _braided(
         ongoing=tuple(b_seq[: depth - 1]) + (0,),
         root_edges=root_edges,
     )
-    return MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
+    return GenerationTable(
+        [(v2 - v1,) for v1, v2 in zip(positions, positions[1:])],
+        info.arriving, info.ongoing, root_edges, potential, energy, info,
+    )
 
 
 # canonical family name -> graph builder; a family's params are its

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Edge, EdgeWeights, GraphPoint, MetricGraph, Vertex, dijkstra
+from .graph import Edge, GraphPoint, MetricGraph, Vertex
 
 CUT_POINT_REL_TOL = 1e-12
 
@@ -59,9 +59,7 @@ def compute_rho_a(graph: MetricGraph, energy: float | None = None) -> AgmonMetri
     own = e_eff == graph.energy
     if own and graph._rho_table is not None:
         return graph._rho_table
-    rho = dijkstra(
-        graph, EdgeWeights(graph, lambda e: edge_action_weight(e, e_eff))
-    )
+    rho = graph.distances(lambda e: edge_action_weight(e, e_eff))
     table = AgmonMetricTable(graph, e_eff, rho, graph.arc_distances())
     if own:
         graph._rho_table = table

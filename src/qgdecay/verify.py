@@ -17,7 +17,7 @@ import io
 import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,9 +25,7 @@ from .eigenfunctions import (
     Eigenfunction,
     averaged_wave_function,
     canonical_path,
-    continuity_residual,
-    kirchhoff_residual,
-    solution_key,
+    repeated_sum,
 )
 from .graph import Edge, MetricGraph
 from .metrics import (
@@ -135,30 +133,22 @@ class Multiplier:
         return pre * _libm(math.exp, expo, overflow)
 
 
+# The stages read an eigenfunction's quotient: one representative edge or
+# vertex per class, which stands for ``edge_count`` or ``vertex_count`` of
+# them (a graph gives one class per edge and vertex).  Each class is
+# evaluated once, as every member evaluates bit for bit alike.  Maxima,
+# minima and first failures read each class once; sums replay their
+# additions in order (repeated_sum), and fits repeat each class's sample.
+#
 # The sampled stages run on blocks of BLOCK_EDGES edges as (edges x samples)
 # arrays, with the per-point code's float operations in its order, so their
-# results are bitwise those of on_edge, edge_eval and _sup_and_l2.  Within a
-# block, edges whose key rows are bitwise equal are evaluated once.
+# results are bitwise those of on_edge, edge_eval and _sup_and_l2.
 
 
 def _blocks(items: Iterable) -> Iterator[list]:
     it = iter(items)
     while block := list(itertools.islice(it, BLOCK_EDGES)):
         yield block
-
-
-def _distinct(keys: Sequence[Hashable]) -> tuple[list[int], list[int]]:
-    """The index of the first appearance of each distinct key, in order,
-    and each key's index into those."""
-    index: dict = {}  # numbered in order of first appearance
-    inverse = [index.setdefault(key, len(index)) for key in keys]
-    return np.unique(inverse, return_index=True)[1].tolist(), inverse
-
-
-def _row_bytes(rows: np.ndarray) -> list[bytes]:
-    """The raw bytes of each row: signed zeros and NaN payloads stay apart."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel().tolist()
 
 
 def _columns(rows: np.ndarray) -> np.ndarray:
@@ -214,39 +204,16 @@ def _psi(rows: np.ndarray, x: np.ndarray, overflow: np.ndarray) -> np.ndarray:
     return np.where(k == 0.0, a + b * x, a * cosh + b * sinh)
 
 
-def _vertex_keys(f: Eigenfunction, vids: list[int]) -> list[bytes]:
-    """Per vertex, the solution key and end roles of each incident edge,
-    in order."""
-    graph, sols = f.graph, f.solutions
-    keys = []
-    for vid in vids:
-        ends = []
-        for eid in graph.incidence[vid]:
-            e = graph.edge_by_id[eid]
-            ends.append(solution_key(sols[eid], e.length))
-            ends.append(b"t" if vid == e.tail else b"-")
-            ends.append(b"h" if vid == e.head else b"-")
-        keys.append(b"".join(ends))
-    return keys
-
-
 def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
-    """Worst continuity and Kirchhoff residuals over all interior vertices;
-    vertices with bitwise-equal keys are evaluated once."""
-    interior = f.graph.interior_vertex_ids()
-    if not interior:
-        return {"max_continuity": 0.0, "max_kirchhoff": 0.0}
-    cont, kirch = [], []
-    for vids in _blocks(interior):
-        first, inverse = _distinct(_vertex_keys(f, vids))
-        reps = [
-            (continuity_residual(f, vids[i]), kirchhoff_residual(f, vids[i]))
-            for i in first
-        ]
-        # max() over all vertices in order, its running value carried over
-        cont = [max(cont + [reps[r][0] for r in inverse])]
-        kirch = [max(kirch + [reps[r][1] for r in inverse])]
-    return {"max_continuity": cont[0], "max_kirchhoff": kirch[0]}
+    """Worst continuity and Kirchhoff residuals over all interior vertices,
+    one per vertex class."""
+    q = f.quotient
+    worst = None
+    for res in map(q.vertex_residuals, q.graph.interior_vertex_ids()):
+        # max() over the vertices in order, as a running value
+        worst = res if worst is None else tuple(map(max, worst, res))
+    cont, kirch = worst or (0.0, 0.0)
+    return {"max_continuity": cont, "max_kirchhoff": kirch}
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +233,8 @@ def constraint_margin(graph: MetricGraph, spec: MultiplierSpec) -> float:
     with np.errstate(all="ignore"):
         for edges in _blocks(kept):
             gaps = [e.potential - graph.energy for e in edges]
-            keys = np.column_stack([_edge_rows(table, edges), gaps])
-            first, inverse = _distinct(_row_bytes(keys))
-            length, w, rho_tail, rho_head, arc_tail, arc_head, gap = (
-                _columns(keys[first])
+            length, w, rho_tail, rho_head, arc_tail, arc_head, gap = _columns(
+                np.column_stack([_edge_rows(table, edges), gaps])
             )
             x = length * steps / MARGIN_SAMPLES
             # one-sided slopes of the piecewise-linear rho and arc at x
@@ -284,8 +249,9 @@ def constraint_margin(graph: MetricGraph, spec: MultiplierSpec) -> float:
                 + spec.extra_rate * arc_sign
             )
             # a running min() from inf over all edges: fmin skips NaN as min()
-            values = (gap - slope * slope)[inverse]
-            margin = float(np.fmin.reduce(values, axis=None, initial=margin))
+            margin = float(
+                np.fmin.reduce(gap - slope * slope, axis=None, initial=margin)
+            )
     return margin
 
 
@@ -377,8 +343,6 @@ def _edge_sups_and_l2(
         [mult.prefactor.get(eid, 1.0) for eid in eids],
         _solution_rows(f, eids),
     ])
-    first, inverse = _distinct(_row_bytes(keys))
-    keys = keys[first]
     lo = 0.0
     hi = keys[:, :1]  # L
     half = (hi - lo) / 2.0
@@ -402,7 +366,7 @@ def _edge_sups_and_l2(
             v = g[:, 18 + j]
             total = total + wt * v * v
     l2 = total * half[:, 0]
-    return sup[inverse], l2[inverse], overflow.any(axis=1)[inverse]
+    return sup, l2, overflow.any(axis=1)
 
 
 def _fit_tail_ratio(increments: list[float]) -> float:
@@ -427,17 +391,18 @@ def _plateau(sups: list[float]) -> bool:
 
 
 def _slope_log_psi_vs_rho(f: Eigenfunction) -> float:
-    rho = compute_rho_a(f.graph).rho
-    pts = []
-    for vid in f.graph.interior_vertex_ids():
-        val = abs(f.vertex_value(vid))
+    q = f.quotient
+    rho = compute_rho_a(q.graph).rho
+    xs, ys, counts = [], [], []
+    vids, values = q.interior_values()
+    for vid, value in zip(vids, values.tolist()):
+        val = abs(value)
         if val > VALUE_FLOOR:
-            pts.append((rho[vid], math.log(val)))
-    if len(pts) < 2:
-        return 0.0
-    xs = np.array([p[0] for p in pts])
-    ys = np.array([p[1] for p in pts])
-    if np.ptp(xs) == 0.0:
+            xs.append(rho[vid])
+            ys.append(math.log(val))
+            counts.append(q.graph.vertex_count(vid))
+    xs, ys = np.repeat(xs, counts), np.repeat(ys, counts)
+    if len(xs) < 2 or np.ptp(xs) == 0.0:
         return 0.0
     return float(np.polyfit(xs, ys, 1)[0])
 
@@ -457,9 +422,9 @@ def decay_report(
     """
     sup_by_gen: dict[int, float] = {}
     inc_by_gen: dict[int, float] = {}
-    for gen, sup, inc in _unit_sups_and_l2(f, spec, path):
+    for gen, sup, inc, count in _unit_sups_and_l2(f.quotient, spec, path):
         sup_by_gen[gen] = max(sup_by_gen.get(gen, 0.0), sup)
-        inc_by_gen[gen] = inc_by_gen.get(gen, 0.0) + inc
+        inc_by_gen[gen] = repeated_sum(inc_by_gen.get(gen, 0.0), inc, count)
     gens = sorted(sup_by_gen)
     sups = [sup_by_gen[gen] for gen in gens]
     incs = [inc_by_gen[gen] for gen in gens]
@@ -503,23 +468,27 @@ def _overflow_error(spec: MultiplierSpec, gen: int) -> ValueError:
 
 
 def _unit_sups_and_l2(
-    f: Eigenfunction, spec: MultiplierSpec, path: PathSpec | None
-) -> Iterator[tuple[int, float, float]]:
-    """(generation, sup of |g|, L2 increment of g) for each unit the report
-    sums, in order: g = F * psi on [0, L] of every edge (kind "action") or
-    of each path edge (kind "path"), g = F_ave * averaged psi on
-    [v_g, v_{g+1}] (kind "averaged")."""
-    graph = f.graph
+    q: Eigenfunction, spec: MultiplierSpec, path: PathSpec | None
+) -> Iterator[tuple[int, float, float, int]]:
+    """(generation, sup of |g|, L2 increment of g, units alike) for each
+    class of units the report sums, in order: g = F * psi on [0, L] of
+    every edge class of quotient ``q`` (kind "action") or of each path edge
+    (kind "path"), g = F_ave * averaged psi on [v_g, v_{g+1}] (kind
+    "averaged")."""
+    graph = q.graph
     if spec.kind != "averaged":
         if spec.kind == "path" and path is None:
-            path = canonical_path(f)
+            path = canonical_path(q)
         mult = Multiplier(graph, spec, path)
-        for eids in _blocks(path.edges if spec.kind == "path" else f.solutions):
+        for eids in _blocks(path.edges if spec.kind == "path" else q.solutions):
             gens = [int(graph.edge_by_id[eid].generation) for eid in eids]
-            sups, incs, overflow = _edge_sups_and_l2(f, mult, eids)
+            counts = [
+                1 if spec.kind == "path" else graph.edge_count(eid) for eid in eids
+            ]
+            sups, incs, overflow = _edge_sups_and_l2(q, mult, eids)
             if overflow.any():  # the first such edge in pool order
                 raise _overflow_error(spec, gens[int(overflow.argmax())])
-            yield from zip(gens, sups.tolist(), incs.tolist())
+            yield from zip(gens, sups.tolist(), incs.tolist(), counts)
         return
 
     info = graph.family_info
@@ -527,11 +496,11 @@ def _unit_sups_and_l2(
         raise ValueError("averaged multiplier requires a regular-topology family")
     positions = info.positions
     v_inner = positions[1:]
-    by_generation = graph.edges_by_generation()
-    envelopes = [
-        min(e.potential for e in by_generation.get(g, ()))
-        for g in range(len(positions) - 1)
-    ]
+    envelope: dict[int, float] = {}  # min() over each generation, in order
+    for e in graph.edges:
+        envelope[e.generation] = min(envelope.get(e.generation, e.potential),
+                                     e.potential)
+    envelopes = [envelope[g] for g in range(len(positions) - 1)]
     e_eff = spec.effective_energy(graph.energy)
 
     def f_ave_psi(y: float) -> float:
@@ -540,14 +509,14 @@ def _unit_sups_and_l2(
         big_f = pre * math.exp(
             (1.0 - spec.epsilon) * action + spec.extra_rate * y
         )
-        return big_f * averaged_wave_function(f, y)
+        return big_f * averaged_wave_function(q, y)
 
     for g in range(len(envelopes)):
         try:
             sup, inc = _sup_and_l2(f_ave_psi, positions[g], positions[g + 1])
         except OverflowError:
             raise _overflow_error(spec, g) from None
-        yield g, sup, inc
+        yield g, sup, inc, 1
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +524,16 @@ def _unit_sups_and_l2(
 # ---------------------------------------------------------------------------
 
 
-def vertex_samples(f: Eigenfunction) -> list[tuple[float, float]]:
-    """(arc distance, psi value) at every interior vertex."""
-    arc = f.graph.arc_distances()
-    return [
-        (arc[vid], f.vertex_value(vid))
-        for vid in sorted(f.graph.interior_vertex_ids())
-    ]
+def vertex_samples(f: Eigenfunction) -> tuple[np.ndarray, np.ndarray]:
+    """Arc distances and psi values at every interior vertex, in vertex-id
+    order: each vertex class's sample repeated for its vertices."""
+    q = f.quotient
+    arc = q.graph.arc_distances()
+    vids, values = q.interior_values()
+    order = np.argsort(vids, kind="stable")
+    counts = np.array([q.graph.vertex_count(vid) for vid in vids], dtype=int)
+    return (np.repeat(np.array([arc[vid] for vid in vids])[order], counts[order]),
+            np.repeat(values[order], counts[order]))
 
 
 def fit_decay_rate(
@@ -572,12 +544,14 @@ def fit_decay_rate(
     ``samples`` are (arc, value) pairs; they default to the interior vertex
     values, where transfer-matrix decay is exact.
     """
-    pairs = vertex_samples(f) if samples is None else samples
-    pts = [(x, abs(v)) for x, v in pairs if abs(v) > VALUE_FLOOR]
-    if len(pts) < 2:
+    if samples is None:
+        xs, values = vertex_samples(f)
+    else:
+        xs, values = np.array(samples, dtype=float).reshape(-1, 2).T
+    keep = np.abs(values) > VALUE_FLOOR
+    if np.count_nonzero(keep) < 2:
         raise ValueError("degenerate sample set: need >= 2 nonzero samples")
-    xs = np.array([p[0] for p in pts])
-    ys = np.log([p[1] for p in pts])
+    xs, ys = xs[keep], np.log(np.abs(values[keep]))
     if np.ptp(xs) == 0.0:
         raise ValueError("degenerate sample set: all samples at one distance")
     return float(np.polyfit(xs, ys, 1)[0])
@@ -644,6 +618,7 @@ def monotonicity_check(
     ``edges`` restricts the scan (e.g. to one certified path); default is
     the whole graph.
     """
+    f = f.quotient
     arc = f.graph.arc_distances()
     scale = max(abs(sol.A) + abs(sol.B) for sol in f.solutions.values())
     pool = (
@@ -660,27 +635,23 @@ def monotonicity_check(
         i / (MONOTONICITY_SAMPLES - 1) for i in range(MONOTONICITY_SAMPLES)
     ])
     for edges in _blocks(kept):
-        keys = np.hstack([
-            [(arc[e.head] >= arc[e.tail], e.length) for e in edges],
-            _solution_rows(f, (e.id for e in edges)),
-        ])
-        first, inverse = _distinct(_row_bytes(keys))
-        forward, length = _columns(keys[first, :2])
+        forward, length = _columns(np.array(
+            [(arc[e.head] >= arc[e.tail], e.length) for e in edges], dtype=float
+        ))
         x = length * np.where(forward != 0.0, frac, 1.0 - frac)
         overflow = np.zeros(x.shape, dtype=bool)
         with np.errstate(all="ignore"):
-            val = np.abs(_psi(keys[first, 2:], x, overflow))
+            val = np.abs(_psi(_solution_rows(f, (e.id for e in edges)), x, overflow))
             stop = overflow.copy()
             stop[:, 1:] |= val[:, 1:] > (
                 val[:, :-1] * (1 + MONOTONICITY_REL_TOL)
                 + MONOTONICITY_REL_TOL * scale
             )
         # the first overflow or increase, by edge id and then by sample
-        stop = stop[inverse]
         if stop.any():
             i, j = np.unravel_index(stop.argmax(), stop.shape)
-            eid, at = edges[i].id, float(x[inverse[i], j])
-            if overflow[inverse[i], j]:
+            eid, at = edges[i].id, float(x[i, j])
+            if overflow[i, j]:
                 raise OverflowError(
                     f"|psi| overflows a float along edge {eid} at x={at}"
                 )

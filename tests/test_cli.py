@@ -1,3 +1,4 @@
+import collections
 import heapq
 import json
 import math
@@ -12,7 +13,7 @@ import qgdecay.metrics
 import qgdecay.verify
 from qgdecay.cli import main
 from qgdecay.eigenfunctions import edge_eval
-from qgdecay.graph import build_graph, dijkstra
+from qgdecay.graph import GenerationTable, MetricGraph, build_graph, dijkstra
 
 
 def run(capsys, *argv):
@@ -251,13 +252,23 @@ class TestVerify:
             # a finite grid too large to build
             (["sweep", "--family", "ladder", "--w", "1:1e9:1"],
              "grid 1:1e9:1 has more than 100000 points"),
+            # a branching number is a whole number
+            (["sweep", "--family", "regular-tree", "--b-range", "2:3:0.5",
+              "--kL-range", "1:1:1"],
+             "b grid values must be integers, got 2:3:0.5"),
+            # a CSV of no samples
+            (["solve", "--family", "regular-tree", "--b", "2", "--depth", "2",
+              "--samples", "0"], "--samples must be >= 1, got 0"),
+            (["solve", "--family", "regular-tree", "--b", "2", "--depth", "2",
+              "--samples", "-3"], "--samples must be >= 1, got -3"),
         ],
         ids=["ladder-deep", "millipede-deep", "twolen-saturated", "sweep-b0",
              "negative-schedule", "epsilon-nan", "extra-rate-nan",
              "extra-rate-nan-path", "shift-delta-nan", "shift-delta-inf",
              "exclusion-nan", "exclusion-inf", "energy-shift-nan",
              "grid-step-nan", "grid-stop-inf", "grid-start-nan",
-             "grid-list-inf", "grid-too-large"],
+             "grid-list-inf", "grid-too-large", "b-grid-fractional",
+             "samples-zero", "samples-negative"],
     )
     def test_numeric_failure_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -266,12 +277,14 @@ class TestVerify:
         assert err.startswith("error: " + message)
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("multiplier", ["action", "path", "averaged"])
+    @pytest.mark.parametrize("multiplier,status", [("action", 1), ("path", 0)])
     def test_one_verify_runs_dijkstra_four_times(
-        self, capsys, monkeypatch, multiplier
+        self, capsys, monkeypatch, multiplier, status
     ):
         # arc lengths, rho at the graph energy (shared by every reader), and
-        # rho at the two shifted energies of the constraint margin
+        # rho at the two shifted energies of the constraint margin; the
+        # two-lengths tree is built as a graph (its generations differ
+        # within), and its whole-graph action certificate honestly fails
         runs = []
 
         def counting(graph, weight):
@@ -279,20 +292,49 @@ class TestVerify:
             return dijkstra(graph, weight)
 
         monkeypatch.setattr(qgdecay.graph, "dijkstra", counting)
-        monkeypatch.setattr(qgdecay.metrics, "dijkstra", counting)
         code, _, _ = run(
-            capsys, "verify", "--family", "regular-tree", "--b", "2",
-            "--depth", "4", "--multiplier", multiplier,
+            capsys, "verify", "--family", "two-lengths-tree", "--L1", "1",
+            "--L2", "2", "--depth", "4", "--multiplier", multiplier,
         )
-        assert code == 0
+        assert code == status
         assert len(runs) == 4
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "regular-tree", "--b", "3", "--depth", "4"],
+        ["verify", "--family", "ns-regular-tree", "--b-seq", "2,3,2,2",
+         "--length-seq", "1,1,1,1,1", "--depth", "4", "--multiplier", "path"],
+        ["verify", "--family", "braided", "--b-seq", "4,4,4,4",
+         "--a-seq", "2,2,2,2", "--v-seq", "1,2,3,4", "--depth", "4",
+         "--multiplier", "averaged", "--shift-delta", "0.3"],
+        ["solve", "--family", "braided", "--b-seq", "3,4,2",
+         "--a-seq", "1,3,2,4", "--v-seq", "1,1.5,3,4", "--depth", "4"],
+        ["sweep", "--family", "regular-tree", "--b-range", "2:3:1",
+         "--kL-range", "0.5:1:0.5"],
+    ], ids=["verify-regular", "verify-ns-path", "verify-braided-averaged",
+            "solve-braided", "sweep"])
+    def test_synchronized_families_build_no_graph(self, capsys, monkeypatch, argv):
+        # construct keeps the generation table (a MetricGraph of one edge
+        # per generation): no other graph is built, and no Dijkstra runs
+        init = MetricGraph.__init__
+
+        def only_tables(graph, *args, **kwargs):
+            assert type(graph) is GenerationTable, "built a graph"
+            init(graph, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran Dijkstra")
+
+        monkeypatch.setattr(MetricGraph, "__init__", only_tables)
+        monkeypatch.setattr(qgdecay.graph, "dijkstra", refuse)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
 
     @pytest.mark.parametrize("family_argv,pushes", [
         (["regular-tree", "--b", "2"], False),
         (["ns-regular-tree", "--b-seq", "2,3,2,2",
           "--length-seq", "1,0.5,1.5,1,2"], False),
-        (["two-lengths-tree", "--L1", "1", "--L2", "2",
-          "--multiplier", "path"], False),
+        (["two-lengths-tree", "--L1", "1", "--L2", "2"], False),
         (["millipede", "--delta", "0.1"], False),
         (["ladder", "--w", "1"], True),
         (["braided", "--b-seq", "4,4,4,4", "--a-seq", "2,2,2,2",
@@ -301,8 +343,9 @@ class TestVerify:
     def test_only_cyclic_families_push_on_the_heap(
         self, capsys, monkeypatch, family_argv, pushes
     ):
-        # trees take the breadth-first pass; the ladder's rungs and the
-        # braided graph's parallel edges send Dijkstra to the heap
+        # on the built graph (a verify of a synchronized family runs no
+        # Dijkstra), trees take the breadth-first pass; the ladder's rungs
+        # and the braided graph's parallel edges send Dijkstra to the heap
         calls = []
 
         def counting(heap, item):
@@ -312,21 +355,46 @@ class TestVerify:
         monkeypatch.setattr(qgdecay.graph, "heapq", types.SimpleNamespace(
             heappush=counting, heappop=heapq.heappop,
         ))
-        code, _, _ = run(capsys, "verify", "--family", *family_argv,
+        code, _, _ = run(capsys, "metric", "--family", *family_argv,
                          "--depth", "4")
-        assert code in (0, 1)
+        assert code == 0
         assert (len(calls) > 0) == pushes
+
+    @pytest.mark.parametrize("family_argv", [
+        ["ladder", "--w", "1"],
+        ["ladder", "--w", "1", "--cut-points"],
+        ["braided", "--b-seq", "4,4,4,4", "--a-seq", "2,2,2,2",
+         "--v-seq", "1,2,3,4"],
+    ], ids=["ladder", "ladder-cut-points", "braided"])
+    def test_heap_evaluates_each_weight_at_most_once(
+        self, capsys, monkeypatch, family_argv
+    ):
+        # the heap skips a settled neighbour before looking up its weight
+        lookups = collections.Counter()
+        alive = []  # so no id is reused for the next map of weights
+        lookup = qgdecay.graph.EdgeWeights.__getitem__
+
+        def counting(weights, eid):
+            alive.append(weights)
+            lookups[id(weights), eid] += 1
+            return lookup(weights, eid)
+
+        monkeypatch.setattr(qgdecay.graph.EdgeWeights, "__getitem__", counting)
+        code, _, _ = run(capsys, "metric", "--family", *family_argv,
+                         "--depth", "4")
+        assert code == 0
+        assert lookups and max(lookups.values()) == 1
 
     def test_one_verify_evaluates_psi_per_vertex_not_per_point(
         self, capsys, monkeypatch
     ):
-        # the sampled stages run as array kernels; pointwise evaluations
-        # remain for the vertex fits (2 x 63 interior vertices), the
-        # identity check (198) and the vertex residuals, which evaluate one
-        # vertex per distinct key: 6 generations x 3 incident edges = 18.
-        # Per-vertex residuals would add 171 (513 in all), and per-point
-        # sampling 51 per edge (34 in the decay report, 17 in the
-        # monotonicity scan): 6,477 on these 127 edges.
+        # the sampled stages run as array kernels on one edge per
+        # generation; pointwise evaluations remain for the vertex values
+        # that both fits read (6 interior vertex generations), the identity
+        # check (198) and the vertex residuals (6 generations x 2 incident
+        # edge classes).  Per-vertex fits and residuals would add 297 (513
+        # in all), and per-point sampling 51 per edge (34 in the decay
+        # report, 17 in the monotonicity scan): 6,477 on these 127 edges.
         calls = []
 
         def counting(sol, x):
@@ -344,7 +412,7 @@ class TestVerify:
             )
             assert code == 0
             counts.append(len(calls))
-        assert counts == [342, 342]
+        assert counts == [216, 216]
 
     def test_csv_sidecar(self, capsys, tmp_path):
         out_csv = tmp_path / "report.csv"

@@ -128,18 +128,6 @@ class TestGenerators:
         for gen in range(4):
             assert sum(1 for e in g.edges if e.generation == gen) == 2**gen
 
-    def test_edges_by_generation(self):
-        g = generate_family(
-            "braided", {"b_seq": [4] * 3, "a_seq": [2] * 3,
-                        "v_seq": [1.0, 2.0, 3.0]}, depth=3,
-        )
-        groups = g.edges_by_generation()
-        assert groups is g.edges_by_generation()
-        assert sorted(groups) == [0, 1, 2]
-        for gen, edges in groups.items():
-            # graph order within each generation
-            assert edges == tuple(e for e in g.edges if e.generation == gen)
-
     def test_regular_tree_b1_is_path(self):
         g = generate_family("regular_tree", {"b": 1}, depth=6)
         assert len(g.edges) == 7

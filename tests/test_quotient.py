@@ -1,0 +1,162 @@
+"""The generation quotient against the fully built eigenfunction.
+
+A synchronized family's eigenfunction is held on its generation table, one
+representative edge and vertex per generation.  Every output must equal, byte
+for byte, what the same stages give on the expanded graph, where each edge
+and vertex is its own class.
+"""
+
+import dataclasses
+import math
+import struct
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import qgdecay.cli
+import qgdecay.eigenfunctions
+from qgdecay.cli import main
+from qgdecay.eigenfunctions import (
+    Eigenfunction,
+    SynchronizedEigenfunction,
+    construct,
+    repeated_sum,
+)
+from qgdecay.graph import GenerationTable, MetricGraph
+
+FAMILIES = {
+    "regular-b1": ["regular-tree", "--b", "1"],
+    "regular-b2": ["regular-tree", "--b", "2"],
+    "regular-b3": ["regular-tree", "--b", "3", "--kL", "0.5", "--L", "0.7"],
+    # a b = 1 generation between wider ones
+    "ns-regular": ["ns-regular-tree", "--b-seq", "2,1,3,1,2,1,2,1",
+                   "--length-seq", "1,0.5,1.5,1,2,0.7,1,1.2,0.9"],
+    # a = 4 edges arrive at each vertex that sends b = 2 on
+    "braided-narrowing": ["braided", "--b-seq", "2,4,2,4,2,4,2,4",
+                          "--a-seq", "1,2,4,2,4,2,4,2",
+                          "--v-seq", "1,1.5,3,4,4.5,6,7,7.25"],
+    "braided-widening": ["braided", "--b-seq", "4,3,4,3,4,3,4,3",
+                         "--a-seq", "2,2,3,2,3,2,3,2",
+                         "--v-seq", "1,2,3,4,5,6,7,8", "--kL", "1.2"],
+}
+OPTIONS = [
+    [],
+    ["--epsilon", "0.3", "--extra-rate", "0.2"],
+    ["--epsilon", "0", "--extra-rate", "-0.1", "--shift-delta", "0.3"],
+    ["--shift-delta", "0.25", "--shift-sign", "-1", "--exclusion", "2.5"],
+    ["--shift-delta", "-0.2", "--exclusion", "1"],
+]
+MULTIPLIERS = ["action", "path", "averaged"]
+DEPTHS = range(1, 9)
+
+
+def expanded(f: Eigenfunction) -> Eigenfunction:
+    """The same eigenfunction on its fully built graph."""
+    return Eigenfunction(f.graph, dict(f.solutions), f.family, f.mode, f.meta)
+
+
+def outputs(argv, tmp_path, monkeypatch, capsys, full):
+    """Exit code, output files and stderr of one CLI run, on the quotient
+    or on the fully built eigenfunction."""
+    with monkeypatch.context() as m:
+        if full:
+            m.setattr(qgdecay.cli, "construct",
+                      lambda *args: expanded(construct(*args)))
+        out = tmp_path / ("full.txt" if full else "quotient.txt")
+        csv = tmp_path / ("full.csv" if full else "quotient.csv")
+        extra = ["--csv", str(csv)] if argv[0] == "verify" else []
+        code = main([*argv, "--out", str(out), *extra])
+    files = [path.read_bytes() if path.exists() else None for path in (out, csv)]
+    return code, *files, capsys.readouterr().err
+
+
+def verify_cases():
+    # every family at every depth; the multipliers and options turn over
+    # with the depth, so each family meets each of them
+    for name, family in FAMILIES.items():
+        for depth in DEPTHS:
+            multiplier = MULTIPLIERS[depth % 3]
+            options = OPTIONS[(depth + len(name)) % len(OPTIONS)]
+            yield pytest.param(
+                ["verify", "--family", *family, "--depth", str(depth),
+                 "--multiplier", multiplier, *options],
+                id=f"{name}-{depth}-{multiplier}",
+            )
+
+
+@pytest.mark.parametrize("argv", verify_cases())
+def test_verify_matches_the_full_graph(argv, tmp_path, monkeypatch, capsys):
+    # errors too: a one-generation path fits no slope, and a narrowing
+    # braided generation's path fraction exceeds 1
+    quotient = outputs(argv, tmp_path, monkeypatch, capsys, full=False)
+    assert quotient == outputs(argv, tmp_path, monkeypatch, capsys, full=True)
+
+
+def test_most_verify_cases_reach_a_verdict(tmp_path, monkeypatch, capsys):
+    codes = [
+        outputs(case.values[0], tmp_path, monkeypatch, capsys, full=False)[0]
+        for case in verify_cases()
+    ]
+    assert codes.count(2) <= 10 and {0, 1} <= set(codes)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("depth", [1, 4, 8])
+def test_solve_matches_the_full_graph(name, depth, tmp_path, monkeypatch, capsys):
+    argv = ["solve", "--family", *FAMILIES[name], "--depth", str(depth),
+            "--samples", "4"]
+    quotient = outputs(argv, tmp_path, monkeypatch, capsys, full=False)
+    assert quotient[0] == 0
+    assert quotient == outputs(argv, tmp_path, monkeypatch, capsys, full=True)
+
+
+def test_construct_keeps_the_table():
+    f = construct("regular_tree", {"b": 3}, 5)
+    assert isinstance(f, SynchronizedEigenfunction)
+    q = f.quotient
+    assert isinstance(q.graph, GenerationTable)
+    # one representative per generation: the generation's first edge
+    assert [e.id for e in q.graph.edges] == [0, 1, 4, 13, 40, 121]
+    assert [q.graph.edge_count(e.id) for e in q.graph.edges] == [
+        1, 3, 9, 27, 81, 243,
+    ]
+    assert sorted(q.solutions) == [0, 1, 4, 13, 40, 121]
+    # the expansion is a graph whose edges carry their generation's solution
+    assert isinstance(f.graph, MetricGraph)
+    assert len(f.solutions) == len(f.graph.edges) == 364
+    assert f.solutions[5] == dataclasses.replace(q.solutions[4], edge=5)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.5,
+           1e308, math.inf, -math.inf, math.nan,
+           struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0],
+           struct.unpack("<d", struct.pack("<Q", 0xFFF4000000000001))[0]]
+FLOATS = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_subnormal=True))
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=FLOATS, x=FLOATS, n=st.integers(0, 23),
+       chunk=st.sampled_from([1, 2, 5, 7]))
+def test_replay_equals_a_loop_of_adds(start, x, n, chunk):
+    # small chunks put chunk boundaries inside every n drawn
+    total = start
+    for _ in range(n):
+        total += x
+    with mock.patch.object(qgdecay.eigenfunctions, "REPEAT_CHUNK", chunk):
+        assert bits(repeated_sum(start, x, n)) == bits(total)
+
+
+@settings(max_examples=20, deadline=None)
+@given(start=FLOATS, x=FLOATS,
+       n=st.integers(qgdecay.eigenfunctions.REPEAT_CHUNK - 2,
+                     2 * qgdecay.eigenfunctions.REPEAT_CHUNK + 2))
+def test_replay_across_the_chunk_boundary(start, x, n):
+    total = start
+    for _ in range(n):
+        total += x
+    assert bits(repeated_sum(start, x, n)) == bits(total)

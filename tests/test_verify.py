@@ -1,8 +1,6 @@
 import json
 import math
-import struct
 
-import numpy as np
 import pytest
 
 from qgdecay.graph import Edge, FamilyInfo, GraphPoint, MetricGraph, Vertex
@@ -24,8 +22,6 @@ from qgdecay.verify import (
     BLOCK_EDGES,
     Multiplier,
     MultiplierSpec,
-    _distinct,
-    _row_bytes,
     _sup_and_l2,
     constraint_margin,
     continuity_and_kirchhoff,
@@ -634,16 +630,6 @@ def with_signed_zero_children():
 
 
 class TestDistinctEdgesMatchPerEdgeCode:
-    def test_distinct_rows_compare_as_bytes(self):
-        nan, other_nan = struct.unpack(
-            "2d", struct.pack("2Q", 0x7FF8000000000000, 0x7FF8000000000001)
-        )
-        keys = np.array([[0.0, 1.0], [-0.0, 1.0], [nan, 1.0],
-                         [other_nan, 1.0], [0.0, 1.0], [nan, 1.0]])
-        first, inverse = _distinct(_row_bytes(keys))
-        assert first == [0, 1, 2, 3]
-        assert inverse == [0, 1, 2, 3, 0, 2]
-
     @pytest.mark.parametrize("family,params", AVERAGED_FAMILIES,
                              ids=["braided", "ns-regular"])
     def test_averaged_wave_function(self, block_edges, family, params):
