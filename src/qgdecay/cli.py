@@ -5,7 +5,8 @@ Subcommands: ``generate`` (build/validate a graph, emit canonical JSON),
 CSV), ``verify`` (decay certificates; nonzero exit on FAIL), ``sweep``
 (parameter sweeps with one CSV row per grid point).
 
-Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage or input error.
+Exit codes: 0 success/PASS, 1 verification FAIL, 2 usage, input or
+out-of-memory error.
 Floats are emitted in shortest round-trip form so identical inputs produce
 byte-identical outputs.  The QGDECAY_OUTDIR environment variable supplies a
 default directory for relative output paths.
@@ -220,7 +221,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     f = construct(*_family_params(args))
     rows = [
         (eid, "" if gen is None else gen, x, arc, psi, dpsi)
-        for eid, gen, x, arc, psi, dpsi in f.quotient.sample_rows(args.samples)
+        for eid, gen, x, arc, psi, dpsi in f.sample_rows(args.samples)
     ]
     text = _csv_text(
         ["edge_id", "generation", "x_local", "arc_distance", "psi", "dpsi"],
@@ -256,18 +257,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         and residuals["max_kirchhoff"] <= 1e-9
     )
 
-    q = f.quotient  # one edge per class: the minima below read each once
+    graph = f.graph  # one edge per class: the minima below read each once
     gap_min = min(
-        e.potential - q.graph.energy
-        for e in q.graph.edges
-        if e.id not in q.graph.core_edges
+        e.potential - graph.energy
+        for e in graph.edges
+        if e.id not in graph.core_edges
     )
     margin_delta = args.shift_delta if args.shift_delta > 0 else 0.5 * gap_min
     margin_plus = constraint_margin(
-        q.graph, MultiplierSpec(delta=margin_delta, shift_sign=1)
+        graph, MultiplierSpec(delta=margin_delta, shift_sign=1)
     )
     margin_minus = constraint_margin(
-        q.graph, MultiplierSpec(delta=margin_delta, shift_sign=-1)
+        graph, MultiplierSpec(delta=margin_delta, shift_sign=-1)
     )
     margin_ok = margin_plus >= margin_delta - 1e-9
 
@@ -279,12 +280,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # product-derivative identity on an interior window of the root edge
     first = min(
-        (e for e in q.graph.edges if e.tail == q.graph.root),
+        (e for e in graph.edges if e.tail == graph.root),
         key=lambda e: e.id,
     )
-    sol = q.solutions[first.id]
+    sol = f.solutions[first.id]
     big_f = Multiplier(
-        q.graph, spec if spec.kind != "averaged" else MultiplierSpec(), path
+        graph, spec if spec.kind != "averaged" else MultiplierSpec(), path
     ).on_edge(first.id)
     phi = lambda x: edge_eval(sol, x)
     h = first.length / 64.0
@@ -471,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -11,12 +11,12 @@ leaves, where the infinite-graph solution is simply cut off.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .graph import Edge, GraphPoint, MetricGraph, Vertex
-from .graph import build_family, family_arguments, family_name, generate_family
+from .graph import Edge, GraphPoint, MetricGraph
+from .graph import build_family, comb, family_arguments, family_name, generate_family
 from .graph import keyword_params
 from .metrics import PathSpec
 from .transfer import (
@@ -131,7 +131,8 @@ class Eigenfunction:
 
     The graph may be a synchronized family's GenerationTable, with one
     solution per generation on its first edge: an eigenfunction on the
-    generation quotient, each edge standing for its class."""
+    generation quotient, each edge standing for its class, whose members
+    ``graph.expand()`` builds."""
 
     def __init__(
         self,
@@ -155,12 +156,6 @@ class Eigenfunction:
     @property
     def solutions(self) -> Mapping[int, EdgeSolution]:
         return self._solutions
-
-    @property
-    def quotient(self) -> Eigenfunction:
-        """What the certificate stages read: one representative per class
-        of edges and vertices, whose counts its graph gives."""
-        return self
 
     def value(self, point: GraphPoint) -> float:
         return edge_eval(self.solutions[point.edge], point.offset)
@@ -240,37 +235,6 @@ class Eigenfunction:
         return rows
 
 
-class SynchronizedEigenfunction(Eigenfunction):
-    """The eigenfunction of a synchronized family, held on its generation
-    table (``quotient``); the graph and the solution on each of its edges
-    are expanded on first use."""
-
-    def __init__(self, quotient: Eigenfunction):
-        super().__init__(None, {}, quotient.family, quotient.mode, quotient.meta)
-        self._quotient = quotient
-
-    @property
-    def graph(self) -> MetricGraph:
-        if self._graph is None:
-            self._graph = self._quotient.graph.expand()
-        return self._graph
-
-    @property
-    def solutions(self) -> Mapping[int, EdgeSolution]:
-        if not self._solutions:
-            q = self._quotient
-            self._solutions = MappingProxyType({
-                eid: replace(sol, edge=eid)
-                for first, sol in q.solutions.items()
-                for eid in range(first, first + q.graph.edge_count(first))
-            })
-        return self._solutions
-
-    @property
-    def quotient(self) -> Eigenfunction:
-        return self._quotient
-
-
 def continuity_residual(f: Eigenfunction, vid: int) -> float:
     """Relative spread of the incident edge values at a vertex."""
     return f.vertex_residuals(vid)[0]
@@ -295,7 +259,6 @@ def canonical_path(f: Eigenfunction) -> PathSpec:
     """Root-to-boundary path following the lowest-id outgoing edge.  At each
     vertex it passes, the fraction is the derivative leaving on the path
     over the derivative arriving on the vertex's first incoming edge."""
-    f = f.quotient
     graph = f.graph
     edges: list[int] = []
     fracs: list[float] = []
@@ -379,7 +342,7 @@ def _construct_generation_family(name: str, params: dict, depth: int) -> Eigenfu
         e.id: _solution_for_edge(e, table.energy, coeffs[e.generation])
         for e in table.edges
     }
-    return SynchronizedEigenfunction(Eigenfunction(table, solutions, family=name))
+    return Eigenfunction(table, solutions, family=name)
 
 
 def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction:
@@ -388,21 +351,17 @@ def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction
     l1, l2 = info.params["L1"], info.params["L2"]
     k, energy = info.params["k"], graph.energy
     matched = match_shared_eigenvector(k * l1, k * l2)
-    p_for_length = {l1: matched.p1, l2: 1.0 - matched.p1}
+    fractions = (matched.p1, 1.0 - matched.p1)
     # edges come parents first, the root edge first of all
     coeffs = {graph.edges[0].id: (1.0, matched.w)}
     for e in graph.edges:
-        if e.id not in coeffs:
-            continue
         a, b = coeffs[e.id]
         c, s = math.cosh(k * e.length), math.sinh(k * e.length)
         val = a * c + b * s
         d_over_k = a * s + b * c
-        for child_eid in graph.incidence[e.head]:
-            child = graph.edge_by_id[child_eid]
-            if child.tail != e.head:
-                continue
-            coeffs[child.id] = (val, p_for_length[child.length] * d_over_k)
+        # a vertex's incidence: the edge arriving, then its L1 and L2 children
+        for child, p in zip(graph.incidence[e.head][1:], fractions):
+            coeffs[child] = (val, p * d_over_k)
     solutions = {
         e.id: _solution_for_edge(e, energy, coeffs[e.id]) for e in graph.edges
     }
@@ -414,23 +373,34 @@ def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction
     )
 
 
+def _comb_solutions(
+    graph: MetricGraph, spine: int, spine_k: float,
+    coeffs: Sequence[tuple[float, float]],
+    tooth: Callable[[float], tuple[float, float, float]],
+) -> dict[int, EdgeSolution]:
+    """Solutions on a ``comb``: spine edge g carries ``coeffs[g]``, and the
+    tooth at spine vertex j takes (k, A, B) = ``tooth(psi)`` from the value
+    psi = ``coeffs[j][0]`` there."""
+    solutions = {}
+    for e in graph.edges:
+        if e.id < spine:
+            k, (a, b) = spine_k, coeffs[e.generation]
+        else:
+            k, a, b = tooth(coeffs[e.generation][0])
+        solutions[e.id] = EdgeSolution(e.id, k, e.length, a, b)
+    return solutions
+
+
 def _construct_millipede(name: str, params: dict, depth: int) -> Eigenfunction:
     graph = generate_family(name, params, depth)
-    info = graph.family_info
-    delta = info.params["delta"]
-    n_legs = info.params["legs"]
+    delta, n_legs = (graph.family_info.params[key] for key in ("delta", "legs"))
     step = millipede_transfer(delta)
-    coeffs = _propagate_decaying([step] * n_legs)
-    solutions: dict[int, EdgeSolution] = {}
-    for e in graph.edges:
-        if e.potential == graph.energy + 1.0:  # body edge, k = 1
-            solutions[e.id] = _solution_for_edge(e, graph.energy, coeffs[e.generation])
-    for e in graph.edges:
-        if e.id in solutions:
-            continue
-        # leg hanging at body vertex e.tail: c e^{-delta x} = c(cosh - sinh)
-        val = coeffs[e.generation][0]
-        solutions[e.id] = EdgeSolution(e.id, delta, e.length, val, -val)
+    body_k = math.sqrt(max(graph.edges[0].potential - graph.energy, 0.0))
+    # a leg starting at value c decays as c e^{-delta x} = c(cosh - sinh)
+    solutions = _comb_solutions(
+        graph, n_legs + 1, body_k, _propagate_decaying([step] * n_legs),
+        lambda val: (delta, val, -val),
+    )
     return Eigenfunction(
         graph,
         solutions,
@@ -453,62 +423,44 @@ def _construct_ladder(
     g = generate_family(
         name, dict(params, rung_potential=energy), depth
     )
+    rails = 2 * g.family_info.params["rungs"]  # edge ids 0 .. rails - 1
     solutions: dict[int, EdgeSolution] = {}
     for e in g.edges:
-        if e.length == 1.0 and e.potential == g.energy + 1.0:  # rail edge
-            scale = math.exp(-float(e.generation))
+        scale = math.exp(-float(e.generation))
+        if e.id < rails:
             solutions[e.id] = EdgeSolution(e.id, 1.0, e.length, scale, -scale)
         else:  # rung: constant at the shared rail value
-            solutions[e.id] = EdgeSolution(
-                e.id, 0.0, e.length, math.exp(-float(e.generation)), 0.0
-            )
+            solutions[e.id] = EdgeSolution(e.id, 0.0, e.length, scale, 0.0)
     return Eigenfunction(g, solutions, family="ladder", mode="symmetric")
 
 
 def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
-    """Half of the ladder (one rail plus rung halves up to the reflection
-    axis); the other half is the odd mirror image."""
+    """Half of the ladder: one rail, with the rung halves up to the
+    reflection axis as teeth; the other half is the odd mirror image."""
     # the ladder builder checks the params and fills in their defaults
     info = generate_family("ladder", params, depth).family_info
     w, n, energy = (info.params[key] for key in ("w", "rungs", "energy"))
     potential = energy + 1.0  # k = 1 on rails and rungs
     step = ladder_antisym_transfer(w)
-    coeffs = _propagate_decaying([step] * n)
-    vertices = [Vertex(0, generation=0, boundary=True)]
-    edges: list[Edge] = []
-    rail_ids = []
-    for j in range(1, n + 1):
-        vertices.append(Vertex(j, generation=j, boundary=(j == n)))
-        rail_ids.append(len(edges))
-        edges.append(Edge(len(edges), j - 1, j, 1.0, potential, generation=j - 1))
-    midpoint_ids = []
-    for j in range(1, n + 1):
-        vid = n + j
-        vertices.append(Vertex(vid, generation=j, boundary=True))
-        edges.append(Edge(len(edges), j, vid, w / 2.0, potential, generation=j))
-        midpoint_ids.append(vid)
-    g = MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
-    g.validate()
-    solutions: dict[int, EdgeSolution] = {}
+    g = comb(n, n, 1.0, potential, w / 2.0, potential, energy, info)
     sh, ch = math.sinh(w / 2.0), math.cosh(w / 2.0)
-    for e in g.edges:
-        if e.id in rail_ids:
-            solutions[e.id] = EdgeSolution(e.id, 1.0, 1.0, *coeffs[e.generation])
-        else:
-            # rung half from the rail to the odd-symmetry zero at the midpoint:
-            # g sinh(x - w/2) with g set by the rail value at x = 0
-            val = coeffs[e.generation][0]
-            gscale = -val / sh
-            solutions[e.id] = EdgeSolution(
-                e.id, 1.0, w / 2.0, -gscale * sh, gscale * ch
-            )
+
+    def rung_half(val: float) -> tuple[float, float, float]:
+        # from the rail to the odd-symmetry zero at the midpoint:
+        # g sinh(x - w/2) with g set by the rail value at x = 0
+        gscale = -val / sh
+        return 1.0, -gscale * sh, gscale * ch
+
+    solutions = _comb_solutions(
+        g, n, 1.0, _propagate_decaying([step] * n), rung_half
+    )
     return Eigenfunction(
         g,
         solutions,
         family="ladder",
         mode="antisymmetric",
         meta={
-            "rung_midpoints": midpoint_ids,
+            "rung_midpoints": list(range(n + 1, 2 * n + 1)),
             "lambda_small": eig2(step).lam_small,
             "mirror": "odd",
         },
@@ -549,7 +501,6 @@ def averaged_wave_function(f: Eigenfunction, y: float) -> float:
     """Weighted average of psi over all points at arc distance y from the
     root; the weights multiply a_j/b_j per generation passed (and 1/root_edges
     at the root) so they always sum to 1."""
-    f = f.quotient
     info = f.graph.family_info
     if info is None or info.positions is None:
         raise ValueError(

@@ -636,40 +636,8 @@ def _millipede(
         raise FamilyParameterError("delta must be > 0")
     if n_legs < 1 or leg_length <= 0:
         raise FamilyParameterError("legs >= 1 and leg_length > 0 required")
-    body_potential = energy + 1.0  # V - E = 1 on the body
-    leg_potential = energy + delta * delta  # V - E = delta**2 on the legs
-    vertices = [Vertex(0, generation=0, boundary=True)]
-    edges: list[Edge] = []
-    # body vertices at positions 2, 4, ..., 2*(n_legs+1); legs hang at the
-    # interior ones (spacing 2 between leg vertices)
-    for j in range(1, n_legs + 2):
-        vertices.append(
-            Vertex(j, generation=j, boundary=(j == n_legs + 1))
-        )
-        edges.append(
-            Edge(
-                id=len(edges),
-                tail=j - 1,
-                head=j,
-                length=2.0,
-                potential=body_potential,
-                generation=j - 1,
-            )
-        )
-    next_vid = n_legs + 2
-    for j in range(1, n_legs + 1):
-        vertices.append(Vertex(next_vid, generation=j, boundary=True))
-        edges.append(
-            Edge(
-                id=len(edges),
-                tail=j,
-                head=next_vid,
-                length=leg_length,
-                potential=leg_potential,
-                generation=j,
-            )
-        )
-        next_vid += 1
+    # body edges of length 2 join positions 0, 2, ..., 2*(n_legs+1); legs
+    # hang at the interior ones (spacing 2 between leg vertices)
     info = FamilyInfo(
         params={
             "delta": delta,
@@ -678,7 +646,35 @@ def _millipede(
             "energy": energy,
         },
     )
-    return MetricGraph(vertices, edges, root=0, energy=energy, family_info=info)
+    return comb(
+        n_legs + 1, n_legs, 2.0, energy + 1.0,  # V - E = 1 on the body
+        leg_length, energy + delta * delta,  # V - E = delta**2 on the legs
+        energy, info,
+    )
+
+
+def comb(
+    spine: int, teeth: int, spine_length: float, spine_potential: float,
+    tooth_length: float, tooth_potential: float, energy: float,
+    family_info: FamilyInfo,
+) -> MetricGraph:
+    """A spine path of ``spine`` edges from the root, with a pendant tooth
+    at each of its first ``teeth`` vertices after the root.  Spine vertex j
+    (id and generation j) is reached by spine edge j - 1 (generation j - 1);
+    its tooth, edge spine + j - 1 of generation j, ends at vertex spine + j.
+    The root, the last spine vertex and the tooth tips are boundary."""
+    vertices = [Vertex(0, generation=0, boundary=True)]
+    vertices += [Vertex(j, generation=j, boundary=j == spine)
+                 for j in range(1, spine + 1)]
+    vertices += [Vertex(spine + j, generation=j, boundary=True)
+                 for j in range(1, teeth + 1)]
+    edges = [Edge(j, j, j + 1, spine_length, spine_potential, generation=j)
+             for j in range(spine)]
+    edges += [Edge(spine + j - 1, j, spine + j, tooth_length, tooth_potential,
+                   generation=j)
+              for j in range(1, teeth + 1)]
+    return MetricGraph(vertices, edges, root=0, energy=energy,
+                       family_info=family_info)
 
 
 def _ladder(

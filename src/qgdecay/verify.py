@@ -133,9 +133,10 @@ class Multiplier:
         return pre * _libm(math.exp, expo, overflow)
 
 
-# The stages read an eigenfunction's quotient: one representative edge or
-# vertex per class, which stands for ``edge_count`` or ``vertex_count`` of
-# them (a graph gives one class per edge and vertex).  Each class is
+# The stages read the eigenfunction's graph by classes: one representative
+# edge or vertex per class, which stands for ``edge_count`` or
+# ``vertex_count`` of them (a built graph gives one class per edge and
+# vertex, a GenerationTable one per generation).  Each class is
 # evaluated once, as every member evaluates bit for bit alike.  Maxima,
 # minima and first failures read each class once; sums replay their
 # additions in order (repeated_sum), and fits repeat each class's sample.
@@ -207,9 +208,8 @@ def _psi(rows: np.ndarray, x: np.ndarray, overflow: np.ndarray) -> np.ndarray:
 def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
     """Worst continuity and Kirchhoff residuals over all interior vertices,
     one per vertex class."""
-    q = f.quotient
     worst = None
-    for res in map(q.vertex_residuals, q.graph.interior_vertex_ids()):
+    for res in map(f.vertex_residuals, f.graph.interior_vertex_ids()):
         # max() over the vertices in order, as a running value
         worst = res if worst is None else tuple(map(max, worst, res))
     cont, kirch = worst or (0.0, 0.0)
@@ -391,16 +391,15 @@ def _plateau(sups: list[float]) -> bool:
 
 
 def _slope_log_psi_vs_rho(f: Eigenfunction) -> float:
-    q = f.quotient
-    rho = compute_rho_a(q.graph).rho
+    rho = compute_rho_a(f.graph).rho
     xs, ys, counts = [], [], []
-    vids, values = q.interior_values()
+    vids, values = f.interior_values()
     for vid, value in zip(vids, values.tolist()):
         val = abs(value)
         if val > VALUE_FLOOR:
             xs.append(rho[vid])
             ys.append(math.log(val))
-            counts.append(q.graph.vertex_count(vid))
+            counts.append(f.graph.vertex_count(vid))
     xs, ys = np.repeat(xs, counts), np.repeat(ys, counts)
     if len(xs) < 2 or np.ptp(xs) == 0.0:
         return 0.0
@@ -422,7 +421,7 @@ def decay_report(
     """
     sup_by_gen: dict[int, float] = {}
     inc_by_gen: dict[int, float] = {}
-    for gen, sup, inc, count in _unit_sups_and_l2(f.quotient, spec, path):
+    for gen, sup, inc, count in _unit_sups_and_l2(f, spec, path):
         sup_by_gen[gen] = max(sup_by_gen.get(gen, 0.0), sup)
         inc_by_gen[gen] = repeated_sum(inc_by_gen.get(gen, 0.0), inc, count)
     gens = sorted(sup_by_gen)
@@ -468,24 +467,24 @@ def _overflow_error(spec: MultiplierSpec, gen: int) -> ValueError:
 
 
 def _unit_sups_and_l2(
-    q: Eigenfunction, spec: MultiplierSpec, path: PathSpec | None
+    f: Eigenfunction, spec: MultiplierSpec, path: PathSpec | None
 ) -> Iterator[tuple[int, float, float, int]]:
     """(generation, sup of |g|, L2 increment of g, units alike) for each
     class of units the report sums, in order: g = F * psi on [0, L] of
-    every edge class of quotient ``q`` (kind "action") or of each path edge
+    every edge class of ``f`` (kind "action") or of each path edge
     (kind "path"), g = F_ave * averaged psi on [v_g, v_{g+1}] (kind
     "averaged")."""
-    graph = q.graph
+    graph = f.graph
     if spec.kind != "averaged":
         if spec.kind == "path" and path is None:
-            path = canonical_path(q)
+            path = canonical_path(f)
         mult = Multiplier(graph, spec, path)
-        for eids in _blocks(path.edges if spec.kind == "path" else q.solutions):
+        for eids in _blocks(path.edges if spec.kind == "path" else f.solutions):
             gens = [int(graph.edge_by_id[eid].generation) for eid in eids]
             counts = [
                 1 if spec.kind == "path" else graph.edge_count(eid) for eid in eids
             ]
-            sups, incs, overflow = _edge_sups_and_l2(q, mult, eids)
+            sups, incs, overflow = _edge_sups_and_l2(f, mult, eids)
             if overflow.any():  # the first such edge in pool order
                 raise _overflow_error(spec, gens[int(overflow.argmax())])
             yield from zip(gens, sups.tolist(), incs.tolist(), counts)
@@ -509,7 +508,7 @@ def _unit_sups_and_l2(
         big_f = pre * math.exp(
             (1.0 - spec.epsilon) * action + spec.extra_rate * y
         )
-        return big_f * averaged_wave_function(q, y)
+        return big_f * averaged_wave_function(f, y)
 
     for g in range(len(envelopes)):
         try:
@@ -527,11 +526,10 @@ def _unit_sups_and_l2(
 def vertex_samples(f: Eigenfunction) -> tuple[np.ndarray, np.ndarray]:
     """Arc distances and psi values at every interior vertex, in vertex-id
     order: each vertex class's sample repeated for its vertices."""
-    q = f.quotient
-    arc = q.graph.arc_distances()
-    vids, values = q.interior_values()
+    arc = f.graph.arc_distances()
+    vids, values = f.interior_values()
     order = np.argsort(vids, kind="stable")
-    counts = np.array([q.graph.vertex_count(vid) for vid in vids], dtype=int)
+    counts = np.array([f.graph.vertex_count(vid) for vid in vids], dtype=int)
     return (np.repeat(np.array([arc[vid] for vid in vids])[order], counts[order]),
             np.repeat(values[order], counts[order]))
 
@@ -618,7 +616,6 @@ def monotonicity_check(
     ``edges`` restricts the scan (e.g. to one certified path); default is
     the whole graph.
     """
-    f = f.quotient
     arc = f.graph.arc_distances()
     scale = max(abs(sol.A) + abs(sol.B) for sol in f.solutions.values())
     pool = (

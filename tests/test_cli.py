@@ -1,9 +1,11 @@
 import collections
+import hashlib
 import heapq
 import json
 import math
 import types
 
+import numpy as np
 import pytest
 
 import qgdecay.cli
@@ -423,6 +425,90 @@ class TestVerify:
         assert code == 0
         header = out_csv.read_text().split("\n")[0]
         assert header == "generation,sup_F_psi,cum_L2,depth"
+
+    @pytest.mark.parametrize("error", [
+        MemoryError(),
+        np._core._exceptions._ArrayMemoryError((10**9,), np.dtype(float)),
+    ], ids=["bare", "numpy"])
+    def test_memory_error_exits_2(self, capsys, monkeypatch, error):
+        # exit 1 means only a FAILed certificate
+        def exhausted(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(qgdecay.cli, "decay_report", exhausted)
+        code, out, err = run(
+            capsys, "verify", "--family", "regular-tree", "--b", "2",
+            "--depth", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {str(error) or 'out of memory'}\n"
+
+
+# sha256 of the stdout of the millipede and of the odd ladder's half graph
+# as they were built edge by edge before the comb builder made both; the
+# comb keeps their ids, generations, boundary flags and solutions.  At
+# depth 1 the half ladder's spine is a single edge.
+COMB_DIGESTS = {
+    "ladder-odd-depth-1": (
+        ["solve", "--family", "ladder", "--w", "1", "--mode", "antisymmetric",
+         "--depth", "1"],
+        "dafca0c5e08f92c345970b7f71cc27ed26fd751739d77606d545efee1ed744be",
+    ),
+    "ladder-odd-depth-2-rungs-3": (
+        ["solve", "--family", "ladder", "--w", "1", "--mode", "antisymmetric",
+         "--depth", "2", "--rungs", "3"],
+        "9e005c4eccfd347c7ffbd2bcb24e38f3d4d64a3bc5d1688981eba08d13aed344",
+    ),
+    "ladder-odd-depth-5-rungs-3": (
+        ["solve", "--family", "ladder", "--w", "1", "--mode", "antisymmetric",
+         "--depth", "5", "--rungs", "3"],
+        "9e005c4eccfd347c7ffbd2bcb24e38f3d4d64a3bc5d1688981eba08d13aed344",
+    ),
+    "ladder-odd-energy": (
+        ["solve", "--family", "ladder", "--w", "0.7", "--mode",
+         "antisymmetric", "--depth", "4", "--energy", "0.3"],
+        "ee55b58ee9a82d4e433dfa9c28c62baf15f02783cb4cb510f1802fa4b36b372d",
+    ),
+    "ladder-even-energy": (
+        ["solve", "--family", "ladder", "--w", "1", "--depth", "3",
+         "--energy", "0.3"],
+        "76804204cdf08873ec623d399f18ff962f9ab7acbe1f70c66993f98b0507290d",
+    ),
+    "generate-millipede-legs": (
+        ["generate", "--family", "millipede", "--delta", "0.1", "--depth", "4",
+         "--legs", "2", "--leg-length", "1.5"],
+        "4187f2eaa60d72617263e3272a27d7a29f50d5079ed21b23b701c8fdaf3d302a",
+    ),
+    "solve-millipede-legs": (
+        ["solve", "--family", "millipede", "--delta", "0.1", "--depth", "4",
+         "--legs", "2", "--leg-length", "1.5"],
+        "70eddcad4f9056bba8fcee4d765a1a72d41dae339b396c12673bb99dadf57fc8",
+    ),
+    "solve-millipede-legs-energy": (
+        ["solve", "--family", "millipede", "--delta", "0.3", "--depth", "3",
+         "--legs", "5", "--leg-length", "2.5", "--energy", "0.3"],
+        "5a16d43610a4192f1f040924ef8722aa96762234a05d5dce7f69d8715b9cf4df",
+    ),
+}
+
+
+class TestComb:
+    @pytest.mark.parametrize("argv,digest", COMB_DIGESTS.values(),
+                             ids=COMB_DIGESTS)
+    def test_output_unchanged(self, capsys, argv, digest):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_millipede_legs_at_the_body_potential(self, capsys):
+        # at delta = 1 legs and body share V - E = 1; the legs still carry
+        # the leg solution, so the vertex conditions hold
+        code, out, _ = run(capsys, "verify", "--family", "millipede",
+                           "--delta", "1", "--depth", "6")
+        doc = json.loads(out)
+        assert (code, doc["status"]) == (0, "PASS")
+        assert doc["structure"]["max_kirchhoff"] <= 1e-9
+        assert doc["monotonicity"]["ok"]
 
 
 class TestSweep:

@@ -31,6 +31,8 @@ from qgdecay.transfer import (
     vertex_edge_transfer,
 )
 
+from expansion import expanded
+
 FAMILIES = [
     ("regular_tree", {"b": 2, "length": 1.0, "k": 1.0}, 8),
     ("regular_tree", {"b": 3, "length": 1.5, "k": 0.5}, 5),
@@ -162,7 +164,7 @@ class TestConstructions:
             f.solutions = {}
 
     def test_perturbation_is_detected(self):
-        f = construct("regular_tree", {"b": 2}, 4)
+        f = expanded(construct("regular_tree", {"b": 2}, 4))
         vid = next(
             v.id for v in f.graph.vertices if v.generation == 1 and not v.boundary
         )
@@ -182,15 +184,15 @@ class TestConstructions:
         assert 0.0 < f.meta["p1"] < 1.0
         assert f.meta["lam"] < 1.0 and f.meta["mu"] < 1.0
 
-    def test_millipede_leg_solutions(self):
-        delta = 0.1
+    # at delta = 1 the legs have the body's potential
+    @pytest.mark.parametrize("delta", [0.1, 1.0])
+    def test_millipede_leg_solutions(self, delta):
         f = construct("millipede", {"delta": delta}, 6)
-        legs = [
-            e for e in f.graph.edges
-            if math.isclose(e.potential - f.graph.energy, delta * delta)
-        ]
-        assert legs
+        # the legs are the comb's teeth: edges 7.. after the 7 body edges
+        legs = [e for e in f.graph.edges if e.id >= 7]
+        assert len(legs) == 6
         for e in legs:
+            assert math.isclose(e.potential - f.graph.energy, delta * delta)
             sol = f.solutions[e.id]
             assert sol.k == delta
             assert sol.B == -sol.A  # proportional to exp(-delta x)
@@ -427,6 +429,7 @@ class TestAveragedWaveFunction:
             6,
         )
         info = f.graph.family_info
+        full = expanded(f)
         for y in (0.0, 0.3, 1.0, 2.5, 4.0, 5.75, 6.0):
             gen = max(
                 g for g in range(len(info.positions) - 1)
@@ -437,9 +440,9 @@ class TestAveragedWaveFunction:
             for j in range(gen):
                 weight *= info.arriving[j] / info.ongoing[j]
             total = 0.0
-            for e in f.graph.edges:
+            for e in full.graph.edges:
                 if e.generation == gen:
-                    total += edge_eval(f.solutions[e.id], min(x, e.length))
+                    total += edge_eval(full.solutions[e.id], min(x, e.length))
             assert averaged_wave_function(f, y) == weight * total
 
     def test_evaluates_once_per_distinct_solution(self, monkeypatch):
@@ -449,6 +452,7 @@ class TestAveragedWaveFunction:
              "v_seq": [float(j) for j in range(1, 7)]},
             6,
         )
+        full = expanded(f).graph
         calls = []
 
         def counting(sol, x):
@@ -458,7 +462,7 @@ class TestAveragedWaveFunction:
         monkeypatch.setattr(qgdecay.eigenfunctions, "edge_eval", counting)
         for gen in range(1, 6):
             # every edge of a braided generation carries the same solution
-            eids = [e.id for e in f.graph.edges if e.generation == gen]
+            eids = [e.id for e in full.edges if e.generation == gen]
             assert len(eids) > 1
             calls.clear()
             averaged_wave_function(f, gen + 0.5)
@@ -516,7 +520,7 @@ class TestCanonicalPath:
             assert len(path.fractions) == len(path.edges) - 1 == len(law)
             for eid, p, expected in zip(path.edges[1:], path.fractions, law):
                 vid = g.graph.edge_by_id[eid].tail
-                assert p == fraction_at(g, vid, eid)
+                assert p == fraction_at(expanded(g), vid, eid)
                 assert math.isclose(p, expected, rel_tol=1e-12)
 
     def test_vanishing_incoming_derivative_names_vertex(self):

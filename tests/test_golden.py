@@ -2,8 +2,9 @@
 
 ``tests/golden/cli.json`` records, for each named case, the argv, the exit
 code and the exact stdout.  Replaying it shows that a refactor kept the
-command-line behaviour; stderr wording is not pinned.  After an intended
-change of output, regenerate the file and review its diff:
+command-line behaviour; stderr wording is not pinned, but no case may write
+a traceback, and a verify's exit code must agree with its status.  After an
+intended change of output, regenerate the file and review its diff:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -217,9 +218,15 @@ def test_golden_file_covers_matrix():
 def test_golden_case(name, capsys):
     want = _load()[name]
     code = main(_argv(CASES[name]))
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code == want["exit"]
     assert out == want["stdout"]
+    # exit 1 means only a FAILed certificate; a verify that exits 0 PASSed
+    if code == 1:
+        assert json.loads(out)["status"] == "FAIL"
+    if code == 0 and CASES[name][0] == "verify":
+        assert json.loads(out)["status"] == "PASS"
+    assert "Traceback" not in err
 
 
 def capture() -> dict:

@@ -10,11 +10,13 @@ from qgdecay.graph import (
     FAMILIES,
     Edge,
     EdgeWeights,
+    FamilyInfo,
     FamilyParameterError,
     GraphValidationError,
     MetricGraph,
     Vertex,
     build_graph,
+    comb,
     dijkstra,
     generate_family,
 )
@@ -165,6 +167,21 @@ class TestGenerators:
         for e in legs:
             assert math.isclose(e.potential - g.energy, 0.01)
             assert g.degree(e.head) == 1
+
+    def test_comb_layout(self):
+        # spine 0 -> 1 -> 2 -> 3, teeth at spine vertices 1 and 2
+        g = comb(3, 2, 2.0, 1.0, 0.5, 0.25, 0.0, FamilyInfo())
+        assert [(e.id, e.tail, e.head, e.length, e.potential, e.generation)
+                for e in g.edges] == [
+            (0, 0, 1, 2.0, 1.0, 0), (1, 1, 2, 2.0, 1.0, 1),
+            (2, 2, 3, 2.0, 1.0, 2), (3, 1, 4, 0.5, 0.25, 1),
+            (4, 2, 5, 0.5, 0.25, 2),
+        ]
+        assert [(v.id, v.generation, v.boundary) for v in g.vertices] == [
+            (0, 0, True), (1, 1, False), (2, 2, False), (3, 3, True),
+            (4, 1, True), (5, 2, True),
+        ]
+        g.validate()
 
     def test_braided_theta_chain(self):
         g = generate_family(

@@ -17,13 +17,10 @@ from hypothesis import given, settings, strategies as st
 import qgdecay.cli
 import qgdecay.eigenfunctions
 from qgdecay.cli import main
-from qgdecay.eigenfunctions import (
-    Eigenfunction,
-    SynchronizedEigenfunction,
-    construct,
-    repeated_sum,
-)
+from qgdecay.eigenfunctions import Eigenfunction, construct, repeated_sum
 from qgdecay.graph import GenerationTable, MetricGraph
+
+from expansion import expanded
 
 FAMILIES = {
     "regular-b1": ["regular-tree", "--b", "1"],
@@ -49,11 +46,6 @@ OPTIONS = [
 ]
 MULTIPLIERS = ["action", "path", "averaged"]
 DEPTHS = range(1, 9)
-
-
-def expanded(f: Eigenfunction) -> Eigenfunction:
-    """The same eigenfunction on its fully built graph."""
-    return Eigenfunction(f.graph, dict(f.solutions), f.family, f.mode, f.meta)
 
 
 def outputs(argv, tmp_path, monkeypatch, capsys, full):
@@ -113,19 +105,19 @@ def test_solve_matches_the_full_graph(name, depth, tmp_path, monkeypatch, capsys
 
 def test_construct_keeps_the_table():
     f = construct("regular_tree", {"b": 3}, 5)
-    assert isinstance(f, SynchronizedEigenfunction)
-    q = f.quotient
-    assert isinstance(q.graph, GenerationTable)
+    assert type(f) is Eigenfunction
+    assert isinstance(f.graph, GenerationTable)
     # one representative per generation: the generation's first edge
-    assert [e.id for e in q.graph.edges] == [0, 1, 4, 13, 40, 121]
-    assert [q.graph.edge_count(e.id) for e in q.graph.edges] == [
+    assert [e.id for e in f.graph.edges] == [0, 1, 4, 13, 40, 121]
+    assert [f.graph.edge_count(e.id) for e in f.graph.edges] == [
         1, 3, 9, 27, 81, 243,
     ]
-    assert sorted(q.solutions) == [0, 1, 4, 13, 40, 121]
+    assert sorted(f.solutions) == [0, 1, 4, 13, 40, 121]
     # the expansion is a graph whose edges carry their generation's solution
-    assert isinstance(f.graph, MetricGraph)
-    assert len(f.solutions) == len(f.graph.edges) == 364
-    assert f.solutions[5] == dataclasses.replace(q.solutions[4], edge=5)
+    full = expanded(f)
+    assert type(full.graph) is MetricGraph
+    assert len(full.solutions) == len(full.graph.edges) == 364
+    assert full.solutions[5] == dataclasses.replace(f.solutions[4], edge=5)
 
 
 SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.5,

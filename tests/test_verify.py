@@ -31,6 +31,8 @@ from qgdecay.verify import (
     monotonicity_check,
 )
 
+from expansion import expanded
+
 
 def tree(depth=8, b=2, k=1.0, length=1.0):
     return construct("regular_tree", {"b": b, "length": length, "k": k}, depth)
@@ -74,7 +76,7 @@ class TestMultiplier:
     )
     def test_on_edge_matches_point_definition(self, family, params, spec):
         f = construct(family, params, 4)
-        graph = f.graph
+        graph = expanded(f).graph
         path = canonical_path(f) if spec.kind == "path" else None
         prefactor = {}
         if path is not None:
@@ -216,10 +218,11 @@ class TestDecayReport:
         # antiderivative on every edge
         f = tree(4)
         rep = decay_report(f, MultiplierSpec(epsilon=1.0), [4])
+        full = expanded(f)
         by_gen = {}
-        for e in f.graph.edges:
+        for e in full.graph.edges:
             by_gen.setdefault(e.generation, 0.0)
-            by_gen[e.generation] += closed_form_edge_l2(f.solutions[e.id])
+            by_gen[e.generation] += closed_form_edge_l2(full.solutions[e.id])
         for row in rep.rows:
             assert math.isclose(row.l2_increment, by_gen[row.generation],
                                 rel_tol=1e-12)
@@ -496,15 +499,15 @@ class TestKernelMatchesPerPointCode:
             bits((r.generation, r.sup_F_psi, r.l2_increment, r.l2_cumulative))
             for r in report.rows
         ]
-        assert got == per_point_rows(f, spec, path)
+        assert got == per_point_rows(expanded(f), spec, path)
 
     @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
                              ids=KERNEL_FAMILY_IDS)
     @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_SPEC_IDS)
     def test_constraint_margin(self, block_edges, family, params, spec):
-        graph = construct(family, dict(params), 6).graph
-        assert bits([constraint_margin(graph, spec)]) == bits(
-            [per_point_margin(graph, spec)]
+        f = construct(family, dict(params), 6)
+        assert bits([constraint_margin(f.graph, spec)]) == bits(
+            [per_point_margin(expanded(f).graph, spec)]
         )
 
     @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
@@ -515,7 +518,7 @@ class TestKernelMatchesPerPointCode:
         f = construct(family, dict(params), 6)
         edges = canonical_path(f).edges if on_path else None
         result = monotonicity_check(f, exclusion_radius=exclusion, edges=edges)
-        expected = per_point_monotonicity(f, exclusion, edges)
+        expected = per_point_monotonicity(expanded(f), exclusion, edges)
         assert (result.ok, result.edge, result.offset, result.detail) == expected
 
     def test_first_monotonicity_violation(self, block_edges):
@@ -527,7 +530,7 @@ class TestKernelMatchesPerPointCode:
 
     def test_violation_in_a_late_block(self, block_edges):
         # growing solutions on two late edges: the lower id is reported
-        f = tree(6)
+        f = expanded(tree(6))
         sols = dict(f.solutions)
         for eid in (117, 100):
             sol = sols[eid]
@@ -642,7 +645,7 @@ class TestDistinctEdgesMatchPerEdgeCode:
         ]
         for y in [*positions, *interior]:
             assert averaged_wave_function(f, y).hex() == (
-                per_edge_average(f, y).hex()
+                per_edge_average(expanded(f), y).hex()
             )
 
     @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
@@ -651,10 +654,10 @@ class TestDistinctEdgesMatchPerEdgeCode:
         f = construct(family, dict(params), 6)
         res = continuity_and_kirchhoff(f)
         got = bits([res["max_continuity"], res["max_kirchhoff"]])
-        assert got == per_vertex_residuals(f)
+        assert got == per_vertex_residuals(expanded(f))
 
     def test_continuity_and_kirchhoff_late_violation(self, block_edges):
-        f = tree(6)
+        f = expanded(tree(6))
         sols = dict(f.solutions)
         for eid in (117, 100):
             sol = sols[eid]
