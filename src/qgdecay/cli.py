@@ -167,6 +167,8 @@ def _family_params(args: argparse.Namespace) -> tuple[str, dict, int]:
         raise FamilyParameterError(f"unknown family {args.family!r}")
     values = vars(args).copy()
     if args.kL is not None:
+        if args.length == 0:
+            raise FamilyParameterError("length must be > 0")
         values["k"] = args.kL / (1.0 if args.length is None else args.length)
     params: dict = {}
     missing = []

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .graph import Edge, GraphPoint, MetricGraph
 from .graph import build_family, comb, family_arguments, family_name, generate_family
-from .graph import keyword_params
+from .graph import keyword_params, ladder_info
 from .metrics import PathSpec
 from .transfer import (
     TransferMatrix,
@@ -437,12 +437,13 @@ def _construct_ladder(
 def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
     """Half of the ladder: one rail, with the rung halves up to the
     reflection axis as teeth; the other half is the odd mirror image."""
-    # the ladder builder checks the params and fills in their defaults
-    info = generate_family("ladder", params, depth).family_info
-    w, n, energy = (info.params[key] for key in ("w", "rungs", "energy"))
+    args = family_arguments("ladder", params, depth)
+    info = ladder_info(depth, args["w"], args["rungs"], args["energy"])
+    w, n, energy = info.params.values()
     potential = energy + 1.0  # k = 1 on rails and rungs
     step = ladder_antisym_transfer(w)
     g = comb(n, n, 1.0, potential, w / 2.0, potential, energy, info)
+    g.validate()
     sh, ch = math.sinh(w / 2.0), math.cosh(w / 2.0)
 
     def rung_half(val: float) -> tuple[float, float, float]:
@@ -511,8 +512,8 @@ def averaged_wave_function(f: Eigenfunction, y: float) -> float:
         raise ValueError(
             f"y={y} outside the truncated range [0, {positions[-1]}]"
         )
-    # left-limit convention: y at a vertex position evaluates the arriving
-    # generation at its far endpoint
+    # y at an interior vertex position v_g evaluates generation g at x = 0;
+    # only the last position reads the arriving generation at its far end
     gen = 0
     for g in range(len(positions) - 1):
         if positions[g] <= y:

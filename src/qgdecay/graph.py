@@ -54,8 +54,9 @@ class FamilyInfo:
 
     ``positions``/``arriving``/``ongoing`` are set only for families with
     synchronized generations (regular, generation-regular and braided trees);
-    they drive the averaged-wave-function machinery.  ``positions[j]`` is the
-    arc distance of generation-j vertices, with ``positions[0] == 0`` the root.
+    they drive the GenerationTable and the averaged wave function.
+    ``positions[j]`` is the arc distance of generation-j vertices, with
+    ``positions[0] == 0`` the root.
     """
 
     params: dict = field(default_factory=dict)
@@ -285,12 +286,12 @@ def _tree_distances(
 
 @dataclass(frozen=True, slots=True)
 class Generation:
-    """One generation of edges of a GenerationTable, and the vertices they
-    arrive at.  The edges leaving each vertex of the generation before take
-    the ``lengths`` in turn; ``arriving`` edges end at each new vertex, and
-    ``ongoing`` edges leave it for the next generation (0 at the frontier)."""
+    """One generation of edges of a GenerationTable, all of one ``length``,
+    and the vertices they arrive at: ``arriving`` edges end at each new
+    vertex, and ``ongoing`` edges leave it for the next generation (0 at the
+    frontier)."""
 
-    lengths: tuple[float, ...]
+    length: float
     edges: int
     vertices: int
     arriving: int
@@ -300,35 +301,32 @@ class Generation:
 
 
 class GenerationTable(MetricGraph):
-    """A family grown generation by generation from the root, one row per
-    generation; ``expand()`` builds the family's graph from it, with edge
-    and vertex ids running by generation.
+    """The generation quotient of a synchronized family, whose edges of a
+    generation share one length, potential and root distance: one row per
+    generation, branching as in ``family_info``.  ``expand()`` builds the
+    family's graph, with edge and vertex ids running by generation.
 
-    As a MetricGraph the table is the family's generation quotient: the
-    first edge and vertex of each generation, each standing for its class
-    (``edge_count``, ``vertex_count``, ``incident_count``).  It is exact for
-    a synchronized family (``family_info.positions`` set), where every edge
-    of a generation has one length, potential and root distance.
+    As a MetricGraph the table is the first edge and vertex of each
+    generation, each standing for its class (``edge_count``,
+    ``vertex_count``, ``incident_count``).
     """
 
     def __init__(
         self,
-        lengths: Sequence[tuple[float, ...]],
-        arriving: Sequence[int],
-        ongoing: Sequence[int],
-        root_edges: int,
+        lengths: Sequence[float],
         potential: float,
         energy: float,
         family_info: FamilyInfo,
     ):
-        rows, edges, first_edge, first_vertex = [], root_edges, 0, 1
-        for gen, (lens, a, b) in enumerate(zip(lengths, arriving, ongoing)):
+        info = family_info
+        rows, edges, first_edge, first_vertex = [], info.root_edges, 0, 1
+        for gen, (length, a, b) in enumerate(zip(lengths, info.arriving, info.ongoing)):
             if edges % a != 0:
                 raise FamilyParameterError(
                     f"generation {gen + 1}: {edges} arriving edges not "
                     f"divisible by a_{gen + 1} = {a}"
                 )
-            rows.append(Generation(tuple(lens), edges, edges // a, a, b,
+            rows.append(Generation(length, edges, edges // a, a, b,
                                    first_edge, first_vertex))
             first_edge += edges
             first_vertex += edges // a
@@ -341,31 +339,34 @@ class GenerationTable(MetricGraph):
         ]
         super().__init__(
             vertices,
-            [Edge(r.first_edge, tail.id, r.first_vertex, r.lengths[0],
+            [Edge(r.first_edge, tail.id, r.first_vertex, r.length,
                   potential, generation=g)
              for g, (r, tail) in enumerate(zip(rows, vertices))],
-            root=0, energy=energy, family_info=family_info,
+            root=0, energy=energy, family_info=info,
         )
-        # per first vertex: its generation's vertices, arriving and ongoing
-        self._classes = {0: (1, 0, root_edges), **{
-            r.first_vertex: (r.vertices, r.arriving, r.ongoing) for r in rows
-        }}
-        self._edge_counts = {r.first_edge: r.edges for r in rows}
+
+    def _shape(self, vid: int) -> tuple[int, int, int]:
+        """Vertices of ``vid``'s generation, edges arriving at and leaving each."""
+        gen = self.vertex_by_id[vid].generation
+        if gen == 0:
+            return 1, 0, self.family_info.root_edges
+        r = self.rows[gen - 1]
+        return r.vertices, r.arriving, r.ongoing
 
     def edge_count(self, eid: int) -> int:
         """Edges of the generation of ``eid``: ids eid, eid + 1, ..."""
-        return self._edge_counts[eid]
+        return self.rows[self.edge_by_id[eid].generation].edges
 
     def vertex_count(self, vid: int) -> int:
-        return self._classes[vid][0]
+        return self._shape(vid)[0]
 
     def incident_count(self, vid: int, eid: int) -> int:
         """Edges of the generation of ``eid`` at each vertex of ``vid``'s."""
-        _, arriving, ongoing = self._classes[vid]
+        _, arriving, ongoing = self._shape(vid)
         return arriving if self.edge_by_id[eid].head == vid else ongoing
 
     def degree(self, vid: int) -> int:
-        return sum(self._classes[vid][1:])
+        return sum(self._shape(vid)[1:])
 
     def distances(self, weight: Callable[[Edge], float]) -> dict[int, float]:
         """Per generation ``prev + weight``: the float addition that
@@ -383,16 +384,15 @@ class GenerationTable(MetricGraph):
         """The family's graph: edge i of a generation leaves vertex i // ongoing
         of the generation before and arrives at vertex i // arriving."""
         vertices, edges = [self.vertices[0]], []
-        tails, per_tail = [0], self._classes[0][2]
+        tails, per_tail = [0], self.family_info.root_edges
         for gen, row in enumerate(self.rows):
             # one int object per vertex id, shared by its vertex and edges
             heads = list(range(row.first_vertex, row.first_vertex + row.vertices))
             vertices += [Vertex(v, generation=gen + 1, boundary=row.ongoing == 0)
                          for v in heads]
-            lens = row.lengths
             edges += [
                 Edge(row.first_edge + i, tails[i // per_tail],
-                     heads[i // row.arriving], lens[i % len(lens)],
+                     heads[i // row.arriving], row.length,
                      self.potential, generation=gen)
                 for i in range(row.edges)
             ]
@@ -415,13 +415,26 @@ def build_graph(spec: Mapping) -> MetricGraph:
     """Build and validate a graph from a parsed spec document.
 
     Accepts either an explicit graph (vertices/edges/root/energy) or a family
-    request (family/params/depth).  Unknown keys are rejected.
+    request (family/params/depth).  Unknown keys and values of the wrong
+    type raise GraphValidationError.
     """
+    try:
+        return _graph_from_spec(spec)
+    except (GraphValidationError, FamilyParameterError):
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        # int() or float() of a list, an object, null, a word or infinity
+        raise GraphValidationError(f"spec: {exc}") from None
+
+
+def _graph_from_spec(spec: Mapping) -> MetricGraph:
     if "family" in spec:
         _check_keys("spec", spec, _FAMILY_KEYS, _FAMILY_KEYS - {"params"})
         params = spec.get("params", {})
         if not isinstance(params, dict):
             raise GraphValidationError("spec params must be a JSON object")
+        if not isinstance(spec["family"], str):
+            raise GraphValidationError("spec family must be a string")
         return generate_family(spec["family"], params, int(spec["depth"]))
     _check_keys("spec", spec, _GRAPH_KEYS, _GRAPH_KEYS)
     for key in ("vertices", "edges"):
@@ -501,15 +514,11 @@ def generate_family(family: str, params: dict, depth: int) -> MetricGraph:
 def build_family(family: str, params: dict, depth: int) -> MetricGraph:
     """What the family's builder makes, validated: the generation table of
     the synchronized trees and braided graphs, the graph of the others."""
-    if depth < 1:
-        raise FamilyParameterError("depth must be >= 1")
     name = family_name(family)
     if name not in FAMILIES:
         raise FamilyParameterError(f"unknown family {family!r}")
     family_arguments(name, params, depth)
     built = FAMILIES[name](depth, **params)
-    if isinstance(built, GenerationTable) and built.family_info.positions is None:
-        built = built.expand()  # not a quotient: check every edge
     built.validate()
     return built
 
@@ -517,7 +526,9 @@ def build_family(family: str, params: dict, depth: int) -> MetricGraph:
 def family_arguments(name: str, params: dict, depth: int) -> dict:
     """``params`` bound to the keyword arguments of the builder of family
     ``name``, with the builder's defaults filled in.  Unknown and missing
-    params raise FamilyParameterError."""
+    params, and a depth below 1, raise FamilyParameterError."""
+    if depth < 1:
+        raise FamilyParameterError("depth must be >= 1")
     try:
         bound = _signature(FAMILIES[name]).bind(depth, **params)
     except TypeError as exc:
@@ -549,9 +560,7 @@ def _regular_tree(
         raise FamilyParameterError("length must be > 0")
     return _generation_tree(
         {"b": b, "length": length, "k": k, "energy": energy},
-        [[length]] + [[length] * b] * depth,
-        potential,
-        energy,
+        [length] * (depth + 1), [b] * depth, potential, energy,
     )
 
 
@@ -570,58 +579,50 @@ def _ns_regular_tree(
         raise FamilyParameterError("branching numbers >= 1 and lengths > 0 required")
     return _generation_tree(
         {"b_seq": b_seq, "length_seq": length_seq, "k": k, "energy": energy},
-        [[length_seq[0]]]
-        + [[length_seq[g]] * b_seq[g - 1] for g in range(1, depth + 1)],
-        potential,
-        energy,
+        length_seq[: depth + 1], b_seq[:depth], potential, energy,
     )
 
 
 def _generation_tree(
     params: dict,
-    children: Sequence[Sequence[float]],
+    lengths: Sequence[float],
+    branching: Sequence[int],
     potential: float,
     energy: float,
-    synchronized: bool = True,
 ) -> GenerationTable:
-    """Rooted tree grown breadth first: the root (generation 0) and then
-    every generation-g vertex spawn one edge per entry of ``children[g]``,
-    of that length.  The last generation's vertices form the boundary.
-
-    In a synchronized tree all edges of a generation share one length, so
-    the family info carries the generation positions and branching.
-    """
-    depth = len(children) - 1
-    arriving = (1,) * (depth + 1)
-    ongoing = tuple(len(c) for c in children[1:]) + (0,)
-    info = FamilyInfo(params=params)
-    if synchronized:
-        info = FamilyInfo(
-            params=params,
-            positions=(0.0, *itertools.accumulate(c[0] for c in children)),
-            arriving=arriving,
-            ongoing=ongoing,
-        )
-    return GenerationTable(
-        [tuple(c) for c in children], arriving, ongoing, len(children[0]),
-        potential, energy, info,
+    """Rooted tree grown breadth first: a root edge of length ``lengths[0]``,
+    then ``branching[g - 1]`` edges of length ``lengths[g]`` from each
+    generation-g vertex.  The last generation's vertices form the boundary."""
+    info = FamilyInfo(
+        params=params,
+        positions=(0.0, *itertools.accumulate(lengths)),
+        arriving=(1,) * len(lengths),
+        ongoing=(*branching, 0),
     )
+    return GenerationTable(lengths, potential, energy, info)
 
 
 def _two_lengths_tree(
     depth: int, *, L1: float, L2: float, k: float = 1.0, energy: float = -1.0
-) -> GenerationTable:
+) -> MetricGraph:
     l1, l2 = float(L1), float(L2)
     k, potential, energy = _k_and_energy(k, energy)
     if l1 <= 0 or l2 <= 0:
         raise FamilyParameterError("lengths must be > 0")
-    # the root edge has length L1; every later vertex spawns one of each
-    return _generation_tree(
-        {"L1": l1, "L2": l2, "k": k, "energy": energy},
-        [[l1]] + [[l1, l2]] * depth,
-        potential,
-        energy,
-        synchronized=False,
+    # breadth first: edge e joins vertex (e + 1) // 2 to e + 1, whose
+    # generation is its bit length; the root edge 0 and odd ids have length
+    # L1, even ones L2, and the last generation is the boundary
+    ids = list(range(2 << depth))  # one int object per vertex id
+    vertices = [Vertex(v, generation=v.bit_length(), boundary=v == 0 or v >> depth > 0)
+                for v in ids]
+    edges = [
+        Edge(e, ids[(e + 1) // 2], ids[e + 1], l2 if e and e % 2 == 0 else l1,
+             potential, generation=vertices[e + 1].generation - 1)
+        for e in ids[:-1]
+    ]
+    return MetricGraph(
+        vertices, edges, root=0, energy=energy,
+        family_info=FamilyInfo(params={"L1": l1, "L2": l2, "k": k, "energy": energy}),
     )
 
 
@@ -681,64 +682,39 @@ def _ladder(
     depth: int, *, w: float, rungs: int | None = None, energy: float = -1.0,
     rung_potential: float | None = None,
 ) -> MetricGraph:
-    w = float(w)
-    n_rungs = depth if rungs is None else int(rungs)
-    energy = float(energy)
-    if w <= 0:
-        raise FamilyParameterError("rung length w must be > 0")
-    if n_rungs < 1:
-        raise FamilyParameterError("rungs >= 1 required")
+    info = ladder_info(depth, w, rungs, energy)
+    w, n, energy = info.params.values()
     rail_potential = energy + 1.0  # V - E = 1 on the rails
     rung_v = rail_potential if rung_potential is None else float(rung_potential)
-    core: list[int] = []
-    # Two half-line rails joined at the root (position 0); rungs of length w
-    # join the rails at integer positions 1..n_rungs.  The rails end at
-    # position n_rungs, whose rung vertices form the truncation frontier.
-    vertices = [Vertex(0, generation=0, boundary=True)]
-    bottom: dict[int, int] = {0: 0}
-    top: dict[int, int] = {0: 0}
-    next_vid = 1
-    for j in range(1, n_rungs + 1):
-        last = j == n_rungs
-        bottom[j] = next_vid
-        vertices.append(Vertex(next_vid, generation=j, boundary=last))
-        next_vid += 1
-        top[j] = next_vid
-        vertices.append(Vertex(next_vid, generation=j, boundary=last))
-        next_vid += 1
-    edges: list[Edge] = []
-    for j in range(n_rungs):
-        for rail in (bottom, top):
-            edges.append(
-                Edge(
-                    id=len(edges),
-                    tail=rail[j],
-                    head=rail[j + 1],
-                    length=1.0,
-                    potential=rail_potential,
-                    generation=j,
-                )
-            )
-    for j in range(1, n_rungs + 1):
-        eid = len(edges)
-        edges.append(
-            Edge(
-                id=eid,
-                tail=bottom[j],
-                head=top[j],
-                length=w,
-                potential=rung_v,
-                generation=j,
-            )
-        )
-        if not (rung_v - energy > 0.0):
-            core.append(eid)
-    info = FamilyInfo(
-        params={"w": w, "rungs": n_rungs, "energy": energy},
-    )
+    # Two rails from the root (position 0) to the frontier at position n;
+    # position j >= 1 has vertices 2j - 1 (bottom) and 2j (top), so rail
+    # edge e joins max(e - 1, 0) to e + 1, and rung j is edge 2n + j - 1.
+    ids = list(range(2 * n + 1))  # one int object per vertex id
+    vertices = [Vertex(v, generation=(v + 1) // 2, boundary=v == 0 or v >= 2 * n - 1)
+                for v in ids]
+    edges = [Edge(e, ids[max(e - 1, 0)], ids[e + 1], 1.0, rail_potential,
+                  generation=e // 2)
+             for e in ids[:-1]]
+    edges += [Edge(2 * n + j - 1, ids[2 * j - 1], ids[2 * j], w, rung_v, generation=j)
+              for j in range(1, n + 1)]
+    # rungs at or below the energy form the designated core
+    core = [] if rung_v - energy > 0.0 else [e.id for e in edges[2 * n:]]
     return MetricGraph(
         vertices, edges, root=0, energy=energy, core_edges=core, family_info=info
     )
+
+
+def ladder_info(depth: int, w: float, rungs: int | None, energy: float) -> FamilyInfo:
+    """The ladder's params w, rungs (``depth`` by default) and energy,
+    checked; the odd mode's half ladder shares them."""
+    w = float(w)
+    rungs = depth if rungs is None else int(rungs)
+    energy = float(energy)
+    if w <= 0:
+        raise FamilyParameterError("rung length w must be > 0")
+    if rungs < 1:
+        raise FamilyParameterError("rungs >= 1 required")
+    return FamilyInfo(params={"w": w, "rungs": rungs, "energy": energy})
 
 
 def _braided(
@@ -780,8 +756,8 @@ def _braided(
         root_edges=root_edges,
     )
     return GenerationTable(
-        [(v2 - v1,) for v1, v2 in zip(positions, positions[1:])],
-        info.arriving, info.ongoing, root_edges, potential, energy, info,
+        [v2 - v1 for v1, v2 in zip(positions, positions[1:])],
+        potential, energy, info,
     )
 
 

@@ -69,6 +69,12 @@ class TestGenerate:
             (dict(graph, edges=[no_length]), "length"),
             (dict(graph, vertices=5), "vertices"),
             (inf_potential, "edge 0: non-finite potential inf"),
+            # values of the wrong JSON type
+            ({"family": "regular-tree", "params": {"b": [1]}, "depth": 2},
+             "int()"),
+            ({"family": "regular-tree", "params": {"b": 2}, "depth": None},
+             "int()"),
+            (dict(graph, energy="low"), "could not convert string to float"),
         ]
         spec = tmp_path / "broken.json"
         for doc, needle in cases:
@@ -263,6 +269,11 @@ class TestVerify:
               "--samples", "0"], "--samples must be >= 1, got 0"),
             (["solve", "--family", "regular-tree", "--b", "2", "--depth", "2",
               "--samples", "-3"], "--samples must be >= 1, got -3"),
+            # k = kL / L has no value at L = 0
+            (["verify", "--family", "regular-tree", "--b", "2", "--kL", "1",
+              "--L", "0", "--depth", "3"], "length must be > 0"),
+            (["solve", "--family", "regular-tree", "--b", "2", "--kL", "1",
+              "--L", "0", "--depth", "3"], "length must be > 0"),
         ],
         ids=["ladder-deep", "millipede-deep", "twolen-saturated", "sweep-b0",
              "negative-schedule", "epsilon-nan", "extra-rate-nan",
@@ -270,7 +281,8 @@ class TestVerify:
              "exclusion-nan", "exclusion-inf", "energy-shift-nan",
              "grid-step-nan", "grid-stop-inf", "grid-start-nan",
              "grid-list-inf", "grid-too-large", "b-grid-fractional",
-             "samples-zero", "samples-negative"],
+             "samples-zero", "samples-negative", "kL-zero-length",
+             "kL-zero-length-solve"],
     )
     def test_numeric_failure_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -7,6 +7,7 @@ from qgdecay.graph import (
     Edge,
     FamilyParameterError,
     GraphPoint,
+    GraphValidationError,
     MetricGraph,
     Vertex,
     generate_family,
@@ -255,6 +256,34 @@ class TestConstructions:
     ):
         with pytest.raises(FamilyParameterError, match=message):
             construct("ladder", dict(params, mode=mode), 4)
+
+    @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric"])
+    @pytest.mark.parametrize("params,message", [
+        ({"w": math.inf}, "non-positive length"),
+        ({"w": 1.0, "energy": 1e17}, "V - E = 0.0 <= 0"),
+    ])
+    def test_ladder_graph_validated_in_both_modes(self, mode, params, message):
+        with pytest.raises(GraphValidationError, match=message):
+            construct("ladder", dict(params, mode=mode), 4)
+
+    @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric"])
+    def test_ladder_depth_checked_in_both_modes(self, mode):
+        with pytest.raises(FamilyParameterError, match="depth must be >= 1"):
+            construct("ladder", {"w": 1.0, "rungs": 3, "mode": mode}, 0)
+
+    def test_ladder_antisymmetric_builds_only_the_half_ladder(self, monkeypatch):
+        # the odd mode checks the ladder's params without building its
+        # 3n edges, and builds the 2n-edge half ladder once
+        built = []
+        init = MetricGraph.__init__
+
+        def counting(graph, *args, **kwargs):
+            init(graph, *args, **kwargs)
+            built.append(len(graph.edges))
+
+        monkeypatch.setattr(MetricGraph, "__init__", counting)
+        construct("ladder", {"w": 1.0, "mode": "antisymmetric"}, 5)
+        assert built == [10]
 
     def test_millipede_body_decay(self):
         f = construct("millipede", {"delta": 0.2}, 8)

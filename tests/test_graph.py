@@ -19,6 +19,7 @@ from qgdecay.graph import (
     comb,
     dijkstra,
     generate_family,
+    keyword_params,
 )
 from qgdecay.metrics import edge_action_weight
 
@@ -123,6 +124,101 @@ class TestBuildGraph:
             assert g.degree(vid) == 3
 
 
+# JSON leaves kept small: build_graph expands families, so integers, and
+# floats and words that int() accepts, stay in -2..4
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4),
+    st.sampled_from([-1.5, 0.0, 0.5, 2.0, math.inf, -math.inf, math.nan]),
+    st.sampled_from(["", "x", "2", "-1", "0.5", "nan", "regular-tree"]),
+)
+EDGE_KEYS = ["id", "tail", "head", "length", "potential"]
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.dictionaries(st.sampled_from(EDGE_KEYS), inner, max_size=4),
+    max_leaves=12,
+)
+# mostly values a family accepts, so that some documents build
+PARAM_VALUES = st.one_of(
+    st.integers(1, 4), st.floats(0.25, 3.0),
+    st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    st.lists(st.floats(0.25, 3.0), min_size=1, max_size=5).map(sorted),
+    JSON_VALUES,
+)
+
+
+@st.composite
+def spec_documents(draw):
+    """Family requests and explicit graphs, with a value of any JSON type,
+    a key left out or a key added now and then."""
+
+    def now_and_then():  # about one draw in eight
+        return draw(st.sampled_from(range(8))) == 7
+
+    def mostly(value, other):
+        return draw(other) if now_and_then() else value
+
+    if draw(st.booleans()):
+        family = draw(st.sampled_from([*FAMILIES, "regular-tree", "nope"]))
+        names = keyword_params(FAMILIES.get(family, FAMILIES["ladder"]))
+        params = {key: draw(PARAM_VALUES) for key in names if not now_and_then()}
+        doc = {
+            "family": mostly(family, JSON_LEAVES),
+            "params": mostly(params, JSON_LEAVES),
+            "depth": mostly(draw(st.integers(1, 4)), st.integers(-2, 0) | JSON_LEAVES),
+        }
+    else:
+        ints = st.integers(0, 3)
+        n = draw(st.integers(1, 4))
+        doc = {
+            "vertices": [{"id": mostly(v, JSON_VALUES)} for v in range(n)],
+            "edges": [{
+                "id": mostly(eid, JSON_VALUES),
+                "tail": mostly(draw(ints), JSON_VALUES),
+                "head": mostly(draw(ints), JSON_VALUES),
+                "length": mostly(draw(st.floats(0.5, 2.0)), JSON_VALUES),
+                "potential": mostly(draw(st.floats(0.5, 2.0)), JSON_VALUES),
+            } for eid in range(draw(st.integers(0, 4)))],
+            "root": mostly(draw(ints), JSON_LEAVES),
+            "energy": mostly(draw(st.floats(-2.0, 0.0)), JSON_LEAVES),
+        }
+    if now_and_then():
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    if now_and_then():
+        doc["extra"] = 1
+    return doc
+
+
+class TestSpecFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(spec_documents())
+    def test_builds_or_raises_a_spec_error(self, doc):
+        try:
+            graph = build_graph(doc)
+        except (GraphValidationError, FamilyParameterError):
+            return
+        assert isinstance(graph, MetricGraph)
+
+    @pytest.mark.parametrize("doc,needle", [
+        ({"family": "regular-tree", "params": {"b": [1]}, "depth": 2}, "int()"),
+        ({"family": "regular-tree", "params": {"b": 2}, "depth": None}, "int()"),
+        ({"family": "regular-tree", "params": {"b": 2, "k": {}}, "depth": 2},
+         "float()"),
+        ({"family": "ns-regular-tree", "params": {"b_seq": 2, "length_seq": [1]},
+          "depth": 1}, "not iterable"),
+        ({"family": "regular-tree", "params": {"b": "two"}, "depth": 2}, "'two'"),
+        ({"family": "regular-tree", "params": {"b": math.inf}, "depth": 2},
+         "infinity"),
+        ({"family": 5, "params": {}, "depth": 2}, "family must be a string"),
+        ({**single_edge_spec(), "energy": [1.0]}, "float()"),
+        ({**single_edge_spec(), "root": None}, "int()"),
+    ])
+    def test_wrong_json_types_are_spec_errors(self, doc, needle):
+        with pytest.raises(GraphValidationError) as exc:
+            build_graph(doc)
+        assert needle in str(exc.value)
+
+
 class TestGenerators:
     def test_regular_tree_edge_count(self):
         g = generate_family("regular_tree", {"b": 2, "length": 1.0}, depth=3)
@@ -182,6 +278,43 @@ class TestGenerators:
             (4, 1, True), (5, 2, True),
         ]
         g.validate()
+
+    # depths 1-6, and one whose ids pass 256, the largest int CPython
+    # caches: a head shares its vertex's id object only if the builder
+    # indexes one list of ids (2.2 MB of peak RSS on 32,767 edges)
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 9])
+    def test_two_lengths_tree_id_formulas(self, depth):
+        g = generate_family("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, depth)
+        assert [v.id for v in g.vertices] == list(range(2 ** (depth + 1)))
+        for v in g.vertices:
+            assert v.generation == v.id.bit_length()
+            assert v.boundary == (v.id == 0 or v.id >= 2 ** depth)
+        assert [e.id for e in g.edges] == list(range(len(g.vertices) - 1))
+        for e in g.edges:
+            assert (e.tail, e.head) == ((e.id + 1) // 2, e.id + 1)
+            assert e.length == (2.0 if e.id and e.id % 2 == 0 else 1.0)
+            assert e.generation == (e.id + 1).bit_length() - 1
+            assert e.head is g.vertices[e.head].id
+            assert e.tail is g.vertices[e.tail].id
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 200])
+    def test_ladder_id_formulas(self, depth):
+        n = depth
+        g = generate_family("ladder", {"w": 0.5}, depth)
+        assert [v.id for v in g.vertices] == list(range(2 * n + 1))
+        for v in g.vertices:
+            assert v.generation == (v.id + 1) // 2
+            assert v.boundary == (v.id == 0 or v.id >= 2 * n - 1)
+        assert [e.id for e in g.edges] == list(range(3 * n))
+        for e in g.edges[: 2 * n]:  # rails: bottom even ids, top odd ids
+            assert (e.tail, e.head) == (max(e.id - 1, 0), e.id + 1)
+            assert (e.length, e.generation) == (1.0, e.id // 2)
+        for j, e in enumerate(g.edges[2 * n:], start=1):  # rung j
+            assert (e.tail, e.head) == (2 * j - 1, 2 * j)
+            assert (e.length, e.generation) == (0.5, j)
+        for e in g.edges:
+            assert e.head is g.vertices[e.head].id
+            assert e.tail is g.vertices[e.tail].id
 
     def test_braided_theta_chain(self):
         g = generate_family(
