@@ -4,7 +4,6 @@ decay certificates checked at desk scale."""
 from .graph import (
     Edge,
     FamilyInfo,
-    GraphPoint,
     GraphValidationError,
     FamilyParameterError,
     MetricGraph,
@@ -18,8 +17,6 @@ from .metrics import (
     PathSpec,
     compute_rho_a,
     edge_action_weight,
-    eval_arc,
-    eval_rho_a,
     insert_cut_points,
 )
 from .transfer import (

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
-from .graph import Edge, GraphPoint, MetricGraph
-from .graph import build_family, comb, family_arguments, family_name, generate_family
-from .graph import keyword_params, ladder_info
+from .graph import Edge, MetricGraph
+from .graph import FamilyParameterError, build_family, comb, family_arguments
+from .graph import family_name, generate_family, keyword_params, ladder_info
 from .metrics import PathSpec
 from .transfer import (
     TransferMatrix,
@@ -156,9 +156,6 @@ class Eigenfunction:
     @property
     def solutions(self) -> Mapping[int, EdgeSolution]:
         return self._solutions
-
-    def value(self, point: GraphPoint) -> float:
-        return edge_eval(self.solutions[point.edge], point.offset)
 
     def edge_end_value(self, eid: int, vid: int) -> float:
         e = self.graph.edge_by_id[eid]
@@ -413,6 +410,8 @@ def _construct_ladder(
     name: str, params: dict, depth: int, *, mode: str = "symmetric"
 ) -> Eigenfunction:
     """The ladder's mode picks the eigenfunction, not the graph."""
+    if "rung_potential" in params:
+        raise FamilyParameterError("the ladder's mode sets its rung_potential")
     if mode == "antisymmetric":
         return _construct_ladder_antisymmetric(params, depth)
     if mode != "symmetric":

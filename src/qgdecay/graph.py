@@ -41,14 +41,6 @@ class Edge:
 
 
 @dataclass(frozen=True)
-class GraphPoint:
-    """A point on the graph: an edge id plus arc-length offset from its tail."""
-
-    edge: int
-    offset: float
-
-
-@dataclass(frozen=True)
 class FamilyInfo:
     """Generation bookkeeping for generated families.
 
@@ -98,8 +90,8 @@ class MetricGraph:
                 incidence[e.head].append(e.id)
         self.incidence = {vid: tuple(eids) for vid, eids in incidence.items()}
         self._arc: dict[int, float] | None = None
-        # metrics.compute_rho_a's table at self.energy, built on first use
-        self._rho_table = None
+        # metrics.compute_rho_a's tables by effective energy, built on first use
+        self._rho_tables: dict = {}
 
     # A graph is its own quotient: each edge and vertex is its own class
     # (see GenerationTable).

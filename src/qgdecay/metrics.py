@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Edge, GraphPoint, MetricGraph, Vertex
+from .graph import Edge, MetricGraph, Vertex
 
 CUT_POINT_REL_TOL = 1e-12
 
@@ -47,56 +47,20 @@ class AgmonMetricTable:
 def compute_rho_a(graph: MetricGraph, energy: float | None = None) -> AgmonMetricTable:
     """Single-source action-weighted shortest paths from the root.
 
-    Arc-length distances are tabulated alongside.  The table at the
-    graph's own energy is computed once per graph and shared; tables at
-    other energies are built fresh on every call.  A non-finite energy
-    raises ValueError.
+    Arc-length distances are tabulated alongside.  One table per effective
+    energy is computed per graph and shared by every later call at that
+    energy.  A non-finite energy raises ValueError.
     """
     e_eff = graph.energy if energy is None else float(energy)
     if not math.isfinite(e_eff):
         # Dijkstra never settles a vertex across a NaN weight
         raise ValueError(f"energy must be finite, got {e_eff}")
-    own = e_eff == graph.energy
-    if own and graph._rho_table is not None:
-        return graph._rho_table
-    rho = graph.distances(lambda e: edge_action_weight(e, e_eff))
-    table = AgmonMetricTable(graph, e_eff, rho, graph.arc_distances())
-    if own:
-        graph._rho_table = table
+    table = graph._rho_tables.get(e_eff)
+    if table is None:
+        rho = graph.distances(lambda e: edge_action_weight(e, e_eff))
+        table = AgmonMetricTable(graph, e_eff, rho, graph.arc_distances())
+        graph._rho_tables[e_eff] = table
     return table
-
-
-def _interp(
-    table_vals: dict[int, float],
-    edge: Edge,
-    per_length: float,
-    offset: float,
-) -> float:
-    from_tail = table_vals[edge.tail] + per_length * offset
-    from_head = table_vals[edge.head] + per_length * (edge.length - offset)
-    return min(from_tail, from_head)
-
-
-def _point_edge(table: AgmonMetricTable, point: GraphPoint) -> Edge:
-    edge = table.graph.edge_by_id.get(point.edge)
-    if edge is None:
-        raise KeyError(f"point references unknown edge {point.edge}")
-    if not (0.0 <= point.offset <= edge.length):
-        raise ValueError(f"offset {point.offset} outside edge {point.edge}")
-    return edge
-
-
-def eval_rho_a(table: AgmonMetricTable, point: GraphPoint) -> float:
-    """Action distance of an interior point: the better of the two endpoint
-    approaches.  Correct on cycle edges without pre-splitting."""
-    edge = _point_edge(table, point)
-    per_length = math.sqrt(max(edge.potential - table.energy, 0.0))
-    return _interp(table.rho, edge, per_length, point.offset)
-
-
-def eval_arc(table: AgmonMetricTable, point: GraphPoint) -> float:
-    """Arc-length distance of an interior point from the root."""
-    return _interp(table.arc, _point_edge(table, point), 1.0, point.offset)
 
 
 def insert_cut_points(graph: MetricGraph) -> MetricGraph:

@@ -39,7 +39,6 @@ from .metrics import (
 VALUE_FLOOR = 1e-300
 PLATEAU_FACTOR = 1.01
 BLOCK_EDGES = 512  # edges per array block of the sampled stages
-MARGIN_SAMPLES = 16  # per edge, at the midpoints of equal cells
 MONOTONICITY_SAMPLES = 17  # per edge, both ends included
 MONOTONICITY_REL_TOL = 1e-12
 IDENTITY_SAMPLES = 33
@@ -75,8 +74,9 @@ class Multiplier:
     """F on a graph: per-edge path prefactor times
     exp((1 - eps) * rho_a(x; E_eff) + extra_rate * arc(x)).
 
-    ``on_edge`` evaluates exactly what ``eval_rho_a`` and ``eval_arc`` give
-    at ``GraphPoint(eid, x)``, with the edge's data read once."""
+    ``on_edge`` evaluates exactly what the per-point reference in the tests
+    (``tests/points.py``: ``eval_rho_a`` and ``eval_arc`` at
+    ``GraphPoint(eid, x)``) gives, with the edge's data read once."""
 
     def __init__(
         self,
@@ -222,36 +222,25 @@ def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
 
 
 def constraint_margin(graph: MetricGraph, spec: MultiplierSpec) -> float:
-    """min over sampled points of V - E - (F'/F)^2 for F = the action-type
-    multiplier of ``spec``.  A positive return certifies the decay
-    hypothesis at the sampled resolution.  Core edges are excluded (the
-    constraint is only required outside the compact core)."""
-    table = compute_rho_a(graph, energy=spec.effective_energy(graph.energy))
-    kept = (e for e in graph.edges if e.id not in graph.core_edges)
-    steps = np.arange(MARGIN_SAMPLES) + 0.5
+    """min over non-core edges of V - E - (F'/F)^2 for F = the action-type
+    multiplier of ``spec``, inf when every edge is core; a positive return
+    certifies the decay hypothesis outside the compact core.
+
+    |rho_a'| = sqrt((V - E_eff)_+) makes (F'/F)^2 = ((1 - eps) rho_a')^2
+    constant on each edge, so no distances are needed.  An ``extra_rate``
+    would make the sign of rho_a' matter, and raises ValueError.
+    """
+    if spec.extra_rate != 0.0:
+        raise ValueError("constraint_margin needs extra_rate == 0")
+    e_eff = spec.effective_energy(graph.energy)
+    if not math.isfinite(e_eff):
+        raise ValueError(f"energy must be finite, got {e_eff}")
+    scale = 1.0 - spec.epsilon
     margin = math.inf
-    with np.errstate(all="ignore"):
-        for edges in _blocks(kept):
-            gaps = [e.potential - graph.energy for e in edges]
-            length, w, rho_tail, rho_head, arc_tail, arc_head, gap = _columns(
-                np.column_stack([_edge_rows(table, edges), gaps])
-            )
-            x = length * steps / MARGIN_SAMPLES
-            # one-sided slopes of the piecewise-linear rho and arc at x
-            rho_sign = np.where(
-                rho_tail + w * x <= rho_head + w * (length - x), 1.0, -1.0
-            )
-            arc_sign = np.where(
-                arc_tail + x <= arc_head + (length - x), 1.0, -1.0
-            )
-            slope = (
-                (1.0 - spec.epsilon) * rho_sign * w
-                + spec.extra_rate * arc_sign
-            )
-            # a running min() from inf over all edges: fmin skips NaN as min()
-            margin = float(
-                np.fmin.reduce(gap - slope * slope, axis=None, initial=margin)
-            )
+    for e in graph.edges:  # one edge per class; min() reads each once
+        if e.id not in graph.core_edges:
+            s = scale * math.sqrt(max(e.potential - e_eff, 0.0))
+            margin = min(margin, (e.potential - graph.energy) - s * s)
     return margin
 
 

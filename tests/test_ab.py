@@ -114,3 +114,12 @@ class TestSameBenchmark:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{edit} differ" in captured.err
+
+    def test_refuses_paths_of_different_lengths(self, tmp_path, capsys):
+        parent, change = checkout(tmp_path, "a"), checkout(tmp_path, "bb")
+        with pytest.raises(SystemExit) as exc:
+            ab_main(parent, change)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resolved paths differ in length" in captured.err

@@ -292,26 +292,31 @@ class TestVerify:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("multiplier,status", [("action", 1), ("path", 0)])
-    def test_one_verify_runs_dijkstra_four_times(
-        self, capsys, monkeypatch, multiplier, status
+    @pytest.mark.parametrize("shift,tables", [("0", 2), ("0.3", 3)])
+    def test_one_verify_runs_dijkstra_once_per_table(
+        self, capsys, monkeypatch, multiplier, status, shift, tables
     ):
-        # arc lengths, rho at the graph energy (shared by every reader), and
-        # rho at the two shifted energies of the constraint margin; the
-        # two-lengths tree is built as a graph (its generations differ
-        # within), and its whole-graph action certificate honestly fails
-        runs = []
+        # arc lengths and rho at the graph energy, shared by every reader,
+        # plus rho at E + shift for the report's multiplier; the constraint
+        # margin needs no table.  The two-lengths tree is built as a graph
+        # (its generations differ within), and its whole-graph action
+        # certificate honestly fails.  k = 2 keeps rho at E (weights 2L)
+        # apart from arc length
+        weight_sums = []
 
         def counting(graph, weight):
-            runs.append(len(weight))
+            weight_sums.append(sum(weight.values()))
             return dijkstra(graph, weight)
 
         monkeypatch.setattr(qgdecay.graph, "dijkstra", counting)
         code, _, _ = run(
             capsys, "verify", "--family", "two-lengths-tree", "--L1", "1",
-            "--L2", "2", "--depth", "4", "--multiplier", multiplier,
+            "--L2", "2", "--k", "2", "--depth", "4", "--multiplier", multiplier,
+            "--shift-delta", shift,
         )
         assert code == status
-        assert len(runs) == 4
+        assert len(weight_sums) == tables
+        assert len(set(weight_sums)) == tables
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--family", "regular-tree", "--b", "3", "--depth", "4"],

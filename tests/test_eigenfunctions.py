@@ -6,10 +6,10 @@ import qgdecay.eigenfunctions
 from qgdecay.graph import (
     Edge,
     FamilyParameterError,
-    GraphPoint,
     GraphValidationError,
     MetricGraph,
     Vertex,
+    build_graph,
     generate_family,
 )
 from qgdecay.eigenfunctions import (
@@ -33,6 +33,7 @@ from qgdecay.transfer import (
 )
 
 from expansion import expanded
+from points import GraphPoint, value
 
 FAMILIES = [
     ("regular_tree", {"b": 2, "length": 1.0, "k": 1.0}, 8),
@@ -117,7 +118,7 @@ class TestConstructions:
                 e.id for e in f.graph.edges if e.tail == f.graph.root
             ]
             assert all(
-                f.value(GraphPoint(eid, 0.0)) == 1.0 for eid in root_edges
+                value(f, GraphPoint(eid, 0.0)) == 1.0 for eid in root_edges
             )
 
     def test_regular_tree_eigenvalue_decay(self):
@@ -236,7 +237,7 @@ class TestConstructions:
         rails = sorted(
             (e.generation, e.id) for e in f.graph.edges if e.length == 1.0
         )
-        values = [f.value(GraphPoint(eid, 0.0)) for _, eid in rails]
+        values = [value(f, GraphPoint(eid, 0.0)) for _, eid in rails]
         for j in range(len(values) - 1):
             assert math.isclose(values[j + 1] / values[j], lam, rel_tol=1e-12)
 
@@ -267,6 +268,16 @@ class TestConstructions:
             construct("ladder", dict(params, mode=mode), 4)
 
     @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric"])
+    def test_ladder_rung_potential_rejected_in_both_modes(self, mode):
+        # the symmetric mode puts V = E on the rungs, the odd mode V = E + 1
+        params = {"w": 0.5, "rung_potential": 5.0}
+        with pytest.raises(FamilyParameterError, match="rung_potential"):
+            construct("ladder", dict(params, mode=mode), 3)
+        # the graph builder, and so a spec document, still takes it
+        g = build_graph({"family": "ladder", "params": params, "depth": 3})
+        assert [e.potential for e in g.edges if e.length == 0.5] == [5.0] * 3
+
+    @pytest.mark.parametrize("mode", ["symmetric", "antisymmetric"])
     def test_ladder_depth_checked_in_both_modes(self, mode):
         with pytest.raises(FamilyParameterError, match="depth must be >= 1"):
             construct("ladder", {"w": 1.0, "rungs": 3, "mode": mode}, 0)
@@ -291,7 +302,7 @@ class TestConstructions:
         body = sorted(
             (e.generation, e.id) for e in f.graph.edges if e.length == 2.0
         )
-        values = [f.value(GraphPoint(eid, 0.0)) for _, eid in body]
+        values = [value(f, GraphPoint(eid, 0.0)) for _, eid in body]
         for j in range(len(values) - 1):
             assert math.isclose(values[j + 1] / values[j], lam, rel_tol=1e-12)
 

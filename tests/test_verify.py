@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from qgdecay.graph import Edge, FamilyInfo, GraphPoint, MetricGraph, Vertex
+from qgdecay.graph import Edge, FamilyInfo, MetricGraph, Vertex
 import qgdecay.eigenfunctions
 import qgdecay.verify
 from qgdecay.eigenfunctions import (
@@ -16,7 +16,11 @@ from qgdecay.eigenfunctions import (
     edge_eval,
     kirchhoff_residual,
 )
-from qgdecay.metrics import compute_rho_a, eval_arc, eval_rho_a
+from qgdecay.metrics import (
+    ave_action_integral,
+    ave_branching_prefactor,
+    compute_rho_a,
+)
 from qgdecay.transfer import eig2, vertex_edge_transfer
 from qgdecay.verify import (
     BLOCK_EDGES,
@@ -32,6 +36,7 @@ from qgdecay.verify import (
 )
 
 from expansion import expanded
+from points import GraphPoint, eval_arc, eval_rho_a
 
 
 def tree(depth=8, b=2, k=1.0, length=1.0):
@@ -503,12 +508,19 @@ class TestKernelMatchesPerPointCode:
 
     @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
                              ids=KERNEL_FAMILY_IDS)
-    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_SPEC_IDS)
-    def test_constraint_margin(self, block_edges, family, params, spec):
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("shift_sign", [1, -1], ids=["up", "down"])
+    def test_constraint_margin(self, family, params, epsilon, shift_sign):
         f = construct(family, dict(params), 6)
+        spec = MultiplierSpec(epsilon=epsilon, delta=0.3, shift_sign=shift_sign)
         assert bits([constraint_margin(f.graph, spec)]) == bits(
             [per_point_margin(expanded(f).graph, spec)]
         )
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS[1:], ids=KERNEL_SPEC_IDS[1:])
+    def test_constraint_margin_rejects_extra_rate(self, spec):
+        with pytest.raises(ValueError, match="extra_rate"):
+            constraint_margin(tree(3).graph, spec)
 
     @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
                              ids=KERNEL_FAMILY_IDS)
@@ -601,6 +613,36 @@ def per_edge_average(f, y):
     return weight * total
 
 
+def per_point_averaged_rows(f, spec):
+    """The averaged report's rows from F_ave * psi_ave at each point: the
+    two F_ave factors, the per-edge average and one ``_sup_and_l2`` per
+    generation segment."""
+    graph, info = f.graph, f.graph.family_info
+    positions = info.positions
+    envelopes = [
+        min(e.potential for e in graph.edges if e.generation == g)
+        for g in range(len(positions) - 1)
+    ]
+    e_eff = spec.effective_energy(graph.energy)
+
+    def f_ave_psi(y):
+        pre = ave_branching_prefactor(
+            y, positions[1:], info.arriving, info.ongoing
+        )
+        action = ave_action_integral(y, positions[1:], envelopes, e_eff)
+        big_f = pre * math.exp(
+            (1.0 - spec.epsilon) * action + spec.extra_rate * y
+        )
+        return big_f * per_edge_average(f, y)
+
+    rows, cum = [], 0.0
+    for gen in range(len(envelopes)):
+        sup, inc = _sup_and_l2(f_ave_psi, positions[gen], positions[gen + 1])
+        cum += inc
+        rows.append(bits((gen, sup, inc, cum)))
+    return rows
+
+
 def per_vertex_residuals(f):
     interior = f.graph.interior_vertex_ids()
     return bits([
@@ -647,6 +689,21 @@ class TestDistinctEdgesMatchPerEdgeCode:
             assert averaged_wave_function(f, y).hex() == (
                 per_edge_average(expanded(f), y).hex()
             )
+
+    @pytest.mark.parametrize("family,params", AVERAGED_FAMILIES,
+                             ids=["braided", "ns-regular"])
+    @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=KERNEL_SPEC_IDS)
+    def test_averaged_decay_report_rows(self, family, params, spec):
+        f = construct(family, dict(params), 6)
+        spec = MultiplierSpec(
+            kind="averaged", delta=spec.delta, shift_sign=spec.shift_sign,
+            epsilon=spec.epsilon, extra_rate=spec.extra_rate,
+        )
+        got = [
+            bits((r.generation, r.sup_F_psi, r.l2_increment, r.l2_cumulative))
+            for r in decay_report(f, spec).rows
+        ]
+        assert got == per_point_averaged_rows(expanded(f), spec)
 
     @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
                              ids=KERNEL_FAMILY_IDS)

@@ -20,7 +20,9 @@ run; ``within bound`` otherwise.
 
 Both sides must run the same benchmark: it refuses to start when
 ``BENCHMARK.json`` or a file under ``bench/`` (``__pycache__`` aside)
-differs between the checkouts.
+differs between the checkouts.  It also refuses checkouts whose resolved
+paths differ in length, as ``peak_rss_mb`` steps by about 1 MB with that
+length alone.
 """
 
 from __future__ import annotations
@@ -113,6 +115,11 @@ def main(argv: list[str] | None = None) -> int:
     if differing:
         parser.error("the checkouts run different benchmarks: "
                      + ", ".join(differing) + " differ")
+    lengths = [len(str(path.resolve())) for path in (args.parent, args.change)]
+    if lengths[0] != lengths[1]:
+        parser.error("the checkouts' resolved paths differ in length "
+                     f"({lengths[0]} and {lengths[1]} characters), which "
+                     "moves peak_rss_mb")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
 
