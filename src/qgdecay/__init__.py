@@ -53,7 +53,6 @@ from .verify import (
     fit_decay_rate,
     identity_check,
     monotonicity_check,
-    vertex_samples,
 )
 
 __version__ = "0.1.0"

@@ -139,7 +139,7 @@ class Multiplier:
 # vertex, a GenerationTable one per generation).  Each class is
 # evaluated once, as every member evaluates bit for bit alike.  Maxima,
 # minima and first failures read each class once; sums replay their
-# additions in order (repeated_sum), and fits repeat each class's sample.
+# additions in order (repeated_sum), and fits weight each class's sample.
 #
 # The sampled stages run on blocks of BLOCK_EDGES edges as (edges x samples)
 # arrays, with the per-point code's float operations in its order, so their
@@ -367,9 +367,7 @@ def _fit_tail_ratio(increments: list[float]) -> float:
     if len(pts) < 2:
         return 0.0
     ns = np.array([n for n, _ in pts], dtype=float)
-    logs = np.log([inc for _, inc in pts])
-    slope = np.polyfit(ns, logs, 1)[0]
-    return float(math.exp(slope))
+    return math.exp(_slope(ns, np.log([inc for _, inc in pts])))
 
 
 def _plateau(sups: list[float]) -> bool:
@@ -380,19 +378,10 @@ def _plateau(sups: list[float]) -> bool:
 
 
 def _slope_log_psi_vs_rho(f: Eigenfunction) -> float:
-    rho = compute_rho_a(f.graph).rho
-    xs, ys, counts = [], [], []
-    vids, values = f.interior_values()
-    for vid, value in zip(vids, values.tolist()):
-        val = abs(value)
-        if val > VALUE_FLOOR:
-            xs.append(rho[vid])
-            ys.append(math.log(val))
-            counts.append(f.graph.vertex_count(vid))
-    xs, ys = np.repeat(xs, counts), np.repeat(ys, counts)
-    if len(xs) < 2 or np.ptp(xs) == 0.0:
+    xs, ys, counts = _vertex_fit(f, compute_rho_a(f.graph).rho)
+    if counts.sum() < 2 or np.ptp(xs) == 0.0:
         return 0.0
-    return float(np.polyfit(xs, ys, 1)[0])
+    return _slope(xs, ys, counts)
 
 
 def decay_report(
@@ -512,36 +501,38 @@ def _unit_sups_and_l2(
 # ---------------------------------------------------------------------------
 
 
-def vertex_samples(f: Eigenfunction) -> tuple[np.ndarray, np.ndarray]:
-    """Arc distances and psi values at every interior vertex, in vertex-id
-    order: each vertex class's sample repeated for its vertices."""
-    arc = f.graph.arc_distances()
+def _slope(xs: np.ndarray, ys: np.ndarray, counts=None) -> float:
+    """Least-squares slope of ``ys`` against ``xs``, point i counted
+    ``counts[i]`` times."""
+    w = None if counts is None else np.sqrt(counts)
+    return float(np.polyfit(xs, ys, 1, w=w)[0])
+
+
+def _vertex_fit(f: Eigenfunction, dist: dict) -> tuple[np.ndarray, ...]:
+    """(dist, log |psi|, vertex count) per run of equal samples at the
+    interior vertices with |psi| > VALUE_FLOOR, so a built graph, which
+    lists each generation's vertices in a row, gives its quotient's points."""
     vids, values = f.interior_values()
-    order = np.argsort(vids, kind="stable")
-    counts = np.array([f.graph.vertex_count(vid) for vid in vids], dtype=int)
-    return (np.repeat(np.array([arc[vid] for vid in vids])[order], counts[order]),
-            np.repeat(values[order], counts[order]))
-
-
-def fit_decay_rate(
-    f: Eigenfunction, samples: Sequence[tuple[float, float]] | None = None
-) -> float:
-    """Least-squares slope of log |psi| against arc distance.
-
-    ``samples`` are (arc, value) pairs; they default to the interior vertex
-    values, where transfer-matrix decay is exact.
-    """
-    if samples is None:
-        xs, values = vertex_samples(f)
-    else:
-        xs, values = np.array(samples, dtype=float).reshape(-1, 2).T
     keep = np.abs(values) > VALUE_FLOOR
-    if np.count_nonzero(keep) < 2:
+    xs = np.fromiter(map(dist.__getitem__, vids), float)[keep]
+    ys = np.log(np.abs(values[keep]))
+    # float: a wide generation holds more vertices than an int64
+    counts = np.fromiter(map(f.graph.vertex_count, vids), float)[keep]
+    new = np.ones(len(xs), dtype=bool)
+    new[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
+    starts = np.flatnonzero(new)
+    return xs[starts], ys[starts], np.add.reduceat(counts, starts)
+
+
+def fit_decay_rate(f: Eigenfunction) -> float:
+    """Least-squares slope of log |psi| against arc distance over the
+    interior vertices, where transfer-matrix decay is exact."""
+    xs, ys, counts = _vertex_fit(f, f.graph.arc_distances())
+    if counts.sum() < 2:
         raise ValueError("degenerate sample set: need >= 2 nonzero samples")
-    xs, ys = xs[keep], np.log(np.abs(values[keep]))
     if np.ptp(xs) == 0.0:
         raise ValueError("degenerate sample set: all samples at one distance")
-    return float(np.polyfit(xs, ys, 1)[0])
+    return _slope(xs, ys, counts)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from qgdecay.cli import _build_parser, _family_params
 from qgdecay.graph import Edge, FamilyInfo, MetricGraph, Vertex
 import qgdecay.eigenfunctions
 import qgdecay.verify
@@ -26,6 +28,7 @@ from qgdecay.verify import (
     BLOCK_EDGES,
     Multiplier,
     MultiplierSpec,
+    _slope_log_psi_vs_rho,
     _sup_and_l2,
     constraint_margin,
     continuity_and_kirchhoff,
@@ -35,8 +38,9 @@ from qgdecay.verify import (
     monotonicity_check,
 )
 
-from expansion import expanded
+from expansion import expanded, vertex_fit_slopes
 from points import GraphPoint, eval_arc, eval_rho_a
+from test_quotient import DEPTHS, FAMILIES
 
 
 def tree(depth=8, b=2, k=1.0, length=1.0):
@@ -279,9 +283,67 @@ class TestFitDecayRate:
         assert -rate > 1.0
 
     def test_degenerate_samples_raise(self):
-        f = tree(4)
-        with pytest.raises(ValueError, match="degenerate"):
-            fit_decay_rate(f, samples=[(0.0, 0.0), (1.0, 0.0)])
+        f = construct("regular_tree", {"b": 2}, 1)
+        with pytest.raises(ValueError, match="need >= 2 nonzero samples"):
+            fit_decay_rate(f)
+        f = construct("braided", {"b_seq": [2], "a_seq": [2, 2],
+                                  "v_seq": [1, 2], "root_edges": 4}, 2)
+        with pytest.raises(ValueError, match="all samples at one distance"):
+            fit_decay_rate(f)
+
+
+def fit_cases():
+    parser = _build_parser()
+    for name, flags in FAMILIES.items():
+        for depth in DEPTHS:
+            args = parser.parse_args(
+                ["verify", "--family", *flags, "--depth", str(depth)]
+            )
+            yield pytest.param(_family_params(args), id=f"{name}-{depth}")
+    for mode in ("symmetric", "antisymmetric"):
+        yield pytest.param(("ladder", {"w": 1.0, "mode": mode}, 6),
+                           id=f"ladder-{mode}-6")
+    yield pytest.param(("millipede", {"delta": 0.1}, 6), id="millipede-6")
+    yield pytest.param(("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 6),
+                       id="two-lengths-6")
+
+
+class TestVertexFits:
+    """The fits weight each distinct vertex sample by the vertices it
+    stands for; the per-vertex fit on the built graph is the reference."""
+
+    @pytest.mark.parametrize("args", fit_cases())
+    def test_match_per_vertex_fit(self, args):
+        f = construct(*args)
+        arc_slope, rho_slope = vertex_fit_slopes(f)
+        if arc_slope is None:
+            with pytest.raises(ValueError, match="degenerate sample set"):
+                fit_decay_rate(f)
+        else:
+            assert math.isclose(fit_decay_rate(f), arc_slope, rel_tol=1e-12)
+        if rho_slope is None:
+            assert _slope_log_psi_vs_rho(f) == 0.0
+        else:
+            assert math.isclose(
+                _slope_log_psi_vs_rho(f), rho_slope, rel_tol=1e-12
+            )
+
+    @pytest.mark.parametrize("depth", [6, 40])
+    def test_wide_tree_costs_no_memory_per_vertex(self, depth):
+        # 1.1e6 interior vertices at depth 6, 1.1e40 at depth 40
+        f = construct("regular_tree", {"b": 10}, depth)
+        f.graph.arc_distances()
+        f.interior_values()
+        want = math.log(eig2(vertex_edge_transfer(1.0, 1.0 / 10)).lam_small)
+        tracemalloc.start()
+        try:
+            rates = fit_decay_rate(f), _slope_log_psi_vs_rho(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for rate in rates:
+            assert math.isclose(rate, want, rel_tol=1e-12)
+        assert peak < 64 * 1024
 
 
 class TestIdentityCheck:
