@@ -11,6 +11,7 @@ leaves, where the infinite-graph solution is simply cut off.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
@@ -32,7 +33,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DERIV_FLOOR = 1e-300
-REPEAT_CHUNK = 4096  # additions per np.add.accumulate in repeated_sum
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,21 +58,40 @@ def _numpy():
     return numpy
 
 
+def _binade(x: float) -> tuple[bool, int] | None:
+    """Sign and exponent of a finite nonzero x."""
+    return (x > 0.0, math.frexp(x)[1]) if math.isfinite(x) and x else None
+
+
 def repeated_sum(start: float, x: float, n: int) -> float:
     """``start + x + ... + x`` with ``n`` additions, left to right: bit for
-    bit a loop of ``+=``, replayed by np.add.accumulate in chunks that carry
-    the running value, so no array of ``n`` floats is built."""
+    bit a loop of ``+=``.  Inside a binade all additions but the first (a
+    tie goes by parity) add the same d; after two equal ones the sum jumps
+    to s + m * d, exact on the binade's grid: O(binades) additions."""
     if n == 1:
         return start + x
-    np = _numpy()
-    chunk = np.full(min(n, REPEAT_CHUNK) + 1, x)
+    s, run = start, None  # (binade, increment) of the last addition
     while n > 0:
-        m = min(n, REPEAT_CHUNK)
-        chunk[0] = start
-        with np.errstate(all="ignore"):  # overflow reads inf, as += gives
-            start = float(np.add.accumulate(chunk[: m + 1])[-1])
-        n -= m
-    return start
+        t = s + x
+        n -= 1
+        if struct.pack("<d", t) == struct.pack("<d", s):  # a fixed point
+            return t
+        binade = _binade(s)
+        d = t - s if binade is not None and binade == _binade(t) else None
+        if d is not None and run == (binade, d):
+            u = math.ulp(t)
+            e, ue = binade[1], math.frexp(u)[1] - 1  # |t| < 2**e, u = 2**ue
+            at, step = int(abs(t) / u), int(abs(d) / u)
+            room = (
+                (1 << (e - ue)) - 1 - at if (t > 0.0) == (d > 0.0)
+                else at - (1 << (e - 1 - ue)) - 1
+            )
+            m = min(n, max(0, room // step))
+            t += m * d
+            n -= m
+        run = None if d is None else (binade, d)
+        s = t
+    return s
 
 
 def edge_eval(sol: EdgeSolution, x: float) -> float:

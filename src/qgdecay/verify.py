@@ -6,7 +6,7 @@ sups must plateau (bounded by 1.01 times their early maximum), and the
 per-generation increments of the multiplied L2 sum must fit a geometric
 ratio below 1.  Alongside these live the pointwise constraint margin for
 the multiplier, a finite-difference check of the product-derivative
-identity, decay-rate fitting, and monotonicity scans.
+identity, decay-rate fitting, and an exact monotonicity test.
 """
 
 from __future__ import annotations
@@ -14,22 +14,21 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .eigenfunctions import (
+    EdgeSolution,
     Eigenfunction,
     averaged_wave_function,
     canonical_path,
     repeated_sum,
 )
-from .graph import Edge, MetricGraph
+from .graph import MetricGraph
 from .metrics import (
-    AgmonMetricTable,
     PathSpec,
     ave_action_integral,
     ave_branching_prefactor,
@@ -38,9 +37,7 @@ from .metrics import (
 
 VALUE_FLOOR = 1e-300
 PLATEAU_FACTOR = 1.01
-BLOCK_EDGES = 512  # edges per array block of the sampled stages
-MONOTONICITY_SAMPLES = 17  # per edge, both ends included
-MONOTONICITY_REL_TOL = 1e-12
+ROUNDING_ULPS = 4  # a sum's sign counts beyond this many ulps of its terms
 IDENTITY_SAMPLES = 33
 
 
@@ -117,92 +114,90 @@ class Multiplier:
 
         return big_f
 
-    def on_edges(
-        self, rows: np.ndarray, x: np.ndarray, overflow: np.ndarray
-    ) -> np.ndarray:
-        """``on_edge`` at offsets ``x[i, j]`` along the edge of ``rows[i]``
-        (``_edge_rows`` and the path prefactor), bit for bit; exp overflows
-        are flagged in ``overflow``."""
-        spec = self.spec
-        length, w, rho_tail, rho_head, arc_tail, arc_head, pre = _columns(rows)
-        expo = (1.0 - spec.epsilon) * _min(
-            rho_tail + w * x, rho_head + w * (length - x)
-        )
+    def pieces(self, eid: int) -> list[tuple[float, float, float]]:
+        """(x0, x1, c) per piece of edge ``eid`` where log F has slope c:
+        cut where rho_a or arc switches from the tail's to the head's."""
+        table, spec = self.table, self.spec
+        e = table.graph.edge_by_id[eid]
+        length = e.length
+        # (distances, their slope along the edge, weight in log F)
+        lines = [(table.rho, math.sqrt(max(e.potential - table.energy, 0.0)),
+                  1.0 - spec.epsilon)]
         if spec.extra_rate != 0.0:
-            expo += spec.extra_rate * _min(arc_tail + x, arc_head + (length - x))
-        return pre * _libm(math.exp, expo, overflow)
+            lines.append((table.arc, 1.0, spec.extra_rate))
+        cuts = [(d[e.head] - d[e.tail] + w * length) / (2 * w)
+                for d, w, _ in lines if w > 0.0]
+        xs = sorted({0.0, length, *(x for x in cuts if 0.0 < x < length)})
+
+        def slope(x: float) -> float:
+            return sum(
+                c * (w if d[e.tail] + w * x <= d[e.head] + w * (length - x) else -w)
+                for d, w, c in lines
+            )
+
+        return [(x0, x1, slope(0.5 * (x0 + x1))) for x0, x1 in zip(xs, xs[1:])]
 
 
 # The stages read the eigenfunction's graph by classes: one representative
 # edge or vertex per class, which stands for ``edge_count`` or
-# ``vertex_count`` of them (a built graph gives one class per edge and
-# vertex, a GenerationTable one per generation).  Each class is
-# evaluated once, as every member evaluates bit for bit alike.  Maxima,
+# ``vertex_count`` of them (one per edge and vertex of a built graph, one per
+# generation of a GenerationTable), evaluated once in closed form.  Maxima,
 # minima and first failures read each class once; sums replay their
 # additions in order (repeated_sum), and fits weight each class's sample.
-#
-# The sampled stages run on blocks of BLOCK_EDGES edges as (edges x samples)
-# arrays, with the per-point code's float operations in its order, so their
-# results are bitwise those of on_edge, edge_eval and _sup_and_l2.
 
 
-def _blocks(items: Iterable) -> Iterator[list]:
-    it = iter(items)
-    while block := list(itertools.islice(it, BLOCK_EDGES)):
-        yield block
+def _terms(sol: EdgeSolution, x: float) -> tuple[tuple[float, ...], ...]:
+    """The terms of psi and psi'/k (psi' if k = 0) at x, as edge_eval and
+    edge_deriv sum them."""
+    if sol.k == 0.0:
+        return (sol.A, sol.B * x), (sol.B,)
+    c, s = math.cosh(sol.k * x), math.sinh(sol.k * x)
+    return (sol.A * c, sol.B * s), (sol.A * s, sol.B * c)
 
 
-def _columns(rows: np.ndarray) -> np.ndarray:
-    """The columns of (n, m) ``rows`` as m arrays of shape (n, 1)."""
-    return rows.T[:, :, None]
+def _moments(z: float) -> tuple[float, ...]:
+    """Integrals of t^n e^{z t} over [0, 1], n = 0, 1, 2 (series below
+    |z| = 1, where closed forms cancel)."""
+    if abs(z) < 1.0:
+        return tuple(math.fsum(z**j / (math.factorial(j) * (n + j + 1))
+                               for j in range(20)) for n in range(3))
+    e, m0 = math.exp(z), math.expm1(z) / z
+    m1 = (e - m0) / z
+    return m0, m1, (e - 2.0 * m1) / z
 
 
-def _edge_rows(table: AgmonMetricTable, edges: list[Edge]) -> np.ndarray:
-    """Rows L, sqrt((V - E)_+), rho and arc at tail and head."""
-    rho, arc = table.rho, table.arc
-    return np.array([
-        (e.length, math.sqrt(max(e.potential - table.energy, 0.0)),
-         rho[e.tail], rho[e.head], arc[e.tail], arc[e.head])
-        for e in edges
-    ], dtype=float)
-
-
-def _solution_rows(f: Eigenfunction, eids: Iterable[int]) -> np.ndarray:
-    """Rows A, B, k of the solutions on edges ``eids``."""
-    sols = [f.solutions[eid] for eid in eids]
-    return np.array([(s.A, s.B, s.k) for s in sols], dtype=float)
-
-
-def _min(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """min(a, b) elementwise by Python's rule: a unless b < a."""
-    return np.where(b < a, b, a)
-
-
-def _libm(fn: Callable, a: np.ndarray, overflow: np.ndarray) -> np.ndarray:
-    """``fn`` from ``math`` on each element, as numpy's ufuncs differ from
-    libm in the last bit for some inputs; overflows read inf and are
-    flagged in ``overflow``."""
-    flat = memoryview(a.ravel())  # yields one Python float at a time
-    try:
-        out = np.fromiter(map(fn, flat), float, a.size)
-    except OverflowError:
-        out = np.empty(a.size)
-        for i, value in enumerate(flat):
-            try:
-                out[i] = fn(value)
-            except OverflowError:
-                out[i] = math.inf
-                overflow.flat[i] = True
-    return out.reshape(a.shape)
-
-
-def _psi(rows: np.ndarray, x: np.ndarray, overflow: np.ndarray) -> np.ndarray:
-    """``edge_eval`` at offsets ``x[i, j]`` on the solution of ``rows[i]``
-    (from ``_solution_rows``), bit for bit."""
-    a, b, k = _columns(rows)
-    kx = k * x
-    cosh, sinh = _libm(math.cosh, kx, overflow), _libm(math.sinh, kx, overflow)
-    return np.where(k == 0.0, a + b * x, a * cosh + b * sinh)
+def _edge_sup_and_l2(
+    mult: Multiplier, eid: int, sol: EdgeSolution
+) -> tuple[float, float]:
+    """Sup of |F psi| and integral of (F psi)^2 over edge ``eid``.  On a
+    piece F psi = p e^{(c+k)u} + q e^{(c-k)u}, u = x - x0 ((a + b u) e^{cu}
+    if k = 0): its sup is at an end or its one critical point."""
+    big_f, k = mult.on_edge(eid), sol.k
+    sup = l2 = 0.0
+    for x0, x1, c in mult.pieces(eid):
+        h, f0 = x1 - x0, big_f(x0)
+        crit = None  # u at the critical point
+        exp_integral = lambda r: h if r == 0.0 else math.expm1(r * h) / r
+        if k == 0.0:
+            a, b = f0 * (sol.A + sol.B * x0), f0 * sol.B
+            if b != 0.0 and c != 0.0:
+                crit = -(a / b + 1.0 / c)
+            m0, m1, m2 = _moments(2.0 * c * h)
+            l2 += h * (a * a * m0 + h * (2.0 * a * b * m1 + h * b * b * m2))
+        else:
+            p = f0 * (0.5 * (sol.A + sol.B)) * math.exp(k * x0)
+            q = f0 * (0.5 * (sol.A - sol.B)) * math.exp(-k * x0)
+            ratio = (k - c) * q / ((c + k) * p) if p * (c + k) else 0.0
+            if ratio > 0.0:
+                crit = math.log(ratio) / (2.0 * k)
+            l2 += (
+                p * p * exp_integral(2.0 * (c + k))
+                + 2.0 * p * q * exp_integral(2.0 * c)
+                + q * q * exp_integral(2.0 * (c - k))
+            )
+        xs = (x0, x1) if crit is None or not 0.0 < crit < h else (x0, x1, x0 + crit)
+        sup = max(sup, *(abs(big_f(x) * sum(_terms(sol, x)[0])) for x in xs))
+    return sup, l2
 
 
 def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
@@ -321,43 +316,6 @@ def _sup_and_l2(
     return sup, float(total * half)
 
 
-def _edge_sups_and_l2(
-    f: Eigenfunction, mult: Multiplier, eids: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_sup_and_l2`` of on_edge * edge_eval over [0, L] of each edge, bit
-    for bit, and whether any of the edge's samples overflowed."""
-    nodes, weights = _gauss()
-    keys = np.column_stack([
-        _edge_rows(mult.table, [f.graph.edge_by_id[eid] for eid in eids]),
-        [mult.prefactor.get(eid, 1.0) for eid in eids],
-        _solution_rows(f, eids),
-    ])
-    lo = 0.0
-    hi = keys[:, :1]  # L
-    half = (hi - lo) / 2.0
-    x = np.hstack([
-        np.full_like(hi, lo),
-        hi,
-        lo + (hi - lo) * np.arange(1, 17) / 17.0,
-        lo + half * (nodes + 1.0),
-    ])
-    overflow = np.zeros(x.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        g = mult.on_edges(keys[:, :7], x, overflow) * _psi(
-            keys[:, 7:], x, overflow
-        )
-        sup_g = np.abs(g[:, :18])
-        sup = sup_g[:, 0]
-        for j in range(1, 18):  # max(): only a greater value replaces
-            sup = np.where(sup_g[:, j] > sup, sup_g[:, j], sup)
-        total = np.zeros(len(keys))
-        for j, wt in enumerate(weights):
-            v = g[:, 18 + j]
-            total = total + wt * v * v
-    l2 = total * half[:, 0]
-    return sup, l2, overflow.any(axis=1)
-
-
 def _fit_tail_ratio(increments: list[float]) -> float:
     usable = [
         (n, inc) for n, inc in enumerate(increments) if inc > VALUE_FLOOR
@@ -399,7 +357,14 @@ def decay_report(
     """
     sup_by_gen: dict[int, float] = {}
     inc_by_gen: dict[int, float] = {}
-    for gen, sup, inc, count in _unit_sups_and_l2(f, spec, path):
+    for gen, count, unit in _units(f, spec, path):
+        try:
+            sup, inc = unit()
+        except OverflowError:  # at the first such unit, in order
+            raise ValueError(
+                f"{spec.kind} multiplier times psi overflows a float at "
+                f"generation {gen}; try a smaller --depth"
+            ) from None
         sup_by_gen[gen] = max(sup_by_gen.get(gen, 0.0), sup)
         inc_by_gen[gen] = repeated_sum(inc_by_gen.get(gen, 0.0), inc, count)
     gens = sorted(sup_by_gen)
@@ -437,35 +402,22 @@ def decay_report(
     )
 
 
-def _overflow_error(spec: MultiplierSpec, gen: int) -> ValueError:
-    return ValueError(
-        f"{spec.kind} multiplier times psi overflows a float at "
-        f"generation {gen}; try a smaller --depth"
-    )
-
-
-def _unit_sups_and_l2(
+def _units(
     f: Eigenfunction, spec: MultiplierSpec, path: PathSpec | None
-) -> Iterator[tuple[int, float, float, int]]:
-    """(generation, sup of |g|, L2 increment of g, units alike) for each
-    class of units the report sums, in order: g = F * psi on [0, L] of
-    every edge class of ``f`` (kind "action") or of each path edge
-    (kind "path"), g = F_ave * averaged psi on [v_g, v_{g+1}] (kind
-    "averaged")."""
+) -> Iterator[tuple[int, int, Callable[[], tuple[float, float]]]]:
+    """(generation, units alike, () -> (sup |g|, L2 increment of g)) per
+    class of units the report sums: g = F * psi on every edge
+    class (kind "action") or path edge (kind "path"), or F_ave * averaged
+    psi on [v_g, v_{g+1}] (kind "averaged")."""
     graph = f.graph
     if spec.kind != "averaged":
         if spec.kind == "path" and path is None:
             path = canonical_path(f)
         mult = Multiplier(graph, spec, path)
-        for eids in _blocks(path.edges if spec.kind == "path" else f.solutions):
-            gens = [int(graph.edge_by_id[eid].generation) for eid in eids]
-            counts = [
-                1 if spec.kind == "path" else graph.edge_count(eid) for eid in eids
-            ]
-            sups, incs, overflow = _edge_sups_and_l2(f, mult, eids)
-            if overflow.any():  # the first such edge in pool order
-                raise _overflow_error(spec, gens[int(overflow.argmax())])
-            yield from zip(gens, sups.tolist(), incs.tolist(), counts)
+        for eid in path.edges if spec.kind == "path" else f.solutions:
+            count = 1 if spec.kind == "path" else graph.edge_count(eid)
+            yield (int(graph.edge_by_id[eid].generation), count,
+                   functools.partial(_edge_sup_and_l2, mult, eid, f.solutions[eid]))
         return
 
     info = graph.family_info
@@ -489,11 +441,9 @@ def _unit_sups_and_l2(
         return big_f * averaged_wave_function(f, y)
 
     for g in range(len(envelopes)):
-        try:
-            sup, inc = _sup_and_l2(f_ave_psi, positions[g], positions[g + 1])
-        except OverflowError:
-            raise _overflow_error(spec, g) from None
-        yield g, sup, inc, 1
+        yield g, 1, functools.partial(
+            _sup_and_l2, f_ave_psi, positions[g], positions[g + 1]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -584,61 +534,81 @@ class MonotonicityResult:
         return self.ok
 
 
+def _signs(sol: EdgeSolution, x: float) -> list[float]:
+    """Signs of psi and psi' at x, 0 within ROUNDING_ULPS of their terms."""
+    try:
+        terms = _terms(sol, x)
+    except OverflowError:
+        terms = ((math.inf,),)
+    sizes = [sum(map(abs, t)) for t in terms]
+    if not math.isfinite(sum(sizes)):
+        raise OverflowError(f"at x={x}")
+    tol = ROUNDING_ULPS * math.ulp(1.0)
+    return [0.0 if abs(sum(t)) <= tol * size else math.copysign(1.0, sum(t))
+            for t, size in zip(terms, sizes)]
+
+
+def _rise(sol: EdgeSolution, forward: bool) -> float | None:
+    """Where |psi| stops falling as distance grows (with x if ``forward``),
+    or None.  psi'/psi is monotone on an edge, so |psi| falls exactly when
+    psi psi' <= 0 at both ends and psi keeps its sign."""
+    near, far = (0.0, sol.length) if forward else (sol.length, 0.0)
+    way = 1.0 if forward else -1.0
+    (psi0, d0), (psi1, d1) = _signs(sol, near), _signs(sol, far)
+    if way * psi0 * d0 > 0.0:
+        return near
+    if psi0 * psi1 < 0.0:  # at the zero
+        num, den = sol.A, sol.B
+    elif way * psi1 * d1 > 0.0:
+        if sol.k == 0.0:  # psi' = B: no minimum
+            return near
+        num, den = sol.B, sol.A  # at the minimum
+    else:
+        return None
+    try:
+        x = -num / den if sol.k == 0.0 else math.atanh(-num / den) / sol.k
+    except (ZeroDivisionError, ValueError):  # off the edge by rounding
+        return near
+    return max(0.0, x) if 0.0 <= x <= sol.length else near  # not -0.0
+
+
 def monotonicity_check(
     f: Eigenfunction,
     exclusion_radius: float = 0.0,
     edges: Sequence[int] | None = None,
 ) -> MonotonicityResult:
-    """Scan |psi| along every distance-oriented edge beyond the exclusion
-    radius for non-increase.  For the odd ladder mode the rung halves decay
-    into their reflection-axis zero, which is additionally verified.
+    """Test |psi| along every distance-oriented edge beyond the exclusion
+    radius for non-increase (``_rise``).  For the odd ladder mode the rung
+    halves decay into their reflection-axis zero, which is additionally
+    verified.
 
-    ``edges`` restricts the scan (e.g. to one certified path); default is
+    ``edges`` restricts the test (e.g. to one certified path); default is
     the whole graph.
     """
     arc = f.graph.arc_distances()
-    scale = max(abs(sol.A) + abs(sol.B) for sol in f.solutions.values())
     pool = (
         f.graph.edges
         if edges is None
         else [f.graph.edge_by_id[eid] for eid in edges]
     )
-    kept = (
-        e
-        for e in sorted(pool, key=lambda e: e.id)
-        if not min(arc[e.tail], arc[e.head]) < exclusion_radius - 1e-12
-    )
-    frac = np.array([
-        i / (MONOTONICITY_SAMPLES - 1) for i in range(MONOTONICITY_SAMPLES)
-    ])
-    for edges in _blocks(kept):
-        forward, length = _columns(np.array(
-            [(arc[e.head] >= arc[e.tail], e.length) for e in edges], dtype=float
-        ))
-        x = length * np.where(forward != 0.0, frac, 1.0 - frac)
-        overflow = np.zeros(x.shape, dtype=bool)
-        with np.errstate(all="ignore"):
-            val = np.abs(_psi(_solution_rows(f, (e.id for e in edges)), x, overflow))
-            stop = overflow.copy()
-            stop[:, 1:] |= val[:, 1:] > (
-                val[:, :-1] * (1 + MONOTONICITY_REL_TOL)
-                + MONOTONICITY_REL_TOL * scale
-            )
-        # the first overflow or increase, by edge id and then by sample
-        if stop.any():
-            i, j = np.unravel_index(stop.argmax(), stop.shape)
-            eid, at = edges[i].id, float(x[i, j])
-            if overflow[i, j]:
-                raise OverflowError(
-                    f"|psi| overflows a float along edge {eid} at x={at}"
-                )
+    for e in sorted(pool, key=lambda e: e.id):
+        if min(arc[e.tail], arc[e.head]) < exclusion_radius - 1e-12:
+            continue
+        try:
+            at = _rise(f.solutions[e.id], arc[e.head] >= arc[e.tail])
+        except OverflowError as exc:
+            raise OverflowError(
+                f"|psi| overflows a float along edge {e.id} {exc}"
+            ) from None
+        if at is not None:
             return MonotonicityResult(
                 False,
-                edge=eid,
+                edge=e.id,
                 offset=at,
-                detail=f"|psi| increases along edge {eid} at x={at}",
+                detail=f"|psi| increases along edge {e.id} at x={at}",
             )
     if f.mode == "antisymmetric":
+        scale = max(abs(sol.A) + abs(sol.B) for sol in f.solutions.values())
         for vid in f.meta.get("rung_midpoints", []):
             val = abs(f.vertex_value(vid))
             if val > 1e-10 * scale:

@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import hashlib
+import io
 import heapq
 import json
 import math
@@ -7,6 +9,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qgdecay.cli
 import qgdecay.eigenfunctions
@@ -291,6 +294,36 @@ class TestVerify:
         assert err.startswith("error: " + message)
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("depth,code", [(10, 0), (20, 1)])
+    def test_alternating_ns_tree_stops_decaying(self, capsys, depth, code):
+        # the construction's seed excites the growing mode, which overtakes
+        # the decaying one near generation 17; |psi| first rises inside the
+        # first generation class whose psi' turns positive at its far end
+        argv = ["--family", "ns-regular-tree",
+                "--b-seq", ",".join(["2", "3"] * 12),
+                "--length-seq", ",".join(["1.0", "0.7"] * 13),
+                "--depth", str(depth)]
+        got, out, _ = run(capsys, "verify", *argv)
+        assert got == code
+        mono = json.loads(out)["monotonicity"]
+        f = qgdecay.eigenfunctions.construct(
+            *qgdecay.cli._family_params(qgdecay.cli._build_parser().parse_args(
+                ["verify", *argv]
+            ))
+        )
+        rising = [
+            e.id for e in f.graph.edges
+            if qgdecay.eigenfunctions.edge_deriv(f.solutions[e.id], e.length) > 0.0
+        ]
+        if depth == 10:
+            assert mono == {"ok": True, "detail": ""} and not rising
+        else:
+            assert f.graph.edge_by_id[rising[0]].generation == 18
+            assert not mono["ok"]
+            assert mono["detail"].startswith(
+                f"|psi| increases along edge {rising[0]} at x="
+            )
+
     @pytest.mark.parametrize("multiplier,status", [("action", 1), ("path", 0)])
     @pytest.mark.parametrize("shift,tables", [("0", 2), ("0.3", 3)])
     def test_one_verify_runs_dijkstra_once_per_table(
@@ -407,13 +440,14 @@ class TestVerify:
     def test_one_verify_evaluates_psi_per_vertex_not_per_point(
         self, capsys, monkeypatch
     ):
-        # the sampled stages run as array kernels on one edge per
-        # generation; pointwise evaluations remain for the vertex values
-        # that both fits read (6 interior vertex generations), the identity
-        # check (198) and the vertex residuals (6 generations x 2 incident
-        # edge classes).  Per-vertex fits and residuals would add 297 (513
-        # in all), and per-point sampling 51 per edge (34 in the decay
-        # report, 17 in the monotonicity scan): 6,477 on these 127 edges.
+        # the decay report and the monotonicity test are closed forms on
+        # one edge per generation, which call no edge_eval; pointwise
+        # evaluations remain for the vertex values that both fits read (6
+        # interior vertex generations), the identity check (198) and the
+        # vertex residuals (6 generations x 2 incident edge classes).
+        # Per-vertex fits and residuals would add 297 (513 in all), and
+        # per-point sampling 51 per edge (34 in the decay report, 17 in the
+        # monotonicity scan): 6,477 on these 127 edges.
         calls = []
 
         def counting(sol, x):
@@ -590,3 +624,85 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract over generated verify argvs
+# ---------------------------------------------------------------------------
+
+
+def _number(lo, hi):
+    return st.floats(lo, hi, allow_nan=False).map(repr)
+
+
+def _sequence(elements, size):
+    return st.lists(elements, min_size=size, max_size=size + 1).map(",".join)
+
+
+@st.composite
+def verify_argvs(draw):
+    """A verify argv: any family at depth 1-6 with any multiplier and
+    options, each option given or left at its default."""
+    depth = draw(st.integers(1, 6))
+    family = draw(st.sampled_from(sorted(CONTRACT_FAMILIES)))
+    argv = ["verify", "--family", family, "--depth", str(depth)]
+    for flag, values, required in CONTRACT_FAMILIES[family](depth):
+        if required or draw(st.booleans()):
+            argv += [flag, draw(values)]
+    argv += ["--multiplier", draw(st.sampled_from(["action", "path", "averaged"]))]
+    for flag, values in CONTRACT_OPTIONS:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+EDGE_CASES = st.sampled_from(["0", "-1", "1e-9", "nan", "inf"])
+CONTRACT_FAMILIES = {
+    "regular-tree": lambda depth: [
+        ("--b", st.integers(1, 4).map(str), True),
+        ("--kL", _number(0.05, 4.0) | EDGE_CASES, False),
+        ("--L", _number(0.1, 3.0), False),
+    ],
+    "ns-regular-tree": lambda depth: [
+        ("--b-seq", _sequence(st.integers(1, 4).map(str), depth), True),
+        ("--length-seq", _sequence(_number(0.2, 2.0), depth + 1), True),
+    ],
+    "two-lengths-tree": lambda depth: [
+        ("--L1", _number(0.2, 3.0), True),
+        ("--L2", _number(0.2, 3.0) | EDGE_CASES, True),
+    ],
+    "millipede": lambda depth: [
+        ("--delta", _number(0.01, 2.0) | EDGE_CASES, True),
+    ],
+    "ladder": lambda depth: [
+        ("--w", _number(0.1, 4.0) | EDGE_CASES, True),
+        ("--mode", st.sampled_from(["symmetric", "antisymmetric"]), True),
+    ],
+    "braided": lambda depth: [
+        ("--b-seq", _sequence(st.sampled_from(["2", "4"]), depth), True),
+        ("--a-seq", _sequence(st.sampled_from(["1", "2"]), depth), True),
+        ("--v-seq", st.just(",".join(str(j) for j in range(1, depth + 2))), True),
+    ],
+}
+CONTRACT_OPTIONS = [
+    ("--epsilon", _number(-0.5, 1.5) | EDGE_CASES),
+    ("--extra-rate", _number(-1.0, 1.0) | EDGE_CASES),
+    ("--shift-delta", _number(0.0, 1.0) | EDGE_CASES),
+    ("--shift-sign", st.sampled_from(["1", "-1"])),
+    ("--exclusion", _number(0.0, 5.0) | EDGE_CASES),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=verify_argvs())
+def test_verify_exit_code_contract(argv):
+    # every input ends in exit 0, 1 or 2 without a traceback (main would
+    # raise), and exit 1 means exactly that a certificate FAILed
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    status = json.loads(out.getvalue())["status"] if code != 2 else None
+    assert (code == 1) == (status == "FAIL")
+    assert (code == 0) == (status == "PASS")

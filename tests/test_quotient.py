@@ -9,7 +9,6 @@ and vertex is its own class.
 import dataclasses
 import math
 import struct
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,24 +130,42 @@ def bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def loop_of_adds(start: float, x: float, n: int) -> float:
+    total = start
+    for _ in range(n):
+        total += x
+    return total
+
+
+@st.composite
+def near_ulp_multiples(draw):
+    """(start, x): x a small multiple of start's half-ulp, so that sums tie
+    and cross binades; start anywhere from subnormal to huge."""
+    start = draw(st.floats(allow_nan=False, allow_infinity=False,
+                           allow_subnormal=True))
+    halves = draw(st.integers(-9, 9) | st.integers(-2**21, 2**21))
+    return start, halves * math.ulp(start) / 2
+
+
 @settings(max_examples=300, deadline=None)
-@given(start=FLOATS, x=FLOATS, n=st.integers(0, 23),
-       chunk=st.sampled_from([1, 2, 5, 7]))
-def test_replay_equals_a_loop_of_adds(start, x, n, chunk):
-    # small chunks put chunk boundaries inside every n drawn
-    total = start
-    for _ in range(n):
-        total += x
-    with mock.patch.object(qgdecay.eigenfunctions, "REPEAT_CHUNK", chunk):
-        assert bits(repeated_sum(start, x, n)) == bits(total)
+@given(start=FLOATS, x=FLOATS, n=st.integers(0, 10_000))
+def test_replay_equals_a_loop_of_adds(start, x, n):
+    assert bits(repeated_sum(start, x, n)) == bits(loop_of_adds(start, x, n))
 
 
-@settings(max_examples=20, deadline=None)
-@given(start=FLOATS, x=FLOATS,
-       n=st.integers(qgdecay.eigenfunctions.REPEAT_CHUNK - 2,
-                     2 * qgdecay.eigenfunctions.REPEAT_CHUNK + 2))
-def test_replay_across_the_chunk_boundary(start, x, n):
-    total = start
-    for _ in range(n):
-        total += x
-    assert bits(repeated_sum(start, x, n)) == bits(total)
+@settings(max_examples=300, deadline=None)
+@given(pair=near_ulp_multiples(), n=st.integers(0, 10_000))
+def test_replay_of_ties_and_binade_crossings(pair, n):
+    start, x = pair
+    assert bits(repeated_sum(start, x, n)) == bits(loop_of_adds(start, x, n))
+
+
+def test_replay_of_a_huge_count():
+    # a loop of 3e6 additions, and counts no loop could run: adding 1.0
+    # stops at 2**53, where 2**53 + 1 ties back to even
+    assert bits(repeated_sum(0.1, 1e-7, 3_000_000)) == bits(
+        loop_of_adds(0.1, 1e-7, 3_000_000)
+    )
+    assert repeated_sum(0.0, 1.0, 10**40) == 2.0**53
+    assert repeated_sum(-(2.0**53), 1.0, 2**53 + 5) == 5.0
+    assert bits(repeated_sum(-0.0, 0.0, 10**40)) == bits(0.0)
