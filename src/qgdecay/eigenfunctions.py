@@ -58,39 +58,34 @@ def _numpy():
     return numpy
 
 
-def _binade(x: float) -> tuple[bool, int] | None:
-    """Sign and exponent of a finite nonzero x."""
-    return (x > 0.0, math.frexp(x)[1]) if math.isfinite(x) and x else None
-
-
 def repeated_sum(start: float, x: float, n: int) -> float:
     """``start + x + ... + x`` with ``n`` additions, left to right: bit for
-    bit a loop of ``+=``.  Inside a binade all additions but the first (a
-    tie goes by parity) add the same d; after two equal ones the sum jumps
-    to s + m * d, exact on the binade's grid: O(binades) additions."""
-    if n == 1:
-        return start + x
-    s, run = start, None  # (binade, increment) of the last addition
-    while n > 0:
+    bit a loop of ``+=``, in bursts of 15.  Inside a binade all additions
+    but the first (a tie goes by parity) add the same d, so when a burst
+    ends on two equal ones there, the sum jumps to s + m * d, exact on the
+    binade's grid: O(binades) bursts."""
+    s = start
+    while n > 2:
+        k = min(n, 15)
+        for _ in range(k - 2):
+            s += x
         t = s + x
-        n -= 1
-        if struct.pack("<d", t) == struct.pack("<d", s):  # a fixed point
-            return t
-        binade = _binade(s)
-        d = t - s if binade is not None and binade == _binade(t) else None
-        if d is not None and run == (binade, d):
-            u = math.ulp(t)
-            e, ue = binade[1], math.frexp(u)[1] - 1  # |t| < 2**e, u = 2**ue
-            at, step = int(abs(t) / u), int(abs(d) / u)
-            room = (
-                (1 << (e - ue)) - 1 - at if (t > 0.0) == (d > 0.0)
-                else at - (1 << (e - 1 - ue)) - 1
-            )
-            m = min(n, max(0, room // step))
-            t += m * d
+        u = t + x
+        n -= k
+        if (u == t or u != u) and struct.pack("<d", u) == struct.pack("<d", t):
+            return u  # a fixed point, bit for bit
+        (ms, es), (mu, eu), d = math.frexp(s), math.frexp(u), u - t
+        # frexp's mantissas share a sign only for nonzero s and u
+        if d == t - s and es == eu and ms * mu > 0.0 and math.isfinite(u):
+            half = math.ldexp(0.5, eu)  # |u| in [half, 2 * half)
+            gap = half - abs(u) + half if (u > 0.0) == (d > 0.0) else abs(u) - half
+            # m more additions leave the sum at least |d| inside the binade
+            m = min(n, max(0, int(gap / abs(d)) - 1))
+            u += m * d
             n -= m
-        run = None if d is None else (binade, d)
-        s = t
+        s = u
+    for _ in range(n):
+        s += x
     return s
 
 
