@@ -75,11 +75,11 @@ def repeated_sum(start: float, x: float, n: int) -> float:
         if (u == t or u != u) and struct.pack("<d", u) == struct.pack("<d", t):
             return u  # a fixed point, bit for bit
         (ms, es), (mu, eu), d = math.frexp(s), math.frexp(u), u - t
-        # frexp's mantissas share a sign only for nonzero s and u
+        # frexp's mantissas share a sign only if s, u != 0
         if d == t - s and es == eu and ms * mu > 0.0 and math.isfinite(u):
             half = math.ldexp(0.5, eu)  # |u| in [half, 2 * half)
             gap = half - abs(u) + half if (u > 0.0) == (d > 0.0) else abs(u) - half
-            # m more additions leave the sum at least |d| inside the binade
+            # m more additions stay at least |d| inside the binade
             m = min(n, max(0, int(gap / abs(d)) - 1))
             u += m * d
             n -= m

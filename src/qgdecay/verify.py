@@ -37,7 +37,7 @@ from .metrics import (
 
 VALUE_FLOOR = 1e-300
 PLATEAU_FACTOR = 1.01
-ROUNDING_ULPS = 4  # a sum's sign counts beyond this many ulps of its terms
+ROUNDING_ULPS = 4  # a sign counts beyond this many ulps of its terms
 IDENTITY_SAMPLES = 33
 
 
@@ -119,23 +119,17 @@ class Multiplier:
         cut where rho_a or arc switches from the tail's to the head's."""
         table, spec = self.table, self.spec
         e = table.graph.edge_by_id[eid]
-        length = e.length
         # (distances, their slope along the edge, weight in log F)
         lines = [(table.rho, math.sqrt(max(e.potential - table.energy, 0.0)),
                   1.0 - spec.epsilon)]
         if spec.extra_rate != 0.0:
             lines.append((table.arc, 1.0, spec.extra_rate))
-        cuts = [(d[e.head] - d[e.tail] + w * length) / (2 * w)
-                for d, w, _ in lines if w > 0.0]
-        xs = sorted({0.0, length, *(x for x in cuts if 0.0 < x < length)})
-
-        def slope(x: float) -> float:
-            return sum(
-                c * (w if d[e.tail] + w * x <= d[e.head] + w * (length - x) else -w)
-                for d, w, c in lines
-            )
-
-        return [(x0, x1, slope(0.5 * (x0 + x1))) for x0, x1 in zip(xs, xs[1:])]
+        # (offset where the head's approach takes over, slope of log F)
+        turns = [((d[e.head] - d[e.tail] + w * e.length) / (2 * w) if w else 0.0,
+                  w * c) for d, w, c in lines]
+        xs = sorted({0.0, e.length, *(x for x, _ in turns if 0.0 < x < e.length)})
+        return [(x0, x1, sum(s if (x0 + x1) / 2 <= x else -s for x, s in turns))
+                for x0, x1 in zip(xs, xs[1:])]
 
 
 # The stages read the eigenfunction's graph by classes: one representative
@@ -147,12 +141,21 @@ class Multiplier:
 
 
 def _terms(sol: EdgeSolution, x: float) -> tuple[tuple[float, ...], ...]:
-    """The terms of psi and psi'/k (psi' if k = 0) at x, as edge_eval and
-    edge_deriv sum them."""
+    """The terms edge_eval and edge_deriv sum for psi and psi'/k (psi' if
+    k = 0) at x."""
     if sol.k == 0.0:
         return (sol.A, sol.B * x), (sol.B,)
     c, s = math.cosh(sol.k * x), math.sinh(sol.k * x)
     return (sol.A * c, sol.B * s), (sol.A * s, sol.B * c)
+
+
+def _integral(a: float, x: float, b: float, y: float, h: float) -> float:
+    """The integral of a e^{xu} b e^{yu} over [0, h]; a growing one is read
+    from its value at h, so it overflows only with it."""
+    r = x + y
+    if r > 0.0:
+        return a * math.exp(x * h) * b * math.exp(y * h) * -math.expm1(-r * h) / r
+    return a * b * (math.expm1(r * h) / r if r else h)
 
 
 def _moments(z: float) -> tuple[float, ...]:
@@ -176,11 +179,10 @@ def _edge_sup_and_l2(
     sup = l2 = 0.0
     for x0, x1, c in mult.pieces(eid):
         h, f0 = x1 - x0, big_f(x0)
-        crit = None  # u at the critical point
-        exp_integral = lambda r: h if r == 0.0 else math.expm1(r * h) / r
+        crit = -1.0  # u at the critical point, if any
         if k == 0.0:
             a, b = f0 * (sol.A + sol.B * x0), f0 * sol.B
-            if b != 0.0 and c != 0.0:
+            if b and c:
                 crit = -(a / b + 1.0 / c)
             m0, m1, m2 = _moments(2.0 * c * h)
             l2 += h * (a * a * m0 + h * (2.0 * a * b * m1 + h * b * b * m2))
@@ -191,11 +193,11 @@ def _edge_sup_and_l2(
             if ratio > 0.0:
                 crit = math.log(ratio) / (2.0 * k)
             l2 += (
-                p * p * exp_integral(2.0 * (c + k))
-                + 2.0 * p * q * exp_integral(2.0 * c)
-                + q * q * exp_integral(2.0 * (c - k))
+                _integral(p, c + k, p, c + k, h)
+                + 2.0 * _integral(p, c + k, q, c - k, h)
+                + _integral(q, c - k, q, c - k, h)
             )
-        xs = (x0, x1) if crit is None or not 0.0 < crit < h else (x0, x1, x0 + crit)
+        xs = (x0, x1, x0 + crit) if 0.0 < crit < h else (x0, x1)
         sup = max(sup, *(abs(big_f(x) * sum(_terms(sol, x)[0])) for x in xs))
     return sup, l2
 
@@ -405,10 +407,9 @@ def decay_report(
 def _units(
     f: Eigenfunction, spec: MultiplierSpec, path: PathSpec | None
 ) -> Iterator[tuple[int, int, Callable[[], tuple[float, float]]]]:
-    """(generation, units alike, () -> (sup |g|, L2 increment of g)) per
-    class of units the report sums: g = F * psi on every edge
-    class (kind "action") or path edge (kind "path"), or F_ave * averaged
-    psi on [v_g, v_{g+1}] (kind "averaged")."""
+    """(generation, units alike, () -> (sup |g|, L2 of g)) per class of
+    units the report sums, in order: g = F psi on each edge class (kind
+    "action") or path edge ("path"), F_ave psi_ave on [v_g, v_{g+1}]."""
     graph = f.graph
     if spec.kind != "averaged":
         if spec.kind == "path" and path is None:
@@ -577,10 +578,9 @@ def monotonicity_check(
     exclusion_radius: float = 0.0,
     edges: Sequence[int] | None = None,
 ) -> MonotonicityResult:
-    """Test |psi| along every distance-oriented edge beyond the exclusion
-    radius for non-increase (``_rise``).  For the odd ladder mode the rung
-    halves decay into their reflection-axis zero, which is additionally
-    verified.
+    """Test |psi| for non-increase along every distance-oriented edge
+    beyond the exclusion radius (``_rise``), and the odd ladder's rung
+    halves for their reflection-axis zero.
 
     ``edges`` restricts the test (e.g. to one certified path); default is
     the whole graph.

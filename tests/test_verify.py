@@ -743,6 +743,20 @@ class TestClosedFormsOnRandomEdges:
             assert {(key, True), (key, False)} <= seen
         assert {("pieces", 1), ("pieces", 2), ("pieces", 3)} <= seen
 
+    def test_decaying_leg_does_not_overflow(self):
+        # on a millipede leg F psi = F(0) psi(0) e^{-0.1 delta x}, although
+        # its growing factor e^{(c + k) x} alone passes e^709 on the leg
+        f = construct("millipede", {"delta": 50.0}, 4)
+        mult = Multiplier(f.graph, MultiplierSpec(epsilon=0.1))
+        leg = f.solutions[5]
+        assert (leg.k, leg.A + leg.B) == (50.0, 0.0)
+        sup, l2 = qgdecay.verify._edge_sup_and_l2(mult, 5, leg)
+        g0, rate = mult.on_edge(5)(0.0) * leg.A, 2 * 0.1 * 50.0
+        assert sup == abs(g0)
+        assert math.isclose(
+            l2, g0 * g0 * -math.expm1(-rate * leg.length) / rate, rel_tol=1e-13
+        )
+
     @pytest.mark.parametrize("i", RANDOM_EDGES)
     def test_l2_matches_mpmath_quad(self, i):
         mpmath = pytest.importorskip("mpmath")
