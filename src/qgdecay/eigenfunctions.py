@@ -64,6 +64,8 @@ def repeated_sum(start: float, x: float, n: int) -> float:
     but the first (a tie goes by parity) add the same d, so when a burst
     ends on two equal ones there, the sum jumps to s + m * d, exact on the
     binade's grid: O(binades) bursts."""
+    if n == 1:
+        return start + x
     s = start
     while n > 2:
         k = min(n, 15)
