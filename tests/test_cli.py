@@ -1,8 +1,8 @@
 import collections
 import contextlib
 import hashlib
-import io
 import heapq
+import io
 import json
 import math
 import types

@@ -667,8 +667,7 @@ class TestKernelMatchesPerPointCode:
         ],
     )
     def test_overflow_names_first_generation(self, family, params, depth, gen):
-        # the generation is that of the first edge in pool order, not the
-        # first edge of its block
+        # the generation is that of the first overflowing edge in pool order
         f = construct(family, dict(params), depth)
         with pytest.raises(ValueError, match=f"at generation {gen};"):
             decay_report(f, MultiplierSpec(epsilon=0.1))
