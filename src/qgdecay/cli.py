@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from .eigenfunctions import CONSTRUCTORS, canonical_path, construct, edge_eval
@@ -54,6 +55,9 @@ from .verify import (
 
 ENV_OUTDIR = "QGDECAY_OUTDIR"
 MAX_GRID_POINTS = 100_000  # per start:stop:step sweep grid
+# what argparse reads as a value, not an option, after an option: argparse
+# itself takes only -1 and -0.5, so -1e-5 or -inf needed --flag=-1e-5
+NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def fmt(x) -> str:
@@ -260,12 +264,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         and residuals["max_kirchhoff"] <= 1e-9
     )
 
-    graph = f.graph  # one edge per class: the minima below read each once
-    gap_min = min(
-        e.potential - graph.energy
-        for e in graph.edges
-        if e.id not in graph.core_edges
-    )
+    graph = f.graph
+    gap_min = min(p - graph.energy for p in graph.non_core_potentials())
     margin_delta = args.shift_delta if args.shift_delta > 0 else 0.5 * gap_min
     margin_plus = constraint_margin(
         graph, MultiplierSpec(delta=margin_delta, shift_sign=1)
@@ -283,7 +283,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     # product-derivative identity on an interior window of the root edge
     first = min(
-        (e for e in graph.edges if e.tail == graph.root),
+        (e for e in map(graph.edge_by_id.__getitem__, graph.incidence[graph.root])
+         if e.tail == graph.root),
         key=lambda e: e.id,
     )
     sol = f.solutions[first.id]
@@ -454,6 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="tree sweep kL grid start:stop:step")
     p_sweep.add_argument("--delta-grid", help="millipede sweep delta grid")
     p_sweep.add_argument("--out")
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 

@@ -14,9 +14,9 @@ import math
 import struct
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
-from .graph import Edge, MetricGraph
+from .graph import GenerationTable, MetricGraph, _arrays, _numpy
 from .graph import FamilyParameterError, build_family, comb, family_arguments
 from .graph import family_name, generate_family, keyword_params, ladder_info
 from .metrics import PathSpec
@@ -48,14 +48,6 @@ class EdgeSolution:
     length: float
     A: float
     B: float
-
-
-def _numpy():
-    """numpy, imported on first use: loaded before verify.py compiles, it
-    raises the peak RSS of a process that writes no bytecode by 0.4 MB."""
-    import numpy
-
-    return numpy
 
 
 def repeated_sum(start: float, x: float, n: int) -> float:
@@ -145,10 +137,12 @@ class Eigenfunction:
     """One EdgeSolution per edge of a graph, plus construction metadata.
     The solutions are read-only, so what is derived from them stays valid.
 
-    The graph may be a synchronized family's GenerationTable, with one
+    On a built graph they are held as arrays ``coeffs`` = (k, L, A, B) by
+    edge position, and ``solutions`` makes each EdgeSolution on lookup.
+    The graph may also be a synchronized family's GenerationTable, with one
     solution per generation on its first edge: an eigenfunction on the
     generation quotient, each edge standing for its class, whose members
-    ``graph.expand()`` builds."""
+    ``graph.expand()`` builds; ``coeffs`` is then None."""
 
     def __init__(
         self,
@@ -158,8 +152,25 @@ class Eigenfunction:
         mode: str | None = None,
         meta: dict | None = None,
     ):
+        self._setup(graph, family, mode, meta)
+        if isinstance(graph, GenerationTable):
+            self._solutions = MappingProxyType(dict(solutions))
+        else:
+            _arrays().hold_solutions(self, solutions)
+
+    @classmethod
+    def from_arrays(cls, graph: MetricGraph, k, a, b, family: str,
+                    mode: str | None = None, meta: dict | None = None) -> Eigenfunction:
+        """On a built graph, from k, A and B by edge position (or one number
+        for every edge)."""
+        f = cls.__new__(cls)
+        f._setup(graph, family, mode, meta)
+        _arrays().hold_coefficients(f, k, a, b)
+        return f
+
+    def _setup(self, graph, family, mode, meta) -> None:
         self._graph = graph
-        self._solutions = MappingProxyType(dict(solutions))
+        self.coeffs: tuple[np.ndarray, ...] | None = None
         self._interior: tuple[list[int], np.ndarray] | None = None
         self.family = family
         self.mode = mode
@@ -202,7 +213,9 @@ class Eigenfunction:
     def interior_values(self) -> tuple[list[int], np.ndarray]:
         """The graph's interior vertex ids, and psi at each; computed once,
         as both vertex fits of a verify read them."""
-        if self._interior is None:
+        if self._interior is None and self.coeffs is not None:  # built graph
+            self._interior = _arrays().interior_values(self)
+        elif self._interior is None:  # a table's classes, one by one
             vids = self.graph.interior_vertex_ids()
             values = _numpy().fromiter(map(self.vertex_value, vids), float, len(vids))
             self._interior = (vids, values)
@@ -334,11 +347,6 @@ def _propagate_decaying(steps: Sequence[TransferMatrix]) -> list[tuple[float, fl
     return propagate(_normalized_small_vec(product), steps)
 
 
-def _solution_for_edge(e: Edge, energy: float, coeff: tuple[float, float]) -> EdgeSolution:
-    k = math.sqrt(max(e.potential - energy, 0.0))
-    return EdgeSolution(e.id, k, e.length, coeff[0], coeff[1])
-
-
 def _construct_generation_family(name: str, params: dict, depth: int) -> Eigenfunction:
     """Trees and braided graphs: one coefficient pair per edge generation,
     on the generation table; no graph is built."""
@@ -352,7 +360,7 @@ def _construct_generation_family(name: str, params: dict, depth: int) -> Eigenfu
         steps.append(vertex_edge_step(k * e.length, p))
     coeffs = _propagate_decaying(steps)
     solutions = {
-        e.id: _solution_for_edge(e, table.energy, coeffs[e.generation])
+        e.id: EdgeSolution(e.id, k, e.length, *coeffs[e.generation])
         for e in table.edges
     }
     return Eigenfunction(table, solutions, family=name)
@@ -364,59 +372,50 @@ def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction
     l1, l2 = info.params["L1"], info.params["L2"]
     k, energy = info.params["k"], graph.energy
     matched = match_shared_eigenvector(k * l1, k * l2)
-    fractions = (matched.p1, 1.0 - matched.p1)
-    # edges come parents first, the root edge first of all
-    coeffs = {graph.edges[0].id: (1.0, matched.w)}
-    for e in graph.edges:
-        a, b = coeffs[e.id]
-        c, s = math.cosh(k * e.length), math.sinh(k * e.length)
-        val = a * c + b * s
-        d_over_k = a * s + b * c
-        # a vertex's incidence: the edge arriving, then its L1 and L2 children
-        for child, p in zip(graph.incidence[e.head][1:], fractions):
-            coeffs[child] = (val, p * d_over_k)
-    solutions = {
-        e.id: _solution_for_edge(e, energy, coeffs[e.id]) for e in graph.edges
-    }
-    return Eigenfunction(
+    np = _numpy()
+    c, s = _arrays().cosh_sinh(k * graph.arrays.length)
+    a, b = np.empty_like(c), np.empty_like(c)
+    a[0], b[0] = 1.0, matched.w
+    # generation g is edges lo .. hi - 1; edge e's children are 2e + 1 (of
+    # length L1, fraction p1) and 2e + 2 (L2)
+    for g in range(depth):
+        lo, hi = (1 << g) - 1, (2 << g) - 1
+        val = a[lo:hi] * c[lo:hi] + b[lo:hi] * s[lo:hi]
+        d_over_k = a[lo:hi] * s[lo:hi] + b[lo:hi] * c[lo:hi]
+        a[hi:2 * hi + 1] = np.repeat(val, 2)
+        b[hi:2 * hi + 1:2] = matched.p1 * d_over_k
+        b[hi + 1:2 * hi + 1:2] = (1.0 - matched.p1) * d_over_k
+    return Eigenfunction.from_arrays(
         graph,
-        solutions,
+        math.sqrt(max(graph.arrays.potential[0] - energy, 0.0)), a, b,
         family=name,
         meta={"p1": matched.p1, "w": matched.w, "lam": matched.lam, "mu": matched.mu},
     )
 
 
 def _comb_solutions(
-    graph: MetricGraph, spine: int, spine_k: float,
+    spine: int, teeth: int, spine_k: float,
     coeffs: Sequence[tuple[float, float]],
     tooth: Callable[[float], tuple[float, float, float]],
-) -> dict[int, EdgeSolution]:
-    """Solutions on a ``comb``: spine edge g carries ``coeffs[g]``, and the
-    tooth at spine vertex j takes (k, A, B) = ``tooth(psi)`` from the value
-    psi = ``coeffs[j][0]`` there."""
-    solutions = {}
-    for e in graph.edges:
-        if e.id < spine:
-            k, (a, b) = spine_k, coeffs[e.generation]
-        else:
-            k, a, b = tooth(coeffs[e.generation][0])
-        solutions[e.id] = EdgeSolution(e.id, k, e.length, a, b)
-    return solutions
+) -> Iterator[tuple[float, ...]]:
+    """The columns k, A and B of a ``comb``'s edges: spine edge g carries
+    ``coeffs[g]``, and the tooth at spine vertex j takes (k, A, B) =
+    ``tooth(psi)`` from the value psi = ``coeffs[j][0]`` there."""
+    return zip(*[(spine_k, *coeffs[g]) for g in range(spine)],
+               *[tooth(coeffs[j][0]) for j in range(1, teeth + 1)])
 
 
 def _construct_millipede(name: str, params: dict, depth: int) -> Eigenfunction:
     graph = generate_family(name, params, depth)
     delta, n_legs = (graph.family_info.params[key] for key in ("delta", "legs"))
     step = millipede_transfer(delta)
-    body_k = math.sqrt(max(graph.edges[0].potential - graph.energy, 0.0))
+    body_k = math.sqrt(max(graph.arrays.potential[0] - graph.energy, 0.0))
     # a leg starting at value c decays as c e^{-delta x} = c(cosh - sinh)
-    solutions = _comb_solutions(
-        graph, n_legs + 1, body_k, _propagate_decaying([step] * n_legs),
-        lambda val: (delta, val, -val),
-    )
-    return Eigenfunction(
+    return Eigenfunction.from_arrays(
         graph,
-        solutions,
+        *_comb_solutions(n_legs + 1, n_legs, body_k,
+                         _propagate_decaying([step] * n_legs),
+                         lambda val: (delta, val, -val)),
         family=name,
         meta={"lambda_small": eig2(step).lam_small},
     )
@@ -438,15 +437,15 @@ def _construct_ladder(
     g = generate_family(
         name, dict(params, rung_potential=energy), depth
     )
-    rails = 2 * g.family_info.params["rungs"]  # edge ids 0 .. rails - 1
-    solutions: dict[int, EdgeSolution] = {}
-    for e in g.edges:
-        scale = math.exp(-float(e.generation))
-        if e.id < rails:
-            solutions[e.id] = EdgeSolution(e.id, 1.0, e.length, scale, -scale)
-        else:  # rung: constant at the shared rail value
-            solutions[e.id] = EdgeSolution(e.id, 0.0, e.length, scale, 0.0)
-    return Eigenfunction(g, solutions, family="ladder", mode="symmetric")
+    n = g.family_info.params["rungs"]
+    np = _numpy()
+    scale = np.array([math.exp(-float(j)) for j in range(n + 1)])[g.arrays.generation]
+    rail = g.arrays.edge_ids < 2 * n
+    # rails decay as e^{-x}; a rung is constant at the shared rail value
+    return Eigenfunction.from_arrays(
+        g, rail * 1.0, scale, np.where(rail, -scale, 0.0),
+        family="ladder", mode="symmetric",
+    )
 
 
 def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
@@ -467,12 +466,9 @@ def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
         gscale = -val / sh
         return 1.0, -gscale * sh, gscale * ch
 
-    solutions = _comb_solutions(
-        g, n, 1.0, _propagate_decaying([step] * n), rung_half
-    )
-    return Eigenfunction(
+    return Eigenfunction.from_arrays(
         g,
-        solutions,
+        *_comb_solutions(n, n, 1.0, _propagate_decaying([step] * n), rung_half),
         family="ladder",
         mode="antisymmetric",
         meta={

@@ -5,6 +5,16 @@ carries one constant potential value; the graph carries one energy value E.
 Generators for the standard infinite families (trees, millipede, ladder,
 braided graphs) produce finite truncations whose frontier vertices are
 flagged ``boundary`` so that vertex-condition checks skip them.
+
+A built graph is arrays (``arrays.GraphArrays``): per edge tail and head
+(vertex positions), length, potential and generation, per vertex generation
+and boundary, and a CSR incidence in edge order.  The family builders fill
+them from id formulas, ids being positions.  ``vertices``, ``edges``,
+``vertex_by_id``, ``edge_by_id`` and ``incidence`` are views: ``len()``
+makes no object, a lookup one, and a full read makes and keeps them all.
+A graph made from Vertex and Edge objects keeps them as its views.  The
+whole-graph stages run on the arrays, in ``qgdecay.arrays``; a
+``GenerationTable`` is a few objects and keeps its own loops.
 """
 
 from __future__ import annotations
@@ -16,7 +26,26 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+
+if TYPE_CHECKING:
+    import numpy as np
+
+
+def _numpy():
+    """numpy, imported on first use: loaded before verify.py compiles, it
+    raises the peak RSS of a process that writes no bytecode by 0.4 MB."""
+    import numpy
+
+    return numpy
+
+
+def _arrays():
+    """qgdecay.arrays, the array layer of built graphs, imported on first
+    use: a verify on a generation table loads none of its code."""
+    from . import arrays
+
+    return arrays
 
 
 class GraphValidationError(ValueError):
@@ -38,6 +67,11 @@ class Edge:
     length: float
     potential: float
     generation: int | None = None
+
+
+def edge_action_weight(edge: Edge, energy: float) -> float:
+    """Action of one constant-potential edge: sqrt((V - E)_+) * L."""
+    return math.sqrt(max(edge.potential - energy, 0.0)) * edge.length
 
 
 @dataclass(frozen=True)
@@ -74,21 +108,30 @@ class MetricGraph:
         core_edges: Iterable[int] = (),
         family_info: FamilyInfo | None = None,
     ):
-        self.vertices: tuple[Vertex, ...] = tuple(vertices)
-        self.edges: tuple[Edge, ...] = tuple(edges)
+        """From Vertex and Edge objects, which it keeps as its views."""
+        self._setup(root, energy, core_edges, family_info)
+        _arrays().hold_objects(self, tuple(vertices), tuple(edges))
+
+    @classmethod
+    def from_arrays(
+        cls, tail, head, length, potential, generation, vertex_generation,
+        boundary, root: int, energy: float, core_edges: Iterable[int] = (),
+        family_info: FamilyInfo | None = None,
+    ) -> MetricGraph:
+        """A graph whose vertex and edge ids are their positions, from its
+        columns (see ``arrays.GraphArrays``); a length or potential may be
+        one number."""
+        g = cls.__new__(cls)
+        g._setup(root, energy, core_edges, family_info)
+        _arrays().hold_columns(g, tail, head, length, potential, generation,
+                               vertex_generation, boundary)
+        return g
+
+    def _setup(self, root, energy, core_edges, family_info) -> None:
         self.root = root
         self.energy = float(energy)
         self.core_edges = frozenset(core_edges)
         self.family_info = family_info
-        self.vertex_by_id = {v.id: v for v in self.vertices}
-        self.edge_by_id = {e.id: e for e in self.edges}
-        incidence: dict[int, list[int]] = {v.id: [] for v in self.vertices}
-        for e in self.edges:
-            if e.tail in incidence:
-                incidence[e.tail].append(e.id)
-            if e.head in incidence and e.head != e.tail:
-                incidence[e.head].append(e.id)
-        self.incidence = {vid: tuple(eids) for vid, eids in incidence.items()}
         self._arc: dict[int, float] | None = None
         # metrics.compute_rho_a's tables by effective energy, built on first use
         self._rho_tables: dict = {}
@@ -115,75 +158,47 @@ class MetricGraph:
     def interior_vertex_ids(self) -> list[int]:
         """Vertices where vertex conditions are checkable: not the root, not
         boundary-flagged, degree at least 2."""
-        out = []
-        for v in self.vertices:
-            if v.id == self.root or v.boundary:
-                continue
-            if self.degree(v.id) >= 2:
-                out.append(v.id)
-        return out
+        return _arrays().interior_vertex_ids(self)
+
+    def non_core_potentials(self) -> list[float]:
+        """The potentials of the non-core edges in edge order, each bit
+        pattern once: all that a min() over those edges reads."""
+        return _arrays().non_core_potentials(self)
 
     def validate(self) -> None:
-        seen_v: set[int] = set()
-        for v in self.vertices:
-            if v.id in seen_v:
-                raise GraphValidationError(f"duplicate vertex id {v.id}")
-            seen_v.add(v.id)
-        seen_e: set[int] = set()
-        for e in self.edges:
-            if e.id in seen_e:
-                raise GraphValidationError(f"duplicate edge id {e.id}")
-            seen_e.add(e.id)
-            for end in (e.tail, e.head):
-                if end not in self.vertex_by_id:
-                    raise GraphValidationError(
-                        f"edge {e.id}: dangling endpoint {end}"
-                    )
-            if not (e.length > 0.0) or not math.isfinite(e.length):
-                raise GraphValidationError(f"edge {e.id}: non-positive length")
-            if not math.isfinite(e.potential):
+        _arrays().validate(self)
+
+    def _check_edge(self, e: Edge) -> None:
+        for end in (e.tail, e.head):
+            if end not in self.vertex_by_id:
                 raise GraphValidationError(
-                    f"edge {e.id}: non-finite potential {e.potential}"
+                    f"edge {e.id}: dangling endpoint {end}"
                 )
-        if self.root not in self.vertex_by_id:
-            raise GraphValidationError(f"root {self.root} is not a vertex")
-        reached = self._reachable_from_root()
-        unreached = sorted(seen_v - reached)
-        if unreached:
+        if not (e.length > 0.0) or not math.isfinite(e.length):
+            raise GraphValidationError(f"edge {e.id}: non-positive length")
+        if not math.isfinite(e.potential):
             raise GraphValidationError(
-                f"vertices disconnected from root: {unreached}"
+                f"edge {e.id}: non-finite potential {e.potential}"
             )
-        for e in self.edges:
-            if e.id in self.core_edges:
-                continue
-            if not (e.potential - self.energy > 0.0):
-                raise GraphValidationError(
-                    f"edge {e.id}: V - E = {e.potential - self.energy} <= 0 "
-                    "outside the designated core"
-                )
 
-    def _reachable_from_root(self) -> set[int]:
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            vid = stack.pop()
-            for eid in self.incidence[vid]:
-                e = self.edge_by_id[eid]
-                for nxt in (e.tail, e.head):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return seen
+    def _check_gap(self, e: Edge) -> None:
+        if e.id not in self.core_edges and not (e.potential - self.energy > 0.0):
+            raise GraphValidationError(
+                f"edge {e.id}: V - E = {e.potential - self.energy} <= 0 "
+                "outside the designated core"
+            )
 
-    def distances(self, weight: Callable[[Edge], float]) -> dict[int, float]:
-        """Shortest ``weight`` distance from the root of each vertex reached."""
-        return dijkstra(self, EdgeWeights(self, weight))
+    def distances(self, energy: float | None = None) -> dict[int, float]:
+        """Shortest distance from the root of each vertex reached, each edge
+        weighted by its length, or by its action (``edge_action_weight``)
+        at ``energy`` if one is given."""
+        return dijkstra(self, EdgeWeights(self, _arrays().edge_weights(self, energy)))
 
     def arc_distances(self) -> dict[int, float]:
         """Single-source shortest arc-length distance from the root, computed
         once per graph; callers share the dict and must not modify it."""
         if self._arc is None:
-            self._arc = self.distances(lambda e: e.length)
+            self._arc = self.distances()
         return self._arc
 
     def to_json_dict(self) -> dict:
@@ -205,32 +220,32 @@ class MetricGraph:
 
 
 class EdgeWeights(Mapping[int, float]):
-    """Edge id -> ``weight(edge)``, evaluated on each lookup, so a Dijkstra
-    run holds no table of weights beside the distances it builds."""
+    """Edge id -> weight, read from ``weights`` (one per edge, in edge
+    order) on each lookup."""
 
-    def __init__(self, graph: MetricGraph, weight: Callable[[Edge], float]):
-        self._edges = graph.edge_by_id
-        self._weight = weight
+    def __init__(self, graph: MetricGraph, weights: Sequence[float]):
+        self.weights = weights
+        self._index = graph.arrays.edge_index
 
     def __getitem__(self, eid: int) -> float:
-        return self._weight(self._edges[eid])
+        return float(self.weights[_arrays().position(self._index, eid)])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._edges)
+        return iter(self._index)
 
     def __len__(self) -> int:
-        return len(self._edges)
+        return len(self._index)
 
 
 def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float]:
     """Label-setting sweep from the root; weights must be nonnegative.
-    Where the root's component is a tree, one breadth-first pass gives the
-    heap's floats without the heap.  Each weight is looked up at most once
-    where the graph has as many edges as vertices or more."""
-    if len(graph.edges) < len(graph.vertices):  # else it has a cycle
-        dist = _tree_distances(graph, weight)
-        if dist is not None:
-            return dist
+    Where the root's component is a tree, the distances of each
+    breadth-first level are one array addition, ``dist[from] + weight``:
+    the heap's floats without the heap.  Otherwise each weight is looked up
+    at most once where the graph has as many edges as vertices or more."""
+    dist = _arrays().tree_distances(graph, weight)
+    if dist is not None:
+        return dist
     dist = {graph.root: 0.0}
     heap: list[tuple[float, int]] = [(0.0, graph.root)]
     while heap:
@@ -246,33 +261,6 @@ def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float
             if nd < dist.get(other, math.inf):
                 dist[other] = nd
                 heapq.heappush(heap, (nd, other))
-    return dist
-
-
-def _tree_distances(
-    graph: MetricGraph, weight: Mapping[int, float]
-) -> dict[int, float] | None:
-    """Root distances as ``dist[parent] + weight``, each vertex reached once
-    breadth first; None at the first edge back to a reached vertex other
-    than the edge it was reached by (a cycle, parallel edge or self-loop)."""
-    dist = {graph.root: 0.0}
-    order = [graph.root]
-    arrived_by: list[int | None] = [None]
-    # both lists grow while zip walks them, which list iterators allow
-    for vid, back in zip(order, arrived_by):
-        d = dist[vid]
-        for eid in graph.incidence[vid]:
-            if eid == back:
-                continue
-            e = graph.edge_by_id[eid]
-            other = e.head if e.tail == vid else e.tail
-            if other in dist:
-                return None
-            nd = d + weight[eid]
-            if nd < math.inf:  # the heap's rule: inf and NaN reach nothing
-                dist[other] = nd
-                order.append(other)
-                arrived_by.append(eid)
     return dist
 
 
@@ -300,7 +288,8 @@ class GenerationTable(MetricGraph):
 
     As a MetricGraph the table is the first edge and vertex of each
     generation, each standing for its class (``edge_count``,
-    ``vertex_count``, ``incident_count``).
+    ``vertex_count``, ``incident_count``), held as objects: its stages loop
+    over its few classes and read no arrays.
     """
 
     def __init__(
@@ -329,13 +318,18 @@ class GenerationTable(MetricGraph):
             Vertex(r.first_vertex, generation=g + 1, boundary=r.ongoing == 0)
             for g, r in enumerate(rows)
         ]
-        super().__init__(
-            vertices,
-            [Edge(r.first_edge, tail.id, r.first_vertex, r.length,
-                  potential, generation=g)
-             for g, (r, tail) in enumerate(zip(rows, vertices))],
-            root=0, energy=energy, family_info=info,
-        )
+        self.vertices = tuple(vertices)
+        self.edges = tuple([Edge(r.first_edge, tail.id, r.first_vertex, r.length,
+                                 potential, generation=g)
+                            for g, (r, tail) in enumerate(zip(rows, vertices))])
+        self._setup(0, energy, (), info)
+        self.vertex_by_id = {v.id: v for v in self.vertices}
+        self.edge_by_id = {e.id: e for e in self.edges}
+        incidence: dict[int, list[int]] = {v.id: [] for v in self.vertices}
+        for e in self.edges:
+            incidence[e.tail].append(e.id)
+            incidence[e.head].append(e.id)
+        self.incidence = {vid: tuple(eids) for vid, eids in incidence.items()}
 
     def _shape(self, vid: int) -> tuple[int, int, int]:
         """Vertices of ``vid``'s generation, edges arriving at and leaving each."""
@@ -360,13 +354,28 @@ class GenerationTable(MetricGraph):
     def degree(self, vid: int) -> int:
         return sum(self._shape(vid)[1:])
 
-    def distances(self, weight: Callable[[Edge], float]) -> dict[int, float]:
+    def interior_vertex_ids(self) -> list[int]:
+        return [v.id for v in self.vertices if v.id != self.root
+                and not v.boundary and self.degree(v.id) >= 2]
+
+    def non_core_potentials(self) -> list[float]:
+        return [e.potential for e in self.edges if e.id not in self.core_edges]
+
+    def validate(self) -> None:
+        """Only a table's lengths and potential can be at fault: its ids
+        and ends follow from its rows."""
+        for e in self.edges:
+            self._check_edge(e)
+        for e in self.edges:
+            self._check_gap(e)
+
+    def distances(self, energy: float | None = None) -> dict[int, float]:
         """Per generation ``prev + weight``: the float addition that
         ``dijkstra`` makes on the expansion, by pass and by heap alike."""
         dist = {self.root: 0.0}
         d = 0.0
         for e in self.edges:
-            d += weight(e)
+            d += e.length if energy is None else edge_action_weight(e, energy)
             if not d < math.inf:  # the heap's rule: inf and NaN reach nothing
                 break
             dist[e.head] = d
@@ -375,22 +384,24 @@ class GenerationTable(MetricGraph):
     def expand(self) -> MetricGraph:
         """The family's graph: edge i of a generation leaves vertex i // ongoing
         of the generation before and arrives at vertex i // arriving."""
-        vertices, edges = [self.vertices[0]], []
-        tails, per_tail = [0], self.family_info.root_edges
-        for gen, row in enumerate(self.rows):
-            # one int object per vertex id, shared by its vertex and edges
-            heads = list(range(row.first_vertex, row.first_vertex + row.vertices))
-            vertices += [Vertex(v, generation=gen + 1, boundary=row.ongoing == 0)
-                         for v in heads]
-            edges += [
-                Edge(row.first_edge + i, tails[i // per_tail],
-                     heads[i // row.arriving], row.length,
-                     self.potential, generation=gen)
-                for i in range(row.edges)
-            ]
-            tails, per_tail = heads, row.ongoing
-        return MetricGraph(vertices, edges, root=0, energy=self.energy,
-                           family_info=self.family_info)
+        np = _numpy()
+        tails, heads = [], []
+        tail, per_tail = 0, self.family_info.root_edges
+        for row in self.rows:
+            i = np.arange(row.edges)
+            tails.append(tail + i // per_tail)
+            heads.append(row.first_vertex + i // row.arriving)
+            tail, per_tail = row.first_vertex, row.ongoing
+        edges = [r.edges for r in self.rows]
+        vertices = [1] + [r.vertices for r in self.rows]
+        return MetricGraph.from_arrays(
+            np.concatenate(tails), np.concatenate(heads),
+            np.repeat([r.length for r in self.rows], edges), self.potential,
+            np.repeat(np.arange(len(edges)), edges),
+            np.repeat(np.arange(len(vertices)), vertices),
+            np.repeat([True] + [r.ongoing == 0 for r in self.rows], vertices),
+            root=0, energy=self.energy, family_info=self.family_info,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +615,14 @@ def _two_lengths_tree(
     # breadth first: edge e joins vertex (e + 1) // 2 to e + 1, whose
     # generation is its bit length; the root edge 0 and odd ids have length
     # L1, even ones L2, and the last generation is the boundary
-    ids = list(range(2 << depth))  # one int object per vertex id
-    vertices = [Vertex(v, generation=v.bit_length(), boundary=v == 0 or v >> depth > 0)
-                for v in ids]
-    edges = [
-        Edge(e, ids[(e + 1) // 2], ids[e + 1], l2 if e and e % 2 == 0 else l1,
-             potential, generation=vertices[e + 1].generation - 1)
-        for e in ids[:-1]
-    ]
-    return MetricGraph(
-        vertices, edges, root=0, energy=energy,
+    np = _numpy()
+    v = np.arange(2 << depth)
+    e = v[:-1]
+    generation = np.frexp(v)[1].astype(np.int64)  # the bit length
+    return MetricGraph.from_arrays(
+        (e + 1) // 2, e + 1, np.where((e % 2 == 0) & (e > 0), l2, l1),
+        potential, generation[1:] - 1, generation, (v == 0) | (v >> depth > 0),
+        root=0, energy=energy,
         family_info=FamilyInfo(params={"L1": l1, "L2": l2, "k": k, "energy": energy}),
     )
 
@@ -656,18 +665,16 @@ def comb(
     (id and generation j) is reached by spine edge j - 1 (generation j - 1);
     its tooth, edge spine + j - 1 of generation j, ends at vertex spine + j.
     The root, the last spine vertex and the tooth tips are boundary."""
-    vertices = [Vertex(0, generation=0, boundary=True)]
-    vertices += [Vertex(j, generation=j, boundary=j == spine)
-                 for j in range(1, spine + 1)]
-    vertices += [Vertex(spine + j, generation=j, boundary=True)
-                 for j in range(1, teeth + 1)]
-    edges = [Edge(j, j, j + 1, spine_length, spine_potential, generation=j)
-             for j in range(spine)]
-    edges += [Edge(spine + j - 1, j, spine + j, tooth_length, tooth_potential,
-                   generation=j)
-              for j in range(1, teeth + 1)]
-    return MetricGraph(vertices, edges, root=0, energy=energy,
-                       family_info=family_info)
+    np = _numpy()
+    j, v = np.arange(1, teeth + 1), np.arange(spine + 1)
+    return MetricGraph.from_arrays(
+        np.concatenate([v[:-1], j]), np.concatenate([v[1:], spine + j]),
+        np.repeat([spine_length, tooth_length], [spine, teeth]),
+        np.repeat([spine_potential, tooth_potential], [spine, teeth]),
+        np.concatenate([v[:-1], j]), np.concatenate([v, j]),
+        np.concatenate([(v == 0) | (v == spine), np.ones(teeth, dtype=bool)]),
+        root=0, energy=energy, family_info=family_info,
+    )
 
 
 def _ladder(
@@ -681,18 +688,18 @@ def _ladder(
     # Two rails from the root (position 0) to the frontier at position n;
     # position j >= 1 has vertices 2j - 1 (bottom) and 2j (top), so rail
     # edge e joins max(e - 1, 0) to e + 1, and rung j is edge 2n + j - 1.
-    ids = list(range(2 * n + 1))  # one int object per vertex id
-    vertices = [Vertex(v, generation=(v + 1) // 2, boundary=v == 0 or v >= 2 * n - 1)
-                for v in ids]
-    edges = [Edge(e, ids[max(e - 1, 0)], ids[e + 1], 1.0, rail_potential,
-                  generation=e // 2)
-             for e in ids[:-1]]
-    edges += [Edge(2 * n + j - 1, ids[2 * j - 1], ids[2 * j], w, rung_v, generation=j)
-              for j in range(1, n + 1)]
-    # rungs at or below the energy form the designated core
-    core = [] if rung_v - energy > 0.0 else [e.id for e in edges[2 * n:]]
-    return MetricGraph(
-        vertices, edges, root=0, energy=energy, core_edges=core, family_info=info
+    np = _numpy()
+    v, j = np.arange(2 * n + 1), np.arange(1, n + 1)
+    rails = v[:-1]
+    return MetricGraph.from_arrays(
+        np.concatenate([np.maximum(rails - 1, 0), 2 * j - 1]),
+        np.concatenate([rails + 1, 2 * j]),
+        np.repeat([1.0, w], [2 * n, n]), np.repeat([rail_potential, rung_v], [2 * n, n]),
+        np.concatenate([rails // 2, j]), (v + 1) // 2, (v == 0) | (v >= 2 * n - 1),
+        root=0, energy=energy,
+        # rungs at or below the energy form the designated core
+        core_edges=() if rung_v - energy > 0.0 else range(2 * n, 3 * n),
+        family_info=info,
     )
 
 

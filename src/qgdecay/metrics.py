@@ -14,14 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graph import Edge, MetricGraph, Vertex
+from .graph import Edge, MetricGraph, Vertex, edge_action_weight
 
 CUT_POINT_REL_TOL = 1e-12
-
-
-def edge_action_weight(edge: Edge, energy: float) -> float:
-    """Action of one constant-potential edge: sqrt((V - E)_+) * L."""
-    return math.sqrt(max(edge.potential - energy, 0.0)) * edge.length
 
 
 @dataclass
@@ -57,7 +52,7 @@ def compute_rho_a(graph: MetricGraph, energy: float | None = None) -> AgmonMetri
         raise ValueError(f"energy must be finite, got {e_eff}")
     table = graph._rho_tables.get(e_eff)
     if table is None:
-        rho = graph.distances(lambda e: edge_action_weight(e, e_eff))
+        rho = graph.distances(e_eff)
         table = AgmonMetricTable(graph, e_eff, rho, graph.arc_distances())
         graph._rho_tables[e_eff] = table
     return table

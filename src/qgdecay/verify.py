@@ -27,7 +27,7 @@ from .eigenfunctions import (
     canonical_path,
     repeated_sum,
 )
-from .graph import MetricGraph
+from .graph import MetricGraph, _arrays
 from .metrics import (
     PathSpec,
     ave_action_integral,
@@ -205,10 +205,13 @@ def _edge_sup_and_l2(
 def continuity_and_kirchhoff(f: Eigenfunction) -> dict[str, float]:
     """Worst continuity and Kirchhoff residuals over all interior vertices,
     one per vertex class."""
-    worst = None
-    for res in map(f.vertex_residuals, f.graph.interior_vertex_ids()):
-        # max() over the vertices in order, as a running value
-        worst = res if worst is None else tuple(map(max, worst, res))
+    if f.coeffs is not None:  # a built graph, on its arrays
+        worst = _arrays().interior_residuals(f)
+    else:
+        worst = None
+        for res in map(f.vertex_residuals, f.graph.interior_vertex_ids()):
+            # max() over the vertices in order, as a running value
+            worst = res if worst is None else tuple(map(max, worst, res))
     cont, kirch = worst or (0.0, 0.0)
     return {"max_continuity": cont, "max_kirchhoff": kirch}
 
@@ -234,10 +237,9 @@ def constraint_margin(graph: MetricGraph, spec: MultiplierSpec) -> float:
         raise ValueError(f"energy must be finite, got {e_eff}")
     scale = 1.0 - spec.epsilon
     margin = math.inf
-    for e in graph.edges:  # one edge per class; min() reads each once
-        if e.id not in graph.core_edges:
-            s = scale * math.sqrt(max(e.potential - e_eff, 0.0))
-            margin = min(margin, (e.potential - graph.energy) - s * s)
+    for potential in graph.non_core_potentials():
+        s = scale * math.sqrt(max(potential - e_eff, 0.0))
+        margin = min(margin, (potential - graph.energy) - s * s)
     return margin
 
 

@@ -1,0 +1,290 @@
+"""Built graphs held as arrays: their views against the object graphs the
+builders used to make, and the array kernels against the per-vertex code,
+bit for bit."""
+
+import collections
+import contextlib
+import io
+import math
+import struct
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import object_graphs
+import qgdecay.arrays
+import qgdecay.eigenfunctions
+import qgdecay.graph
+from qgdecay.cli import main
+from qgdecay.eigenfunctions import (
+    EdgeSolution,
+    Eigenfunction,
+    construct,
+    continuity_residual,
+    kirchhoff_residual,
+)
+from qgdecay.graph import (
+    Edge,
+    FamilyParameterError,
+    GraphValidationError,
+    MetricGraph,
+    Vertex,
+    build_family,
+    build_graph,
+    generate_family,
+)
+from qgdecay.verify import continuity_and_kirchhoff
+from test_graph import spec_documents
+
+
+def bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def assert_views_match(g, vertices, edges):
+    """``g``'s views equal those of the object graph of ``vertices`` and
+    ``edges``, and its array stages agree with the object code."""
+    old = MetricGraph(vertices, edges, g.root, g.energy, g.core_edges,
+                      g.family_info)
+    # lookups and len() first, before a full read makes every object
+    assert (len(g.vertices), len(g.edges)) == (len(old.vertices), len(old.edges))
+    assert g.edges[-1] == g.edge_by_id[old.edges[-1].id] == old.edges[-1]
+    assert g.vertex_by_id[old.root] == old.vertex_by_id[old.root]
+    assert g.incidence == old.incidence == object_graphs.incidence(vertices, edges)
+    assert tuple(g.vertices) == old.vertices
+    assert tuple(g.edges) == old.edges
+    assert g.vertex_by_id == old.vertex_by_id
+    assert g.edge_by_id == old.edge_by_id
+    assert g.to_json_dict() == old.to_json_dict()
+    assert g.interior_vertex_ids() == object_graphs.interior_vertex_ids(old)
+    object_graphs.validate(old)
+    g.validate()
+
+
+class TestViews:
+    @pytest.mark.parametrize("depth", [1, 2, 5, 9])
+    @pytest.mark.parametrize("l2", [0.5, 2.0])
+    def test_two_lengths_tree(self, depth, l2):
+        g = generate_family("two_lengths_tree", {"L1": 1.0, "L2": l2}, depth)
+        assert_views_match(g, *object_graphs.two_lengths_tree(depth, 1.0, l2, 0.0))
+
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_millipede(self, depth):
+        g = generate_family("millipede", {"delta": 0.2}, depth)
+        assert_views_match(g, *object_graphs.comb(
+            depth + 1, depth, 2.0, 0.0, 4.0, -1.0 + 0.2 * 0.2))
+
+    @pytest.mark.parametrize("rung_potential", [None, -1.0, 3.0])
+    @pytest.mark.parametrize("depth", [1, 4])
+    def test_ladder(self, depth, rung_potential):
+        params = {"w": 1.5}
+        if rung_potential is not None:
+            params["rung_potential"] = rung_potential
+        g = generate_family("ladder", params, depth)
+        rung = 0.0 if rung_potential is None else rung_potential
+        assert g.core_edges == (set(range(2 * depth, 3 * depth)) if rung <= -1.0
+                                else set())
+        assert_views_match(g, *object_graphs.ladder(depth, 1.5, 0.0, rung))
+
+    def test_half_ladder(self):
+        f = construct("ladder", {"w": 1.5, "mode": "antisymmetric"}, 4)
+        assert_views_match(f.graph, *object_graphs.comb(4, 4, 1.0, 0.0, 0.75, 0.0))
+
+    @pytest.mark.parametrize("name,params", [
+        ("regular_tree", {"b": 3}),
+        ("ns_regular_tree", {"b_seq": [2, 3, 2], "length_seq": [1.0, 0.5, 1.5, 1.0]}),
+        ("braided", {"b_seq": [4, 4], "a_seq": [2, 2, 2], "v_seq": [1.0, 2.5, 3.0]}),
+    ])
+    def test_expanded_tables(self, name, params):
+        table = build_family(name, params, 3)
+        assert_views_match(table.expand(), *object_graphs.expansion(table))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_graphs_with_cycles_loops_and_parallel_edges(self, data):
+        # ids are positions, so the object graph's columns build an array
+        # graph; components other than the root's are unreached
+        g = data.draw(solved_graphs()).graph
+        a = g.arrays
+        built = MetricGraph.from_arrays(
+            a.tail, a.head, a.length, a.potential,
+            np.array([e.generation for e in g.edges], dtype=np.int64),
+            np.array([v.generation for v in g.vertices], dtype=np.int64),
+            a.boundary, g.root, g.energy, g.core_edges,
+        )
+        assert built.incidence == g.incidence == object_graphs.incidence(
+            g.vertices, g.edges)
+        assert built.interior_vertex_ids() == object_graphs.interior_vertex_ids(g)
+        assert fault(built.validate) == fault(object_graphs.validate, g)
+        assert (tuple(built.vertices), tuple(built.edges)) == (g.vertices, g.edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec_documents())
+    def test_validate_names_the_fault_the_object_code_named(self, doc):
+        validate = MetricGraph.validate
+
+        def both(graph):
+            assert fault(validate, graph) == fault(object_graphs.validate, graph)
+            validate(graph)
+
+        with mock.patch.object(MetricGraph, "validate", both):
+            with contextlib.suppress(GraphValidationError, FamilyParameterError):
+                build_graph(doc)
+
+    def test_a_lookup_makes_one_object(self, monkeypatch):
+        made = count_objects(monkeypatch)
+        g = generate_family("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 14)
+        assert len(g.edges) == 32767 and len(g.vertices) == 32768
+        assert g.edge_by_id[300].tail == 150 and g.vertex_by_id[300].generation == 9
+        assert g.incidence[300] == (299, 599, 600)
+        assert 32766 in g.edge_by_id and 32767 not in g.edge_by_id
+        assert sum(made.values()) == 2
+
+
+def fault(check, *args):
+    try:
+        check(*args)
+    except GraphValidationError as exc:
+        return str(exc)
+    return None
+
+
+def count_objects(monkeypatch):
+    """Count the Vertex, Edge and EdgeSolution objects made from now on."""
+    made = collections.Counter()
+    for cls in (Vertex, Edge, EdgeSolution):
+        def make(*args, cls=cls, **kwargs):
+            made[cls.__name__] += 1
+            return cls(*args, **kwargs)
+
+        for module in (qgdecay.graph, qgdecay.eigenfunctions, qgdecay.arrays):
+            if getattr(module, cls.__name__, None) is cls:
+                monkeypatch.setattr(module, cls.__name__, make)
+    return made
+
+
+# ---------------------------------------------------------------------------
+# Kernels against the per-vertex code
+# ---------------------------------------------------------------------------
+
+
+COEFFICIENTS = (
+    st.floats(-4.0, 4.0)
+    | st.sampled_from([0.0, -0.0, 1e308, -1e308, math.inf, math.nan])
+)
+
+
+@st.composite
+def solved_graphs(draw):
+    """A forest (about one vertex in six starts a tree) plus edges that may
+    close cycles, double an edge or loop at a vertex, in any order and
+    orientation, with a solution on each
+    edge: k = 0 now and then, and coefficients that overflow or are not
+    finite (cosh overflows past k L = 710)."""
+    n = draw(st.integers(1, 7))
+    ends = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)
+            if draw(st.integers(0, 5))]
+    ends += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4
+    ))
+    ends = [end[::-1] if draw(st.booleans()) else end
+            for end in draw(st.permutations(ends))]
+    edges = [Edge(eid, tail, head, draw(st.sampled_from([0.5, 1.0, 2.0, 300.0])),
+                  draw(st.sampled_from([1.0, -1.0])), generation=eid)
+             for eid, (tail, head) in enumerate(ends)]
+    vertices = [Vertex(v, generation=v, boundary=draw(st.integers(0, 5)) == 0)
+                for v in range(n)]
+    g = MetricGraph(vertices, edges, root=draw(st.integers(0, n - 1)), energy=0.0)
+    sols = {
+        e.id: EdgeSolution(e.id, draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+                           e.length, draw(COEFFICIENTS), draw(COEFFICIENTS))
+        for e in edges
+    }
+    return Eigenfunction(g, sols, family="custom")
+
+
+def outcome(compute):
+    try:
+        return compute()
+    except OverflowError:
+        return OverflowError
+
+
+def kernel_values(f):
+    vids, values = f.interior_values()
+    return vids, bits(values)
+
+
+def oracle_values(f):
+    vids = object_graphs.interior_vertex_ids(f.graph)
+    return vids, bits([f.vertex_value(vid) for vid in vids])
+
+
+def kernel_residuals(f):
+    res = continuity_and_kirchhoff(f)
+    return bits([res["max_continuity"], res["max_kirchhoff"]])
+
+
+def oracle_residuals(f):
+    worst = None
+    for vid in object_graphs.interior_vertex_ids(f.graph):
+        res = (continuity_residual(f, vid), kirchhoff_residual(f, vid))
+        worst = res if worst is None else tuple(map(max, worst, res))
+    return bits(worst or (0.0, 0.0))
+
+
+def assert_kernels_match(f):
+    assert f.coeffs is not None  # the array kernels run
+    assert outcome(lambda: kernel_values(f)) == outcome(lambda: oracle_values(f))
+    assert (outcome(lambda: kernel_residuals(f))
+            == outcome(lambda: oracle_residuals(f)))
+
+
+BUILT = [
+    *[("two_lengths_tree", {"L1": 1.0, "L2": l2}) for l2 in (0.5, 1.0, 1.5, 3.0)],
+    ("two_lengths_tree", {"L1": 0.7, "L2": 2.0, "k": 2.0}),
+    ("millipede", {"delta": 0.1}),
+    ("millipede", {"delta": 1.0}),
+    ("ladder", {"w": 0.5, "mode": "symmetric"}),  # k = 0 on the rungs
+    ("ladder", {"w": 2.0, "mode": "antisymmetric"}),
+]
+
+
+class TestKernels:
+    @pytest.mark.parametrize("depth", [1, 2, 7])
+    @pytest.mark.parametrize("name,params", BUILT,
+                             ids=[f"{n}-{i}" for i, (n, _) in enumerate(BUILT)])
+    def test_built_families(self, name, params, depth):
+        assert_kernels_match(construct(name, dict(params), depth))
+
+    def test_perturbed_and_overflowing_solutions(self):
+        f = construct("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 5)
+        for change in [{9: (1e308, 0.0)}, {9: (math.nan, 1.0)},
+                       {3: (1.0, math.inf), 40: (math.nan, 0.0)}]:
+            sols = dict(f.solutions)
+            for eid, (a, b) in change.items():
+                sols[eid] = EdgeSolution(eid, sols[eid].k, sols[eid].length, a, b)
+            assert_kernels_match(Eigenfunction(f.graph, sols, family=f.family))
+
+    @settings(max_examples=300, deadline=None)
+    @given(solved_graphs())
+    def test_graphs_with_cycles_loops_and_parallel_edges(self, f):
+        assert_kernels_match(f)
+
+
+def test_path_verify_makes_objects_by_depth_not_by_edge(monkeypatch):
+    # 98,302 Vertex, Edge and EdgeSolution objects at depth 14 if made per
+    # edge; the path certificate reads the 15 edges of its path
+    made = count_objects(monkeypatch)
+    counts = {}
+    for depth in (10, 14):
+        made.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--family", "two-lengths-tree", "--L1", "1",
+                         "--L2", "2", "--depth", str(depth),
+                         "--multiplier", "path"]) == 0
+        counts[depth] = sum(made.values())
+    assert counts[14] <= 30 * 15
+    assert counts[14] - counts[10] <= 30 * 4

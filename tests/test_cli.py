@@ -706,3 +706,81 @@ def test_verify_exit_code_contract(argv):
     status = json.loads(out.getvalue())["status"] if code != 2 else None
     assert (code == 1) == (status == "FAIL")
     assert (code == 0) == (status == "PASS")
+
+
+# ---------------------------------------------------------------------------
+# Negative option values, and the exit-code contract of the other commands
+# ---------------------------------------------------------------------------
+
+
+def _float_flags():
+    parser = qgdecay.cli._build_parser()
+    commands = next(a for a in parser._actions if a.choices and a.dest == "command")
+    return [(command, action.option_strings[0], action.dest)
+            for command, sub in commands.choices.items()
+            for action in sub._actions if action.type is float]
+
+
+@pytest.mark.parametrize("command,flag,dest", _float_flags())
+@pytest.mark.parametrize("value", ["-1e-5", "-2.2250738585072014e-308", "-1E+3",
+                                   "-.5", "-inf"])
+def test_float_flags_take_negative_values(command, flag, dest, value):
+    # as "--flag=-1e-5" always did; argparse alone reads "-1e-5" as an option
+    parser = qgdecay.cli._build_parser()
+    spaced = parser.parse_args([command, flag, value])
+    assert vars(spaced) == vars(parser.parse_args([command, f"{flag}={value}"]))
+    assert getattr(spaced, dest) == float(value)
+
+
+def test_verify_with_a_negative_exponent_option(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "regular-tree", "--b", "2",
+                       "--depth", "4", "--extra-rate", "-1e-5")
+    assert code == 0
+    assert json.loads(out)["decay_report"]["multiplier"]["extra_rate"] == -1e-5
+
+
+@st.composite
+def command_argvs(draw):
+    """A generate, metric, solve or sweep argv: any family at depth 1-5
+    with its flags, each command's own options, and sweep grids of a few
+    points."""
+    command = draw(st.sampled_from(["generate", "metric", "solve", "sweep"]))
+    if command == "sweep":
+        family = draw(st.sampled_from(["regular-tree", "ladder", "millipede",
+                                       "two-lengths-tree"]))
+        argv = ["sweep", "--family", family]
+        grid = (st.lists(_number(0.05, 3.0) | EDGE_CASES, min_size=1, max_size=3)
+                .map(",".join) | st.sampled_from(["1:2:0.5", "2:1:1", "1:2:0", "x"]))
+        for flag in {"regular-tree": ["--b-range", "--kL-range"], "ladder": ["--w"],
+                     "millipede": ["--delta-grid"]}.get(family, []):
+            argv += [flag, draw(grid)] if flag != "--b-range" else [
+                flag, draw(st.sampled_from(["2:3:1", "1:2:1", "0:1:1", "2.5"]))]
+        return argv
+    depth = draw(st.integers(1, 5))
+    family = draw(st.sampled_from(sorted(CONTRACT_FAMILIES)))
+    argv = [command, "--family", family, "--depth", str(depth)]
+    for flag, values, required in CONTRACT_FAMILIES[family](depth):
+        if command == "solve" or flag != "--mode":
+            if required or draw(st.booleans()):
+                argv += [flag, draw(values)]
+    if command == "metric":
+        if draw(st.booleans()):
+            argv.append("--cut-points")
+        if draw(st.booleans()):
+            argv += ["--energy-shift", draw(_number(-2.0, 2.0) | EDGE_CASES)]
+    if command == "solve" and draw(st.booleans()):
+        argv += ["--samples", str(draw(st.integers(-1, 5)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=command_argvs())
+def test_other_commands_exit_code_contract(argv):
+    # no certificate, so no exit 1: an output and exit 0, or an error and
+    # exit 2, never a traceback (main would raise)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == bool(out.getvalue()) == (not err.getvalue())

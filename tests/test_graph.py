@@ -426,4 +426,4 @@ class TestDijkstra:
             weight = {e.id: rule(e) for e in g.edges}
             expected = bits(heap_dijkstra(g, weight))
             assert bits(dijkstra(g, weight)) == expected
-            assert bits(dijkstra(g, EdgeWeights(g, rule))) == expected
+            assert bits(dijkstra(g, EdgeWeights(g, list(weight.values())))) == expected
