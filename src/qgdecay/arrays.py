@@ -36,7 +36,9 @@ class GraphArrays(SimpleNamespace):
     ``potential``, ``generation`` and ``core`` (a mask).  ``vertex_index``
     and ``edge_index`` give an id's position: a range where ids are
     positions, else a dict in which the last of equal ids wins, as in
-    ``vertex_by_id``.  The kernels below keep what they derive here too."""
+    ``vertex_by_id``.  A graph made from objects has no generation columns
+    (its objects hold them).  The kernels below keep what they derive here
+    too."""
 
 
 def position(index: range | dict, key) -> int:

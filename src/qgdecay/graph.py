@@ -241,8 +241,8 @@ def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float
     """Label-setting sweep from the root; weights must be nonnegative.
     Where the root's component is a tree, the distances of each
     breadth-first level are one array addition, ``dist[from] + weight``:
-    the heap's floats without the heap.  Otherwise each weight is looked up
-    at most once where the graph has as many edges as vertices or more."""
+    the heap's floats without the heap.  The heap looks each weight up at
+    most once."""
     dist = _arrays().tree_distances(graph, weight)
     if dist is not None:
         return dist
