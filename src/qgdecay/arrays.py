@@ -26,7 +26,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .eigenfunctions import DERIV_FLOOR, EdgeSolution
-from .graph import Edge, EdgeWeights, GraphValidationError, Vertex
+from .graph import Edge, GraphValidationError, Vertex
 
 
 class GraphArrays(SimpleNamespace):
@@ -225,7 +225,7 @@ def bfs(g) -> tuple[list[tuple[np.ndarray, ...]], bool, np.ndarray]:
     return a.levels, a.tree, a.reached
 
 
-def tree_distances(g, weight: Mapping[int, float]) -> dict[int, float] | None:
+def tree_distances(g, weights: Sequence[float]) -> dict[int, float] | None:
     """Where the root's component is a tree, the distances level by level,
     ``dist[from] + weight``: one addition per vertex, as the heap makes
     them; else None."""
@@ -233,10 +233,7 @@ def tree_distances(g, weight: Mapping[int, float]) -> dict[int, float] | None:
     if not tree:
         return None
     a = g.arrays
-    if isinstance(weight, EdgeWeights):
-        w = np.asarray(weight.weights, dtype=float)
-    else:
-        w = np.array([weight[eid] for eid in a.edge_ids.tolist()], dtype=float)
+    w = np.asarray(weights, dtype=float)
     dist = np.full(len(a.boundary), math.inf)
     dist[position(a.vertex_index, g.root)] = 0.0
     with np.errstate(over="ignore"):
@@ -244,14 +241,6 @@ def tree_distances(g, weight: Mapping[int, float]) -> dict[int, float] | None:
             dist[to] = dist[frm] + w[edge]
     reached = dist < math.inf  # the heap's rule: inf and NaN reach nothing
     return dict(zip(a.vertex_ids[reached].tolist(), dist[reached].tolist()))
-
-
-def edge_weights(g, energy: float | None) -> np.ndarray:
-    """Each edge's length, or its action sqrt((V - energy)_+) * L."""
-    a = g.arrays
-    if energy is None:
-        return a.length
-    return np.sqrt(np.maximum(a.potential - energy, 0.0)) * a.length
 
 
 def interior_positions(g) -> np.ndarray:

@@ -28,7 +28,6 @@ from .eigenfunctions import CONSTRUCTORS, canonical_path, construct, edge_eval
 from .graph import (
     FAMILIES,
     FamilyParameterError,
-    GraphValidationError,
     MetricGraph,
     family_name,
     generate_family,
@@ -103,19 +102,19 @@ def _parse_grid(spec: str) -> list[float]:
         start, stop, step = values
         if step <= 0:
             raise ValueError("grid step must be > 0")
-        # the values are start + i * step for i = 0 .. floor(span + 1/2)
-        if (stop - start) / step + 0.5 >= MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid {spec} has more than {MAX_GRID_POINTS} points"
-            )
+        # the values are start + i * step for i = 0 .. floor(span + 1/2), and
+        # one more: the end test on each value decides
+        last = (stop - start) / step + 0.5
+        if last >= MAX_GRID_POINTS:
+            raise ValueError(f"grid {spec} has more than {MAX_GRID_POINTS} points")
         values = []
-        i = 0
-        while True:
+        for i in range(math.floor(max(last, -1.0)) + 2):
             v = start + i * step
             if v > stop + step / 2:
                 break
+            if values and v == values[-1]:
+                raise ValueError(f"grid {spec}: step {step!r} leaves {v!r} unchanged")
             values.append(v)
-            i += 1
     return values
 
 
@@ -214,10 +213,7 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     if args.cut_points:
         graph = insert_cut_points(graph)
     table = compute_rho_a(graph, energy=graph.energy + args.energy_shift)
-    text = _csv_text(
-        ["vertex_id", "arc_distance", "rho_a"],
-        [tuple(row) for row in table.to_csv_rows()],
-    )
+    text = _csv_text(["vertex_id", "arc_distance", "rho_a"], table.to_csv_rows())
     _emit(text, args.out)
     return 0
 
@@ -238,18 +234,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _multiplier_from_args(args: argparse.Namespace) -> MultiplierSpec:
-    return MultiplierSpec(
-        kind=args.multiplier,
-        delta=args.shift_delta,
-        shift_sign=args.shift_sign,
-        epsilon=args.epsilon,
-        extra_rate=args.extra_rate,
-    )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = _multiplier_from_args(args)
+    spec = MultiplierSpec(kind=args.multiplier, delta=args.shift_delta,
+                          shift_sign=args.shift_sign, epsilon=args.epsilon,
+                          extra_rate=args.extra_rate)
     if not math.isfinite(args.exclusion):
         raise ValueError(f"exclusion must be finite, got {args.exclusion}")
     name, params, depth = _family_params(args)
@@ -475,10 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (GraphValidationError, FamilyParameterError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's _ArrayMemoryError included

@@ -243,7 +243,7 @@ class Eigenfunction:
     def sample_rows(self, samples_per_edge: int = 9) -> list[tuple]:
         """Rows (edge_id, generation, x_local, arc_distance, psi, dpsi); the
         rows of a class repeat for each of its edges (ids e.id, e.id + 1, ...)."""
-        arc = self.graph.arc_distances()
+        arc = self.graph.distances()
         rows = []
         for e in sorted(self.graph.edges, key=lambda e: e.id):
             sol = self.solutions[e.id]
@@ -317,13 +317,6 @@ def canonical_path(f: Eigenfunction) -> PathSpec:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_small_vec(t: TransferMatrix) -> tuple[float, float]:
-    a, b = eig2(t).vec_small
-    if a == 0.0:
-        raise ValueError("contracting direction has no cosh component")
-    return (1.0, b / a)
-
-
 def _propagate_decaying(steps: Sequence[TransferMatrix]) -> list[tuple[float, float]]:
     """Coefficient sequence of the contracting solution: seeded with the
     small-eigenvalue eigenvector of the cumulative step product.
@@ -335,16 +328,18 @@ def _propagate_decaying(steps: Sequence[TransferMatrix]) -> list[tuple[float, fl
     if not steps:
         return [(1.0, -1.0)]
     constant = all(t == steps[0] for t in steps)
-    if constant:
-        seed = _normalized_small_vec(steps[0])
-        lam = eig2(steps[0]).lam_small
-        return [
-            (seed[0] * lam**g, seed[1] * lam**g) for g in range(len(steps) + 1)
-        ]
     product = steps[0]
-    for t in steps[1:]:
-        product = t.matmul(product)
-    return propagate(_normalized_small_vec(product), steps)
+    if not constant:
+        for t in steps[1:]:
+            product = t.matmul(product)
+    pair = eig2(product)
+    a, b = pair.vec_small
+    if a == 0.0:
+        raise ValueError("contracting direction has no cosh component")
+    if constant:
+        lam = pair.lam_small
+        return [(lam**g, b / a * lam**g) for g in range(len(steps) + 1)]
+    return propagate((1.0, b / a), steps)
 
 
 def _construct_generation_family(name: str, params: dict, depth: int) -> Eigenfunction:

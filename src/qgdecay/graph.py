@@ -132,9 +132,7 @@ class MetricGraph:
         self.energy = float(energy)
         self.core_edges = frozenset(core_edges)
         self.family_info = family_info
-        self._arc: dict[int, float] | None = None
-        # metrics.compute_rho_a's tables by effective energy, built on first use
-        self._rho_tables: dict = {}
+        self._distances: dict = {}  # by energy, None for lengths
 
     # A graph is its own quotient: each edge and vertex is its own class
     # (see GenerationTable).
@@ -191,15 +189,25 @@ class MetricGraph:
     def distances(self, energy: float | None = None) -> dict[int, float]:
         """Shortest distance from the root of each vertex reached, each edge
         weighted by its length, or by its action (``edge_action_weight``)
-        at ``energy`` if one is given."""
-        return dijkstra(self, EdgeWeights(self, _arrays().edge_weights(self, energy)))
+        at ``energy`` if one is given: one memo, shared by every caller,
+        who must not modify it.  Where every action weight is its edge's
+        length (V - E = 1), it is the length table itself."""
+        key = None if energy is None else float(energy)
+        if key not in self._distances:
+            weights = self._weights(key)
+            same = key is not None and _numpy().array_equal(weights, self._weights(None))
+            self._distances[key] = self.distances() if same else self._pass(weights)
+        return self._distances[key]
 
-    def arc_distances(self) -> dict[int, float]:
-        """Single-source shortest arc-length distance from the root, computed
-        once per graph; callers share the dict and must not modify it."""
-        if self._arc is None:
-            self._arc = self.distances()
-        return self._arc
+    def _weights(self, energy: float | None) -> Sequence[float]:
+        """Each edge's length in edge order, or its action at ``energy``."""
+        a, np = self.arrays, _numpy()
+        if energy is None:
+            return a.length
+        return np.sqrt(np.maximum(a.potential - energy, 0.0)) * a.length
+
+    def _pass(self, weights: Sequence[float]) -> dict[int, float]:
+        return dijkstra(self, EdgeWeights(self, weights))
 
     def to_json_dict(self) -> dict:
         return {
@@ -239,13 +247,12 @@ class EdgeWeights(Mapping[int, float]):
 
 def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float]:
     """Label-setting sweep from the root; weights must be nonnegative.
-    Where the root's component is a tree, the distances of each
-    breadth-first level are one array addition, ``dist[from] + weight``:
-    the heap's floats without the heap.  The heap looks each weight up at
-    most once."""
-    dist = _arrays().tree_distances(graph, weight)
-    if dist is not None:
-        return dist
+    ``EdgeWeights`` on a tree take ``arrays.tree_distances``, the heap's
+    floats without the heap.  The heap looks each weight up at most once."""
+    if isinstance(weight, EdgeWeights):
+        dist = _arrays().tree_distances(graph, weight.weights)
+        if dist is not None:
+            return dist
     dist = {graph.root: 0.0}
     heap: list[tuple[float, int]] = [(0.0, graph.root)]
     while heap:
@@ -369,13 +376,17 @@ class GenerationTable(MetricGraph):
         for e in self.edges:
             self._check_gap(e)
 
-    def distances(self, energy: float | None = None) -> dict[int, float]:
+    def _weights(self, energy: float | None) -> list[float]:
+        return [e.length if energy is None else edge_action_weight(e, energy)
+                for e in self.edges]
+
+    def _pass(self, weights: Sequence[float]) -> dict[int, float]:
         """Per generation ``prev + weight``: the float addition that
         ``dijkstra`` makes on the expansion, by pass and by heap alike."""
         dist = {self.root: 0.0}
         d = 0.0
-        for e in self.edges:
-            d += e.length if energy is None else edge_action_weight(e, energy)
+        for e, w in zip(self.edges, weights):
+            d += w
             if not d < math.inf:  # the heap's rule: inf and NaN reach nothing
                 break
             dist[e.head] = d

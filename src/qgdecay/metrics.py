@@ -42,20 +42,15 @@ class AgmonMetricTable:
 def compute_rho_a(graph: MetricGraph, energy: float | None = None) -> AgmonMetricTable:
     """Single-source action-weighted shortest paths from the root.
 
-    Arc-length distances are tabulated alongside.  One table per effective
-    energy is computed per graph and shared by every later call at that
-    energy.  A non-finite energy raises ValueError.
+    Arc-length distances are tabulated alongside; both are the graph's
+    memo (``MetricGraph.distances``).  A non-finite energy raises
+    ValueError.
     """
     e_eff = graph.energy if energy is None else float(energy)
     if not math.isfinite(e_eff):
         # Dijkstra never settles a vertex across a NaN weight
         raise ValueError(f"energy must be finite, got {e_eff}")
-    table = graph._rho_tables.get(e_eff)
-    if table is None:
-        rho = graph.distances(e_eff)
-        table = AgmonMetricTable(graph, e_eff, rho, graph.arc_distances())
-        graph._rho_tables[e_eff] = table
-    return table
+    return AgmonMetricTable(graph, e_eff, graph.distances(e_eff), graph.distances())
 
 
 def insert_cut_points(graph: MetricGraph) -> MetricGraph:
@@ -66,7 +61,7 @@ def insert_cut_points(graph: MetricGraph) -> MetricGraph:
     the edge (relative tolerance absorbs float noise); endpoint ties need no
     split.  Returns the input graph unchanged when there are no cut points.
     """
-    arc = graph.arc_distances()
+    arc = graph.distances()
     new_edges: list[Edge] = []
     new_vertices: list[Vertex] = list(graph.vertices)
     next_vid = max(v.id for v in graph.vertices) + 1

@@ -43,7 +43,7 @@ def vertex_fit_slopes(f: Eigenfunction) -> tuple[float | None, float | None]:
     keep = np.abs(values) > VALUE_FLOOR
     ys = np.log(np.abs(values[keep]))
     slopes = []
-    for dist in (g.graph.arc_distances(), compute_rho_a(g.graph).rho):
+    for dist in (g.graph.distances(), compute_rho_a(g.graph).rho):
         xs = np.array([dist[vid] for vid in vids])[keep]
         degenerate = len(xs) < 2 or np.ptp(xs) == 0.0
         slopes.append(None if degenerate else float(np.polyfit(xs, ys, 1)[0]))

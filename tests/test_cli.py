@@ -607,6 +607,41 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--family", "two-lengths-tree")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["1e25:1e25:1", "1:1:1e-17", "1e308:1e308:1",
+                                      "9007199254740992:9007199254740994:1"])
+    def test_step_that_leaves_a_value_unchanged_exits_2(self, capsys, grid):
+        # start + step rounds back to start: the unbounded loop never
+        # passed stop, or repeated kL = 1.0 for a one-point grid
+        code, out, err = run(capsys, "sweep", "--family", "regular-tree",
+                             "--b-range", "2:2:1", "--kL-range", grid)
+        assert code == 2
+        assert out == ""
+        assert f"grid {grid}: step" in err
+
+    @pytest.mark.parametrize("grid,values", [
+        ("0:1.5:1", [0.0, 1.0, 2.0]),  # ends half a step past a point
+        ("0:2.5:1", [0.0, 1.0, 2.0, 3.0]),
+        ("2:1:1", []),
+        ("2:1.5:1", [2.0]),
+        ("1e308:-1e308:1e300", []),  # stop - start overflows
+        ("0.1:0.3:0.1", [0.1, 0.2, 0.30000000000000004]),
+    ])
+    def test_grid_edges(self, grid, values):
+        assert qgdecay.cli._parse_grid(grid) == values
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.floats(-100.0, 100.0), points=st.integers(-3, 50),
+           step=st.floats(1e-3, 10.0),
+           frac=st.sampled_from([0.0, 0.5, -0.5, 0.4999999999, 0.5000000001])
+           | st.floats(-1.0, 1.0))
+    def test_grid_is_the_unbounded_loop(self, start, points, step, frac):
+        # the values of the loop that ran until a value passed the end
+        stop = start + (points + frac) * step
+        expected = []
+        while (v := start + len(expected) * step) <= stop + step / 2:
+            expected.append(v)
+        assert qgdecay.cli._parse_grid(f"{start!r}:{stop!r}:{step!r}") == expected
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -784,3 +819,20 @@ def test_other_commands_exit_code_contract(argv):
     assert code in (0, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == bool(out.getvalue()) == (not err.getvalue())
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--family", "regular-tree", "--b", "2", "--depth", "4"], 0),
+    (["verify", "--family", "two-lengths-tree", "--L1", "1", "--L2", "2",
+      "--depth", "6"], 1),
+    (["verify", "--family", "regular-tree", "--depth", "4"], 2),
+    (["verify", "--no-such-flag"], 2),
+], ids=["pass", "fail", "missing-flag", "unknown-option"])
+def test_entry_exits_with_the_code_of_main(capsys, monkeypatch, argv, code):
+    # entry() is the qgdecay console script
+    monkeypatch.setattr("sys.argv", ["qgdecay", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        qgdecay.cli.entry()
+    assert exit_.value.code == code
+    status = capsys.readouterr().out
+    assert ('"status": "PASS"' in status) == (code == 0)

@@ -412,7 +412,10 @@ class TestDijkstra:
     @given(weighted_graphs())
     def test_matches_the_heap_bit_for_bit(self, case):
         graph, weight = case
-        assert bits(dijkstra(graph, weight)) == bits(heap_dijkstra(graph, weight))
+        expected = bits(heap_dijkstra(graph, weight))
+        assert bits(dijkstra(graph, weight)) == expected
+        # a plain Mapping takes the heap; EdgeWeights take the tree pass
+        assert bits(dijkstra(graph, EdgeWeights(graph, list(weight.values())))) == expected
 
     @pytest.mark.parametrize("name,params", FAMILY_CASES,
                              ids=[name for name, _ in FAMILY_CASES])

@@ -1,12 +1,20 @@
+import contextlib
+import io
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qgdecay.graph
+from qgdecay.cli import main
+from qgdecay.eigenfunctions import construct
 from qgdecay.graph import (
     Edge,
+    GenerationTable,
     MetricGraph,
     Vertex,
+    build_family,
     dijkstra,
     generate_family,
 )
@@ -102,16 +110,64 @@ class TestComputeRhoA:
     def test_own_energy_table_is_shared(self):
         g = generate_family("regular_tree", {"b": 2, "k": 1.0}, 4)
         table = compute_rho_a(g)
-        assert compute_rho_a(g) is table
-        assert compute_rho_a(g, energy=g.energy) is table
+        assert compute_rho_a(g).rho is table.rho
+        assert compute_rho_a(g, energy=g.energy).rho is table.rho
         shifted = compute_rho_a(g, energy=g.energy + 0.5)
-        assert shifted is not table
-        assert compute_rho_a(g, energy=g.energy + 0.5) is shifted
+        assert shifted.rho is not table.rho
+        assert compute_rho_a(g, energy=g.energy + 0.5).rho is shifted.rho
+        assert shifted.arc is table.arc
 
     def test_csv_rows_sorted(self):
         g = chain_graph(3)
         rows = compute_rho_a(g).to_csv_rows()
         assert [r[0] for r in rows] == [0, 1, 2, 3]
+
+
+def bits(dist):
+    return {vid: struct.pack("<d", d) for vid, d in dist.items()}
+
+
+class TestDistanceMemo:
+    """``MetricGraph.distances`` is the graph's one memo of root distances."""
+
+    def test_unit_action_is_the_length_table(self):
+        # k = 1: every action weight sqrt(V - E) * L is its length L
+        g = generate_family("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 4)
+        assert g.distances(g.energy) is g.distances()
+        table = compute_rho_a(g)
+        assert table.rho is table.arc is g.distances()
+        quotient = build_family("regular_tree", {"b": 2}, 4)
+        assert isinstance(quotient, GenerationTable)
+        assert quotient.distances(quotient.energy) is quotient.distances()
+
+    def test_a_verify_runs_one_distance_pass(self, monkeypatch):
+        calls = []
+
+        def counting(graph, weight):
+            calls.append(graph)
+            return dijkstra(graph, weight)
+
+        monkeypatch.setattr(qgdecay.graph, "dijkstra", counting)
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["verify", "--family", "two-lengths-tree", "--L1", "1",
+                  "--L2", "2", "--depth", "4", "--multiplier", "path"])
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name,params,delta", [
+        ("two_lengths_tree", {"L1": 1.0, "L2": 2.0, "k": 2.0}, 0.0),
+        ("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 0.5),  # --shift-delta
+        ("ladder", {"w": 0.75, "mode": "symmetric"}, 0.0),  # zero-action rungs
+    ], ids=["k=2", "shift-delta", "symmetric-ladder"])
+    def test_other_weights_take_their_own_pass(self, name, params, delta):
+        g = construct(name, params, 4).graph
+        energy = MultiplierSpec(delta=delta).effective_energy(g.energy)
+        rho, arc = g.distances(energy), g.distances()
+        assert rho is not arc
+        assert g.distances(energy) is rho
+        # a plain Mapping of weights takes the heap
+        assert bits(rho) == bits(dijkstra(
+            g, {e.id: edge_action_weight(e, energy) for e in g.edges}))
+        assert bits(arc) == bits(dijkstra(g, {e.id: e.length for e in g.edges}))
 
 
 class TestEvalRhoA:
@@ -185,7 +241,7 @@ class TestInsertCutPoints:
         n = 4
         w = 1.0
         g = generate_family("ladder", {"w": w}, n)
-        arc = g.arc_distances()
+        arc = g.distances()
         # rung endpoints are equidistant: no edge orientation away from root
         assert any(arc[e.head] == arc[e.tail] for e in g.edges)
         cut = insert_cut_points(g)
@@ -194,7 +250,7 @@ class TestInsertCutPoints:
         table = compute_rho_a(cut)
         mids = sorted(table.arc[v.id] for v in new_vertices)
         assert mids == [j + w / 2 for j in range(1, n + 1)]
-        arc = cut.arc_distances()
+        arc = cut.distances()
         for e in cut.edges:  # now every edge leads away from the root
             assert arc[e.head] != arc[e.tail]
 
@@ -236,7 +292,7 @@ class TestInsertCutPoints:
         g = MetricGraph(vertices, edges, root=0, energy=0.0)
         g.validate()
         cut = insert_cut_points(g)
-        arc = cut.arc_distances()
+        arc = cut.distances()
         for e in cut.edges:  # every edge leads away from the root
             assert arc[e.head] != arc[e.tail]
         # total length is preserved by splitting

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qgdecay.cli import _build_parser, _family_params
@@ -150,6 +151,12 @@ class TestConstraintMargin:
 
 
 class TestDecayReport:
+    def test_gauss_rule_is_leggauss_to_the_bit(self):
+        # the rule is written out so that no verify imports numpy.polynomial
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        assert [x.tobytes() for x in qgdecay.verify._gauss()] == [
+            nodes.tobytes(), weights.tobytes()]
+
     def test_tree_path_multiplier_passes(self):
         f = tree(10)
         rep = decay_report(f, MultiplierSpec(kind="path", epsilon=0.1), [6, 8, 10])
@@ -334,7 +341,7 @@ class TestVertexFits:
     def test_wide_tree_costs_no_memory_per_vertex(self, depth):
         # 1.1e6 interior vertices at depth 6, 1.1e40 at depth 40
         f = construct("regular_tree", {"b": 10}, depth)
-        f.graph.arc_distances()
+        f.graph.distances()
         f.interior_values()
         want = math.log(eig2(vertex_edge_transfer(1.0, 1.0 / 10)).lam_small)
         tracemalloc.start()
@@ -555,7 +562,7 @@ def per_point_monotonicity(f, exclusion_radius=0.0, edges=None,
                            samples_per_edge=17, rel_tol=1e-12):
     """(ok, edge, offset, detail) of the sampled edge scan that the exact
     test replaced, rung zeros left out."""
-    arc = f.graph.arc_distances()
+    arc = f.graph.distances()
     scale = max(abs(sol.A) + abs(sol.B) for sol in f.solutions.values())
     pool = (
         f.graph.edges
