@@ -35,12 +35,7 @@ from .graph import (
     load_graph_spec,
 )
 from .metrics import compute_rho_a, insert_cut_points
-from .transfer import (
-    eig2,
-    ladder_antisym_transfer,
-    millipede_transfer,
-    vertex_edge_transfer,
-)
+from .transfer import eig2, vertex_edge_transfer
 from .verify import (
     Multiplier,
     MultiplierSpec,
@@ -222,13 +217,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     f = construct(*_family_params(args))
-    rows = [
-        (eid, "" if gen is None else gen, x, arc, psi, dpsi)
-        for eid, gen, x, arc, psi, dpsi in f.sample_rows(args.samples)
-    ]
     text = _csv_text(
         ["edge_id", "generation", "x_local", "arc_distance", "psi", "dpsi"],
-        rows,
+        f.sample_rows(args.samples),
     )
     _emit(text, args.out)
     return 0
@@ -337,6 +328,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 fitted = fit_decay_rate(
                     construct("regular_tree", {"b": b, "length": 1.0, "k": kl}, 3)
                 )
+                # at the nominal kL: construct's k = sqrt(V - E) can miss it
+                # in the last bit, so f's own step would move this column
                 lam = eig2(vertex_edge_transfer(kl, 1.0 / b)).lam_small
                 bound = 1.0 / (b * math.cosh(kl))
                 ratio = b * lam * lam
@@ -352,33 +345,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ]
         rows = []
         for w in ws:
-            t = ladder_antisym_transfer(w)
-            pair = eig2(t)
+            f = construct("ladder", {"w": w, "mode": "antisymmetric"}, 8)
+            t, pair = f.meta["step"], f.meta["eigenpair"]
             gamma = math.sinh(1.0) / math.tanh(w / 2.0)
-            fitted = fit_decay_rate(
-                construct("ladder", {"w": w, "mode": "antisymmetric"}, 8)
-            )
-            rows.append(
-                (
-                    w, gamma, t.det(), t.trace(),
-                    pair.lam_small, pair.lam_large, fitted,
-                    pair.lam_small < math.exp(-1.0),
-                )
-            )
+            rows.append((w, gamma, t.det(), t.trace(), pair.lam_small, pair.lam_large,
+                         fit_decay_rate(f), pair.lam_small < math.exp(-1.0)))
     elif name == "millipede":
         deltas = _parse_grid(args.delta_grid or "0.1,0.05,0.02,0.01,0.005")
         header = ["delta", "lambda_small", "log_residual", "fitted_rate"]
         rows = []
         for d in deltas:
-            lam = eig2(millipede_transfer(d)).lam_small
-            fitted = fit_decay_rate(construct("millipede", {"delta": d}, 8))
-            rows.append(
-                (
-                    d, lam,
-                    abs(math.log(lam) + 2.0 + d / 2.0),
-                    fitted,
-                )
-            )
+            f = construct("millipede", {"delta": d}, 8)
+            lam = f.meta["lambda_small"]
+            rows.append((d, lam, abs(math.log(lam) + 2.0 + d / 2.0), fit_decay_rate(f)))
     else:
         raise FamilyParameterError(
             f"sweep supports regular-tree, ladder, millipede; got {args.family!r}"

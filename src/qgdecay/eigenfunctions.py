@@ -14,13 +14,14 @@ import math
 import struct
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from .graph import GenerationTable, MetricGraph, _arrays, _numpy
 from .graph import FamilyParameterError, build_family, comb, family_arguments
 from .graph import family_name, generate_family, keyword_params, ladder_info
 from .metrics import PathSpec
 from .transfer import (
+    EigenPair2,
     TransferMatrix,
     eig2,
     ladder_antisym_transfer,
@@ -317,16 +318,19 @@ def canonical_path(f: Eigenfunction) -> PathSpec:
 # ---------------------------------------------------------------------------
 
 
-def _propagate_decaying(steps: Sequence[TransferMatrix]) -> list[tuple[float, float]]:
-    """Coefficient sequence of the contracting solution: seeded with the
-    small-eigenvalue eigenvector of the cumulative step product.
+def _propagate_decaying(
+    steps: Sequence[TransferMatrix],
+) -> tuple[list[tuple[float, float]], EigenPair2 | None]:
+    """Coefficient sequence of the contracting solution, seeded with the
+    small-eigenvalue eigenvector of the cumulative step product, and that
+    product's eigenpair (None without steps).
 
     When all steps are equal the eigen relation is applied as exact scalar
     powers of lambda_small; matrix products would exponentially amplify the
     float-level contamination of the growing eigendirection.
     """
     if not steps:
-        return [(1.0, -1.0)]
+        return [(1.0, -1.0)], None
     constant = all(t == steps[0] for t in steps)
     product = steps[0]
     if not constant:
@@ -338,8 +342,8 @@ def _propagate_decaying(steps: Sequence[TransferMatrix]) -> list[tuple[float, fl
         raise ValueError("contracting direction has no cosh component")
     if constant:
         lam = pair.lam_small
-        return [(lam**g, b / a * lam**g) for g in range(len(steps) + 1)]
-    return propagate((1.0, b / a), steps)
+        return [(lam**g, b / a * lam**g) for g in range(len(steps) + 1)], pair
+    return propagate((1.0, b / a), steps), pair
 
 
 def _construct_generation_family(name: str, params: dict, depth: int) -> Eigenfunction:
@@ -353,7 +357,7 @@ def _construct_generation_family(name: str, params: dict, depth: int) -> Eigenfu
         # p > 1 where a braided generation narrows
         p = info.arriving[e.generation] / info.ongoing[e.generation]
         steps.append(vertex_edge_step(k * e.length, p))
-    coeffs = _propagate_decaying(steps)
+    coeffs, _ = _propagate_decaying(steps)
     solutions = {
         e.id: EdgeSolution(e.id, k, e.length, *coeffs[e.generation])
         for e in table.edges
@@ -388,32 +392,34 @@ def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction
     )
 
 
-def _comb_solutions(
-    spine: int, teeth: int, spine_k: float,
-    coeffs: Sequence[tuple[float, float]],
-    tooth: Callable[[float], tuple[float, float, float]],
-) -> Iterator[tuple[float, ...]]:
-    """The columns k, A and B of a ``comb``'s edges: spine edge g carries
-    ``coeffs[g]``, and the tooth at spine vertex j takes (k, A, B) =
-    ``tooth(psi)`` from the value psi = ``coeffs[j][0]`` there."""
-    return zip(*[(spine_k, *coeffs[g]) for g in range(spine)],
-               *[tooth(coeffs[j][0]) for j in range(1, teeth + 1)])
+def _construct_comb(
+    graph: MetricGraph, spine: int, teeth: int, spine_k: float,
+    step: TransferMatrix, tooth: Callable[[float], tuple[float, float, float]],
+    family: str, mode: str | None = None, meta: dict | None = None,
+) -> Eigenfunction:
+    """On a ``comb``, spine edge g carries the decaying coefficients after g
+    ``step``s, and the tooth at spine vertex j takes (k, A, B) =
+    ``tooth(psi)`` from the value psi there.  ``meta`` gains the step, its
+    eigenpair and lambda_small."""
+    coeffs, pair = _propagate_decaying([step] * teeth)
+    return Eigenfunction.from_arrays(
+        graph,
+        *zip(*[(spine_k, *coeffs[g]) for g in range(spine)],
+             *[tooth(coeffs[j][0]) for j in range(1, teeth + 1)]),
+        family=family,
+        mode=mode,
+        meta=dict(meta or {}, step=step, eigenpair=pair, lambda_small=pair.lam_small),
+    )
 
 
 def _construct_millipede(name: str, params: dict, depth: int) -> Eigenfunction:
     graph = generate_family(name, params, depth)
     delta, n_legs = (graph.family_info.params[key] for key in ("delta", "legs"))
-    step = millipede_transfer(delta)
     body_k = math.sqrt(max(graph.arrays.potential[0] - graph.energy, 0.0))
     # a leg starting at value c decays as c e^{-delta x} = c(cosh - sinh)
-    return Eigenfunction.from_arrays(
-        graph,
-        *_comb_solutions(n_legs + 1, n_legs, body_k,
-                         _propagate_decaying([step] * n_legs),
-                         lambda val: (delta, val, -val)),
-        family=name,
-        meta={"lambda_small": eig2(step).lam_small},
-    )
+    return _construct_comb(graph, n_legs + 1, n_legs, body_k,
+                           millipede_transfer(delta),
+                           lambda val: (delta, val, -val), family=name)
 
 
 def _construct_ladder(
@@ -450,7 +456,6 @@ def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
     info = ladder_info(depth, args["w"], args["rungs"], args["energy"])
     w, n, energy = info.params.values()
     potential = energy + 1.0  # k = 1 on rails and rungs
-    step = ladder_antisym_transfer(w)
     g = comb(n, n, 1.0, potential, w / 2.0, potential, energy, info)
     g.validate()
     sh, ch = math.sinh(w / 2.0), math.cosh(w / 2.0)
@@ -461,16 +466,10 @@ def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
         gscale = -val / sh
         return 1.0, -gscale * sh, gscale * ch
 
-    return Eigenfunction.from_arrays(
-        g,
-        *_comb_solutions(n, n, 1.0, _propagate_decaying([step] * n), rung_half),
-        family="ladder",
-        mode="antisymmetric",
-        meta={
-            "rung_midpoints": list(range(n + 1, 2 * n + 1)),
-            "lambda_small": eig2(step).lam_small,
-            "mirror": "odd",
-        },
+    return _construct_comb(
+        g, n, n, 1.0, ladder_antisym_transfer(w), rung_half,
+        family="ladder", mode="antisymmetric",
+        meta={"rung_midpoints": list(range(n + 1, 2 * n + 1)), "mirror": "odd"},
     )
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,13 +74,15 @@ class TestVerdict:
 RESULT_LINE = {"correct": True, "metrics": {"wall_s": {"value": 1.0}}}
 
 
-def checkout(root: Path, name: str) -> Path:
-    """A checkout whose bench/run.py prints one fixed result line."""
+def checkout(root: Path, name: str, command: list[str] | None = None) -> Path:
+    """A checkout whose bench/run.py prints one fixed result line, and whose
+    benchmark ``command`` runs it with this interpreter by default."""
     path = root / name
     (path / "bench" / "__pycache__").mkdir(parents=True)
-    (path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "wall_s", "better": "lower", "bound": 0.25},
-    ]}))
+    (path / "BENCHMARK.json").write_text(json.dumps({
+        "command": command or [sys.executable, "bench/run.py"],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+    }))
     (path / "bench" / "run.py").write_text(
         f"print({json.dumps(json.dumps(RESULT_LINE))})\n"
     )
@@ -123,3 +126,27 @@ class TestSameBenchmark:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "resolved paths differ in length" in captured.err
+
+
+class TestLaunch:
+    def test_argv_is_the_benchmark_command_and_the_run_flags(self, tmp_path):
+        # launched as the benchmark is, python3 and not sys.executable: the
+        # length of argv[0] alone moves peak_rss_mb
+        path = checkout(tmp_path, "a", ["python3", "bench/run.py"])
+        assert ab.bench_argv(path, "w", 7, 0.5) == [
+            "python3", "bench/run.py", "--workload", "w", "--seed", "7",
+            "--seconds", "0.5", "--trace", "0",
+        ]
+
+    def test_runs_the_command_it_reads(self, tmp_path):
+        path = checkout(tmp_path, "a")
+        # reports its --workload value as wall_s
+        (path / "bench" / "other.py").write_text(
+            "import json, sys\n"
+            "print(json.dumps({'correct': True, 'metrics': "
+            "{'wall_s': {'value': float(sys.argv[2])}}}))\n"
+        )
+        spec = json.loads((path / "BENCHMARK.json").read_text())
+        spec["command"] = [sys.executable, "bench/other.py"]
+        (path / "BENCHMARK.json").write_text(json.dumps(spec))
+        assert ab.run_bench(path, "2.5", 0, 0) == {"wall_s": 2.5}

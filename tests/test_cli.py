@@ -597,6 +597,17 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("family,points", [("ladder", 16), ("millipede", 5)])
+    def test_comb_rows_read_the_fitted_eigenfunction(
+        self, capsys, eig2_calls, family, points
+    ):
+        # one eig2 per grid point: the row's step and lambda are the ones
+        # its construct solved
+        code, out, _ = run(capsys, "sweep", "--family", family)
+        assert code == 0
+        assert len(out.strip().split("\n")) == 1 + points
+        assert len(eig2_calls) == points
+
     def test_grid_size_cap(self):
         n = qgdecay.cli.MAX_GRID_POINTS
         assert len(qgdecay.cli._parse_grid(f"0:{n - 1}:1")) == n

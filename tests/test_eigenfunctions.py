@@ -297,6 +297,17 @@ class TestConstructions:
         construct("ladder", {"w": 1.0, "mode": "antisymmetric"}, 5)
         assert built == [10]
 
+    @pytest.mark.parametrize("family,params,step", [
+        ("millipede", {"delta": 0.2}, millipede_transfer(0.2)),
+        ("ladder", {"w": 0.5, "mode": "antisymmetric"}, ladder_antisym_transfer(0.5)),
+    ])
+    def test_comb_solves_its_step_once(self, eig2_calls, family, params, step):
+        f = construct(family, params, 6)
+        assert eig2_calls == [step]
+        assert f.meta["step"] == step
+        assert f.meta["eigenpair"] == eig2(step)
+        assert f.meta["lambda_small"] == f.meta["eigenpair"].lam_small
+
     def test_millipede_body_decay(self):
         f = construct("millipede", {"delta": 0.2}, 8)
         lam = eig2(millipede_transfer(0.2)).lam_small

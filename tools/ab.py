@@ -6,17 +6,20 @@ Run from anywhere, with two checkouts of the repository:
     python3 tools/ab.py --parent ../parent --change . \\
         --workload braided-averaged --pairs 10 --seconds 20 --seed 0
 
-Each pair runs ``bench/run.py --trace 0`` once in each checkout, one process
-at a time, alternating which side goes first; every run's metrics go to
-stderr as one JSON line.  For each metric the table on stdout gives both
-sides' medians and quartiles and the pairs the change won (ties count for
-neither).  The verdict follows the benchmark's rules: ``gain`` when at
-least ten pairs ran, the change wins at least nine tenths of them and the
-medians differ, in its favour, by more than the parent's interquartile
-range; ``regression`` when the change's median is worse by more than the
-bound in ``BENCHMARK.json``; ``unresolved`` when either side's quartiles are
-further apart than the bound and not every change run beats every parent
-run; ``within bound`` otherwise.
+Each pair runs the benchmark once in each checkout, one process at a time,
+alternating which side goes first; every run's metrics go to stderr as one
+JSON line.  A run is the ``command`` of the checkout's ``BENCHMARK.json``
+with ``--trace 0``, launched as that command names it (``python3``, not
+this interpreter's full path), since ``peak_rss_mb`` moves with argv[0]
+alone.  For each metric the table on stdout gives both sides' medians and
+quartiles and the pairs the change won (ties count for neither).  The
+verdict follows the benchmark's rules: ``gain`` when at least ten pairs
+ran, the change wins at least nine tenths of them and the medians differ,
+in its favour, by more than the parent's interquartile range;
+``regression`` when the change's median is worse by more than the bound in
+``BENCHMARK.json``; ``unresolved`` when either side's quartiles are further
+apart than the bound and not every change run beats every parent run;
+``within bound`` otherwise.
 
 Both sides must run the same benchmark: it refuses to start when
 ``BENCHMARK.json`` or a file under ``bench/`` (``__pycache__`` aside)
@@ -54,16 +57,22 @@ def differing_benchmark_files(parent: Path, change: Path) -> list[str]:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+def bench_argv(checkout: Path, workload: str, seed: int, seconds: float) -> list[str]:
+    """The argv of one untraced benchmark run: the ``command`` of the
+    checkout's ``BENCHMARK.json``, then the run's flags."""
+    command = json.loads((checkout / "BENCHMARK.json").read_text())["command"]
+    return [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The result line of one untraced benchmark run in ``checkout``."""
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, check=False,
-    )
+    argv = bench_argv(checkout, workload, seed, seconds)
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          check=False)
     if proc.returncode != 0:
         raise RuntimeError(
-            f"bench/run.py in {checkout} exited {proc.returncode}:\n"
+            f"{' '.join(argv)} in {checkout} exited {proc.returncode}:\n"
             + proc.stderr
         )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
