@@ -366,14 +366,15 @@ def _running(best, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(x[starts]), x[starts], best.reduceat(x, starts))
 
 
-def interior_values(f) -> tuple[list[int], np.ndarray]:
+def interior_values(f) -> tuple[list[int], np.ndarray, np.ndarray]:
     """``Eigenfunction.interior_values`` on a built graph: psi at the first
-    edge end of each interior vertex, as vertex_value reads it."""
+    edge end of each interior vertex, as vertex_value reads it, and a count
+    of one for each."""
     a = f.graph.arrays
     vertex = interior_positions(f.graph)
     edge, count = incident_at(a, vertex)
     values = _ends(f, edge[np.cumsum(count) - count], vertex)[0]
-    return a.vertex_ids[vertex].tolist(), values
+    return a.vertex_ids[vertex].tolist(), values, np.ones(len(vertex))
 
 
 def interior_residuals(f) -> tuple[float, float] | None:

@@ -35,7 +35,6 @@ from .graph import (
     load_graph_spec,
 )
 from .metrics import compute_rho_a, insert_cut_points
-from .transfer import eig2, vertex_edge_transfer
 from .verify import (
     Multiplier,
     MultiplierSpec,
@@ -324,13 +323,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows = []
         for b in bs:
             for kl in kls:
-                # the builder rejects b < 1 before 1 / b is taken
-                fitted = fit_decay_rate(
-                    construct("regular_tree", {"b": b, "length": 1.0, "k": kl}, 3)
-                )
-                # at the nominal kL: construct's k = sqrt(V - E) can miss it
-                # in the last bit, so f's own step would move this column
-                lam = eig2(vertex_edge_transfer(kl, 1.0 / b)).lam_small
+                f = construct("regular_tree", {"b": b, "length": 1.0, "k": kl}, 3)
+                lam = f.meta["eigenpair"].lam_small
+                fitted = fit_decay_rate(f)
                 bound = 1.0 / (b * math.cosh(kl))
                 ratio = b * lam * lam
                 rows.append(

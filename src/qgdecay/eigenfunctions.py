@@ -150,10 +150,9 @@ class Eigenfunction:
         graph: MetricGraph,
         solutions: Mapping[int, EdgeSolution],
         family: str,
-        mode: str | None = None,
         meta: dict | None = None,
     ):
-        self._setup(graph, family, mode, meta)
+        self._setup(graph, family, meta)
         if isinstance(graph, GenerationTable):
             self._solutions = MappingProxyType(dict(solutions))
         else:
@@ -161,20 +160,19 @@ class Eigenfunction:
 
     @classmethod
     def from_arrays(cls, graph: MetricGraph, k, a, b, family: str,
-                    mode: str | None = None, meta: dict | None = None) -> Eigenfunction:
+                    meta: dict | None = None) -> Eigenfunction:
         """On a built graph, from k, A and B by edge position (or one number
         for every edge)."""
         f = cls.__new__(cls)
-        f._setup(graph, family, mode, meta)
+        f._setup(graph, family, meta)
         _arrays().hold_coefficients(f, k, a, b)
         return f
 
-    def _setup(self, graph, family, mode, meta) -> None:
+    def _setup(self, graph, family, meta) -> None:
         self._graph = graph
         self.coeffs: tuple[np.ndarray, ...] | None = None
-        self._interior: tuple[list[int], np.ndarray] | None = None
+        self._interior: tuple[list[int], np.ndarray, np.ndarray] | None = None
         self.family = family
-        self.mode = mode
         self.meta = dict(meta or {})
 
     @property
@@ -211,15 +209,18 @@ class Eigenfunction:
         eid = self.graph.incidence[vid][0]
         return self.edge_end_value(eid, vid)
 
-    def interior_values(self) -> tuple[list[int], np.ndarray]:
-        """The graph's interior vertex ids, and psi at each; computed once,
-        as both vertex fits of a verify read them."""
+    def interior_values(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The graph's interior vertex ids, psi at each, and each one's
+        ``vertex_count`` as a float (a wide generation holds more vertices
+        than an int64); computed once, as both vertex fits of a verify read
+        them."""
         if self._interior is None and self.coeffs is not None:  # built graph
             self._interior = _arrays().interior_values(self)
         elif self._interior is None:  # a table's classes, one by one
-            vids = self.graph.interior_vertex_ids()
-            values = _numpy().fromiter(map(self.vertex_value, vids), float, len(vids))
-            self._interior = (vids, values)
+            np, vids = _numpy(), self.graph.interior_vertex_ids()
+            values = np.fromiter(map(self.vertex_value, vids), float, len(vids))
+            counts = np.fromiter(map(self.graph.vertex_count, vids), float, len(vids))
+            self._interior = (vids, values, counts)
         return self._interior
 
     def vertex_residuals(self, vid: int) -> tuple[float, float]:
@@ -348,28 +349,29 @@ def _propagate_decaying(
 
 def _construct_generation_family(name: str, params: dict, depth: int) -> Eigenfunction:
     """Trees and braided graphs: one coefficient pair per edge generation,
-    on the generation table; no graph is built."""
+    on the generation table; no graph is built.  ``meta["eigenpair"]`` is
+    the steps' product's (the step's, when every step is equal)."""
     table = build_family(name, params, depth)
     info = table.family_info
-    k = math.sqrt(max(table.potential - table.energy, 0.0))
+    k = info.params["k"]
     steps = []
     for e in table.edges[:-1]:
         # p > 1 where a braided generation narrows
         p = info.arriving[e.generation] / info.ongoing[e.generation]
         steps.append(vertex_edge_step(k * e.length, p))
-    coeffs, _ = _propagate_decaying(steps)
+    coeffs, pair = _propagate_decaying(steps)
     solutions = {
         e.id: EdgeSolution(e.id, k, e.length, *coeffs[e.generation])
         for e in table.edges
     }
-    return Eigenfunction(table, solutions, family=name)
+    return Eigenfunction(table, solutions, family=name, meta={"eigenpair": pair})
 
 
 def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction:
     graph = generate_family(name, params, depth)
     info = graph.family_info
     l1, l2 = info.params["L1"], info.params["L2"]
-    k, energy = info.params["k"], graph.energy
+    k = info.params["k"]
     matched = match_shared_eigenvector(k * l1, k * l2)
     np = _numpy()
     c, s = _arrays().cosh_sinh(k * graph.arrays.length)
@@ -385,29 +387,26 @@ def _construct_two_lengths(name: str, params: dict, depth: int) -> Eigenfunction
         b[hi:2 * hi + 1:2] = matched.p1 * d_over_k
         b[hi + 1:2 * hi + 1:2] = (1.0 - matched.p1) * d_over_k
     return Eigenfunction.from_arrays(
-        graph,
-        math.sqrt(max(graph.arrays.potential[0] - energy, 0.0)), a, b,
-        family=name,
+        graph, k, a, b, family=name,
         meta={"p1": matched.p1, "w": matched.w, "lam": matched.lam, "mu": matched.mu},
     )
 
 
 def _construct_comb(
-    graph: MetricGraph, spine: int, teeth: int, spine_k: float,
-    step: TransferMatrix, tooth: Callable[[float], tuple[float, float, float]],
-    family: str, mode: str | None = None, meta: dict | None = None,
+    graph: MetricGraph, spine: int, teeth: int, step: TransferMatrix,
+    tooth: Callable[[float], tuple[float, float, float]],
+    family: str, meta: dict | None = None,
 ) -> Eigenfunction:
-    """On a ``comb``, spine edge g carries the decaying coefficients after g
-    ``step``s, and the tooth at spine vertex j takes (k, A, B) =
-    ``tooth(psi)`` from the value psi there.  ``meta`` gains the step, its
-    eigenpair and lambda_small."""
+    """On a ``comb`` with k = 1 on its spine, spine edge g carries the
+    decaying coefficients after g ``step``s, and the tooth at spine vertex j
+    takes (k, A, B) = ``tooth(psi)`` from the value psi there.  ``meta``
+    gains the step, its eigenpair and lambda_small."""
     coeffs, pair = _propagate_decaying([step] * teeth)
     return Eigenfunction.from_arrays(
         graph,
-        *zip(*[(spine_k, *coeffs[g]) for g in range(spine)],
+        *zip(*[(1.0, *coeffs[g]) for g in range(spine)],
              *[tooth(coeffs[j][0]) for j in range(1, teeth + 1)]),
         family=family,
-        mode=mode,
         meta=dict(meta or {}, step=step, eigenpair=pair, lambda_small=pair.lam_small),
     )
 
@@ -415,10 +414,8 @@ def _construct_comb(
 def _construct_millipede(name: str, params: dict, depth: int) -> Eigenfunction:
     graph = generate_family(name, params, depth)
     delta, n_legs = (graph.family_info.params[key] for key in ("delta", "legs"))
-    body_k = math.sqrt(max(graph.arrays.potential[0] - graph.energy, 0.0))
     # a leg starting at value c decays as c e^{-delta x} = c(cosh - sinh)
-    return _construct_comb(graph, n_legs + 1, n_legs, body_k,
-                           millipede_transfer(delta),
+    return _construct_comb(graph, n_legs + 1, n_legs, millipede_transfer(delta),
                            lambda val: (delta, val, -val), family=name)
 
 
@@ -445,7 +442,7 @@ def _construct_ladder(
     # rails decay as e^{-x}; a rung is constant at the shared rail value
     return Eigenfunction.from_arrays(
         g, rail * 1.0, scale, np.where(rail, -scale, 0.0),
-        family="ladder", mode="symmetric",
+        family="ladder",
     )
 
 
@@ -467,8 +464,8 @@ def _construct_ladder_antisymmetric(params: dict, depth: int) -> Eigenfunction:
         return 1.0, -gscale * sh, gscale * ch
 
     return _construct_comb(
-        g, n, n, 1.0, ladder_antisym_transfer(w), rung_half,
-        family="ladder", mode="antisymmetric",
+        g, n, n, ladder_antisym_transfer(w), rung_half,
+        family="ladder",
         meta={"rung_midpoints": list(range(n + 1, 2 * n + 1)), "mirror": "odd"},
     )
 

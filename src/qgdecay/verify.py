@@ -467,12 +467,11 @@ def _vertex_fit(f: Eigenfunction, dist: dict) -> tuple[np.ndarray, ...]:
     """(dist, log |psi|, vertex count) per run of equal samples at the
     interior vertices with |psi| > VALUE_FLOOR, so a built graph, which
     lists each generation's vertices in a row, gives its quotient's points."""
-    vids, values = f.interior_values()
+    vids, values, counts = f.interior_values()
     keep = np.abs(values) > VALUE_FLOOR
     xs = np.fromiter(map(dist.__getitem__, vids), float)[keep]
     ys = np.log(np.abs(values[keep]))
-    # float: a wide generation holds more vertices than an int64
-    counts = np.fromiter(map(f.graph.vertex_count, vids), float)[keep]
+    counts = counts[keep]
     new = np.ones(len(xs), dtype=bool)
     new[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
     starts = np.flatnonzero(new)
@@ -611,9 +610,9 @@ def monotonicity_check(
                 offset=at,
                 detail=f"|psi| increases along edge {e.id} at x={at}",
             )
-    if f.mode == "antisymmetric":
+    if midpoints := f.meta.get("rung_midpoints"):
         scale = max(abs(sol.A) + abs(sol.B) for sol in f.solutions.values())
-        for vid in f.meta.get("rung_midpoints", []):
+        for vid in midpoints:
             val = abs(f.vertex_value(vid))
             if val > 1e-10 * scale:
                 return MonotonicityResult(

@@ -1,6 +1,5 @@
 import pytest
 
-import qgdecay.cli
 import qgdecay.eigenfunctions
 import qgdecay.transfer
 
@@ -15,6 +14,6 @@ def eig2_calls(monkeypatch):
         calls.append(t)
         return eig2(t)
 
-    for module in (qgdecay.transfer, qgdecay.eigenfunctions, qgdecay.cli):
+    for module in (qgdecay.transfer, qgdecay.eigenfunctions):
         monkeypatch.setattr(module, "eig2", counting)
     return calls

@@ -29,7 +29,7 @@ def expanded(f: Eigenfunction) -> Eigenfunction:
         for first, sol in f.solutions.items()
         for eid in range(first, first + table.edge_count(first))
     }
-    return Eigenfunction(table.expand(), solutions, f.family, f.mode, f.meta)
+    return Eigenfunction(table.expand(), solutions, f.family, f.meta)
 
 
 def vertex_fit_slopes(f: Eigenfunction) -> tuple[float | None, float | None]:

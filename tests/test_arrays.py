@@ -213,13 +213,14 @@ def outcome(compute):
 
 
 def kernel_values(f):
-    vids, values = f.interior_values()
-    return vids, bits(values)
+    vids, values, counts = f.interior_values()
+    return vids, bits(values), bits(counts)
 
 
 def oracle_values(f):
     vids = object_graphs.interior_vertex_ids(f.graph)
-    return vids, bits([f.vertex_value(vid) for vid in vids])
+    return (vids, bits([f.vertex_value(vid) for vid in vids]),
+            bits([float(f.graph.vertex_count(vid)) for vid in vids]))
 
 
 def kernel_residuals(f):

@@ -19,6 +19,7 @@ import qgdecay.verify
 from qgdecay.cli import main
 from qgdecay.eigenfunctions import edge_eval
 from qgdecay.graph import GenerationTable, MetricGraph, build_graph, dijkstra
+from qgdecay.transfer import eig2, vertex_edge_transfer
 
 
 def run(capsys, *argv):
@@ -597,8 +598,10 @@ class TestSweep:
         lines = out.strip().split("\n")
         assert len(lines) == 3
 
-    @pytest.mark.parametrize("family,points", [("ladder", 16), ("millipede", 5)])
-    def test_comb_rows_read_the_fitted_eigenfunction(
+    @pytest.mark.parametrize("family,points", [
+        ("ladder", 16), ("millipede", 5), ("regular-tree", 270),
+    ])
+    def test_rows_read_the_fitted_eigenfunction(
         self, capsys, eig2_calls, family, points
     ):
         # one eig2 per grid point: the row's step and lambda are the ones
@@ -607,6 +610,16 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 1 + points
         assert len(eig2_calls) == points
+
+    def test_tree_lambda_is_the_step_eigenvalue(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "regular-tree")
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 270
+        for row in rows:
+            b, kl, lam = row.split(",")[:3]
+            step = vertex_edge_transfer(float(kl), 1.0 / int(b))
+            assert lam == repr(eig2(step).lam_small)
 
     def test_grid_size_cap(self):
         n = qgdecay.cli.MAX_GRID_POINTS

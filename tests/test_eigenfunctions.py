@@ -31,6 +31,7 @@ from qgdecay.transfer import (
     millipede_transfer,
     vertex_edge_transfer,
 )
+from qgdecay.verify import continuity_and_kirchhoff
 
 from expansion import expanded
 from points import GraphPoint, value
@@ -219,7 +220,9 @@ class TestConstructions:
     def test_ladder_antisymmetric_structure(self):
         w = 1.0
         f = construct("ladder", {"w": w, "mode": "antisymmetric"}, 6)
-        assert f.mode == "antisymmetric"
+        assert not hasattr(f, "mode")
+        assert f.meta["mirror"] == "odd"
+        assert f.meta["rung_midpoints"] == list(range(7, 13))
         for vid in f.meta["rung_midpoints"]:
             assert abs(f.vertex_value(vid)) <= 1e-14
         # rung halves carry the odd profile: slope ratio -coth(w/2) at the rail
@@ -307,6 +310,27 @@ class TestConstructions:
         assert f.meta["step"] == step
         assert f.meta["eigenpair"] == eig2(step)
         assert f.meta["lambda_small"] == f.meta["eigenpair"].lam_small
+
+    @pytest.mark.parametrize("family,params,ks", [
+        ("regular_tree", {"b": 2, "k": 0.1}, {0.1}),
+        ("ns_regular_tree",
+         {"b_seq": [2, 3] * 3, "length_seq": [1.0, 0.7] * 4, "k": 0.2}, {0.2}),
+        ("braided", {"b_seq": [4] * 6, "a_seq": [2] * 6,
+                     "v_seq": [float(j) for j in range(1, 7)], "k": 0.3}, {0.3}),
+        ("two_lengths_tree", {"L1": 1.0, "L2": 2.0, "k": 0.3}, {0.3}),
+        ("millipede", {"delta": 0.2, "energy": 0.3}, {1.0, 0.2}),
+        ("ladder", {"w": 0.5, "mode": "antisymmetric", "energy": 0.3}, {1.0}),
+    ])
+    def test_solutions_carry_the_family_k(self, family, params, ks):
+        # k is the family's param, not sqrt(V - E) of V = E + k * k
+        f = construct(family, params, 6)
+        assert {sol.k for sol in f.solutions.values()} == ks
+
+    def test_two_lengths_values_match_exactly(self):
+        # each child edge starts at its parent's end value, with the k the
+        # recurrence used
+        f = construct("two_lengths_tree", {"L1": 1.0, "L2": 2.0, "k": 0.3}, 6)
+        assert continuity_and_kirchhoff(f)["max_continuity"] == 0.0
 
     def test_millipede_body_decay(self):
         f = construct("millipede", {"delta": 0.2}, 8)

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -396,6 +397,21 @@ class TestMonotonicity:
         f = construct("ladder", {"w": 2.0, "mode": "antisymmetric"}, 8)
         result = monotonicity_check(f)
         assert result.ok
+
+    def test_ladder_antisymmetric_rung_zero_violation(self):
+        f = construct("ladder", {"w": 2.0, "mode": "antisymmetric"}, 8)
+        vid = f.meta["rung_midpoints"][3]
+        eid = next(e.id for e in f.graph.edges if e.head == vid)
+        solutions = dict(f.solutions)
+        # psi still falls along the rung half, but misses its zero
+        solutions[eid] = replace(solutions[eid], B=solutions[eid].B * (1 - 1e-6))
+        result = monotonicity_check(
+            Eigenfunction(f.graph, solutions, f.family, f.meta)
+        )
+        assert not result.ok
+        assert result.detail == f"reflection-axis zero violated at vertex {vid}"
+        # the midpoints come from meta alone
+        assert monotonicity_check(Eigenfunction(f.graph, solutions, f.family)).ok
 
     def test_sign_change_detected(self):
         k = 1.0
