@@ -18,6 +18,7 @@ of a module a process never loads add nothing to its peak RSS.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from types import SimpleNamespace
@@ -25,7 +26,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .eigenfunctions import DERIV_FLOOR, EdgeSolution
+from .eigenfunctions import DERIV_FLOOR, VALUE_FLOOR, EdgeSolution
 from .graph import Edge, GraphValidationError, Vertex
 
 
@@ -375,6 +376,26 @@ def interior_values(f) -> tuple[list[int], np.ndarray, np.ndarray]:
     edge, count = incident_at(a, vertex)
     values = _ends(f, edge[np.cumsum(count) - count], vertex)[0]
     return a.vertex_ids[vertex].tolist(), values, np.ones(len(vertex))
+
+
+def interior_logs(f) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """``interior_values`` where |psi| > VALUE_FLOOR, with log |psi|."""
+    vids, values, counts = interior_values(f)
+    keep = np.abs(values) > VALUE_FLOOR
+    logs = np.fromiter(map(math.log, np.abs(values[keep]).tolist()), float)
+    return list(itertools.compress(vids, keep.tolist())), logs, counts[keep]
+
+
+def log_sums(dist: Mapping[int, float], vids: list[int], logs: np.ndarray,
+             counts: np.ndarray) -> list[tuple[float, float, float]]:
+    """``Eigenfunction.log_sums`` on a built graph: its samples sorted by
+    distance, and each run of one distance summed."""
+    xs = np.fromiter(map(dist.__getitem__, vids), float, len(vids))
+    order = np.argsort(xs)
+    xs, ws, wys = xs[order], counts[order].tolist(), (counts * logs)[order].tolist()
+    starts = np.flatnonzero(np.diff(xs, prepend=np.nan)).tolist()  # new distances
+    return [(x, math.fsum(ws[a:b]), math.fsum(wys[a:b]))
+            for x, a, b in zip(xs[starts].tolist(), starts, [*starts[1:], len(xs)])]
 
 
 def interior_residuals(f) -> tuple[float, float] | None:

@@ -34,6 +34,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DERIV_FLOOR = 1e-300
+VALUE_FLOOR = 1e-300  # the vertex fits read |psi| above this
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +172,8 @@ class Eigenfunction:
     def _setup(self, graph, family, meta) -> None:
         self._graph = graph
         self.coeffs: tuple[np.ndarray, ...] | None = None
-        self._interior: tuple[list[int], np.ndarray, np.ndarray] | None = None
+        self._logs: tuple | None = None  # log_sums's memos
+        self._sums: tuple[Mapping[int, float], list] | None = None
         self.family = family
         self.meta = dict(meta or {})
 
@@ -209,19 +211,36 @@ class Eigenfunction:
         eid = self.graph.incidence[vid][0]
         return self.edge_end_value(eid, vid)
 
-    def interior_values(self) -> tuple[list[int], np.ndarray, np.ndarray]:
+    def interior_values(self) -> tuple[list[int], Sequence[float], Sequence[float]]:
         """The graph's interior vertex ids, psi at each, and each one's
         ``vertex_count`` as a float (a wide generation holds more vertices
-        than an int64); computed once, as both vertex fits of a verify read
-        them."""
-        if self._interior is None and self.coeffs is not None:  # built graph
-            self._interior = _arrays().interior_values(self)
-        elif self._interior is None:  # a table's classes, one by one
-            np, vids = _numpy(), self.graph.interior_vertex_ids()
-            values = np.fromiter(map(self.vertex_value, vids), float, len(vids))
-            counts = np.fromiter(map(self.graph.vertex_count, vids), float, len(vids))
-            self._interior = (vids, values, counts)
-        return self._interior
+        than an int64): arrays on a built graph, lists on a table, so that
+        a table loads no numpy."""
+        if self.coeffs is not None:  # built graph
+            return _arrays().interior_values(self)
+        vids = self.graph.interior_vertex_ids()
+        return (vids, [*map(self.vertex_value, vids)],
+                [float(self.graph.vertex_count(vid)) for vid in vids])
+
+    def log_sums(self, dist: Mapping[int, float]) -> list[tuple[float, float, float]]:
+        """(distance, vertex count, count times log |psi|) per distance in
+        ``dist`` of the interior vertices with |psi| > VALUE_FLOOR, summed
+        exactly (math.fsum) with ``math.log`` on either path, so that a
+        built graph gives its quotient's points; a built graph's logs are
+        taken once, and the sums kept for the last ``dist`` (both fits read
+        arc distance at V - E = 1)."""
+        if self._sums is None or self._sums[0] is not dist:
+            if self.coeffs is not None:  # built graph
+                self._logs = self._logs or _arrays().interior_logs(self)
+                sums = _arrays().log_sums(dist, *self._logs)
+            else:  # a table's classes, one by one
+                groups: dict[float, list[tuple[float, float]]] = {}
+                for vid, psi, w in zip(*self.interior_values()):
+                    if abs(psi) > VALUE_FLOOR:
+                        groups.setdefault(dist[vid], []).append((w, w * math.log(abs(psi))))
+                sums = [(x, *map(math.fsum, zip(*pairs))) for x, pairs in groups.items()]
+            self._sums = (dist, sums)
+        return self._sums[1]
 
     def vertex_residuals(self, vid: int) -> tuple[float, float]:
         """Continuity and Kirchhoff residuals at ``vid``: the relative spread

@@ -18,9 +18,8 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
 
-import numpy as np
-
 from .eigenfunctions import (
+    VALUE_FLOOR,
     EdgeSolution,
     Eigenfunction,
     averaged_wave_function,
@@ -35,7 +34,6 @@ from .metrics import (
     compute_rho_a,
 )
 
-VALUE_FLOOR = 1e-300
 PLATEAU_FACTOR = 1.01
 ROUNDING_ULPS = 4  # a sign counts beyond this many ulps of its terms
 IDENTITY_SAMPLES = 33
@@ -295,16 +293,16 @@ class DecayReport:
 
 
 @functools.cache
-def _gauss() -> tuple[np.ndarray, np.ndarray]:
-    """numpy.polynomial.legendre.leggauss(16) to the bit, whose call adds
-    1.4 MB to a process: the 16-node rule on [-1, 1]."""
-    x = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
-                  0.6178762444026438, 0.755404408355003, 0.8656312023878318,
-                  0.9445750230732326, 0.9894009349916499])
-    w = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
-                  0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
-                  0.062253523938647456, 0.027152459411754176])
-    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+def _gauss() -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """numpy.polynomial.legendre.leggauss(16) to the bit, as floats, so no
+    verify imports numpy: the 16-node rule on [-1, 1]."""
+    x = (0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+         0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+         0.9445750230732326, 0.9894009349916499)
+    w = (0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+         0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+         0.062253523938647456, 0.027152459411754176)
+    return (*(-t for t in reversed(x)), *x), (*reversed(w), *w)
 
 
 def _sup_and_l2(
@@ -319,7 +317,7 @@ def _sup_and_l2(
     for t, wt in zip(*_gauss()):
         v = g(lo + half * (t + 1.0))
         total += wt * v * v
-    return sup, float(total * half)
+    return sup, total * half
 
 
 def _fit_tail_ratio(increments: list[float]) -> float:
@@ -330,8 +328,7 @@ def _fit_tail_ratio(increments: list[float]) -> float:
     pts = [(n, inc) for n, inc in usable if n >= start]
     if len(pts) < 2:
         return 0.0
-    ns = np.array([n for n, _ in pts], dtype=float)
-    return math.exp(_slope(ns, np.log([inc for _, inc in pts])))
+    return math.exp(_slope([(n, 1.0, math.log(inc)) for n, inc in pts]))
 
 
 def _plateau(sups: list[float]) -> bool:
@@ -342,10 +339,8 @@ def _plateau(sups: list[float]) -> bool:
 
 
 def _slope_log_psi_vs_rho(f: Eigenfunction) -> float:
-    xs, ys, counts = _vertex_fit(f, compute_rho_a(f.graph).rho)
-    if counts.sum() < 2 or np.ptp(xs) == 0.0:
-        return 0.0
-    return _slope(xs, ys, counts)
+    points = f.log_sums(compute_rho_a(f.graph).rho)
+    return _slope(points) if len(points) > 1 else 0.0
 
 
 def decay_report(
@@ -456,37 +451,25 @@ def _units(
 # ---------------------------------------------------------------------------
 
 
-def _slope(xs: np.ndarray, ys: np.ndarray, counts=None) -> float:
-    """Least-squares slope of ``ys`` against ``xs``, point i counted
-    ``counts[i]`` times."""
-    w = None if counts is None else np.sqrt(counts)
-    return float(np.polyfit(xs, ys, 1, w=w)[0])
-
-
-def _vertex_fit(f: Eigenfunction, dist: dict) -> tuple[np.ndarray, ...]:
-    """(dist, log |psi|, vertex count) per run of equal samples at the
-    interior vertices with |psi| > VALUE_FLOOR, so a built graph, which
-    lists each generation's vertices in a row, gives its quotient's points."""
-    vids, values, counts = f.interior_values()
-    keep = np.abs(values) > VALUE_FLOOR
-    xs = np.fromiter(map(dist.__getitem__, vids), float)[keep]
-    ys = np.log(np.abs(values[keep]))
-    counts = counts[keep]
-    new = np.ones(len(xs), dtype=bool)
-    new[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    starts = np.flatnonzero(new)
-    return xs[starts], ys[starts], np.add.reduceat(counts, starts)
+def _slope(points: list[tuple[float, float, float]]) -> float:
+    """Least-squares slope through points (x, w, s), each w samples at x
+    whose ys sum to s, with every sum exactly rounded (math.fsum)."""
+    total = math.fsum(w for _, w, _ in points)
+    x_bar = math.fsum(w * x for x, w, _ in points) / total
+    y_bar = math.fsum(s for _, _, s in points) / total
+    return (math.fsum((x - x_bar) * (s - w * y_bar) for x, w, s in points)
+            / math.fsum(w * (x - x_bar) ** 2 for x, w, _ in points))
 
 
 def fit_decay_rate(f: Eigenfunction) -> float:
     """Least-squares slope of log |psi| against arc distance over the
     interior vertices, where transfer-matrix decay is exact."""
-    xs, ys, counts = _vertex_fit(f, f.graph.distances())
-    if counts.sum() < 2:
+    points = f.log_sums(f.graph.distances())
+    if math.fsum(w for _, w, _ in points) < 2:
         raise ValueError("degenerate sample set: need >= 2 nonzero samples")
-    if np.ptp(xs) == 0.0:
+    if len(points) < 2:
         raise ValueError("degenerate sample set: all samples at one distance")
-    return _slope(xs, ys, counts)
+    return _slope(points)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,23 @@ class TestSameBenchmark:
         assert captured.out == ""
         assert "resolved paths differ in length" in captured.err
 
+    @pytest.mark.parametrize("cached", [("a",), ("b",), ("a", "b")])
+    def test_bytecode_caches_in_one_checkout_only(self, tmp_path, capsys, cached):
+        parent, change = checkout(tmp_path, "a"), checkout(tmp_path, "b")
+        for name in cached:
+            (tmp_path / name / "src" / "qgdecay" / "__pycache__").mkdir(parents=True)
+        if len(cached) == 2:  # both alike: it runs
+            ab_main(parent, change)
+            assert "0/1 within bound" in capsys.readouterr().out
+            return
+        with pytest.raises(SystemExit) as exc:
+            ab_main(parent, change)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        side = "parent" if cached == ("a",) else "change"
+        assert f"only the {side} checkout holds src/qgdecay/__pycache__" in captured.err
+
 
 class TestLaunch:
     def test_argv_is_the_benchmark_command_and_the_run_flags(self, tmp_path):

@@ -5,7 +5,11 @@ import heapq
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -683,6 +687,53 @@ class TestDeterminism:
         code2, out2, _ = run(capsys, *argv)
         assert code1 == code2
         assert out1 == out2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# main(argv) in a fresh interpreter; ``block`` makes ``import numpy`` raise
+PROCESS = ("import sys\n{block}from qgdecay.cli import main\n"
+           "code = main(sys.argv[1:])\n"
+           "print('numpy' in sys.modules, file=sys.stderr)\nsys.exit(code)\n")
+BLOCK_NUMPY = "sys.modules['numpy'] = None\n"
+TWO_LENGTHS = ["verify", "--family", "two-lengths-tree", "--L1", "1", "--L2", "2",
+               "--depth", "4"]
+
+
+def run_process(argv, block=""):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", PROCESS.format(block=block), *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestNoNumpyOnTables:
+    """A generation table needs no numpy: with ``import numpy`` made to
+    fail, every command on a synchronized family still exits 0."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["verify", "--family", "regular-tree", "--b", "2", "--depth", "6"],
+        ["verify", "--family", "regular-tree", "--b", "2", "--depth", "6",
+         "--multiplier", "path"],
+        ["verify", "--family", "braided", "--b-seq", "4,4,4", "--a-seq", "2,2,2",
+         "--v-seq", "1,2,3", "--depth", "3", "--multiplier", "averaged"],
+        ["solve", "--family", "regular-tree", "--b", "2", "--depth", "3"],
+        ["sweep", "--family", "regular-tree", "--b-range", "2", "--kL-range", "1,2"],
+    ], ids=["help", "verify-action", "verify-path", "verify-averaged", "solve",
+            "sweep"])
+    def test_exits_0_without_numpy(self, argv):
+        proc = run_process(argv, BLOCK_NUMPY)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_probe_sees_a_built_graph_load_numpy(self):
+        # the control: a two-lengths tree is built, so it loads numpy, and
+        # fails without it
+        plain = run_process(TWO_LENGTHS)
+        assert plain.returncode == 1
+        assert plain.stderr.splitlines()[-1] == "True"
+        blocked = run_process(TWO_LENGTHS, BLOCK_NUMPY)
+        assert blocked.returncode != 0
+        assert "import of numpy halted" in blocked.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ Both sides must run the same benchmark: it refuses to start when
 ``BENCHMARK.json`` or a file under ``bench/`` (``__pycache__`` aside)
 differs between the checkouts.  It also refuses checkouts whose resolved
 paths differ in length, as ``peak_rss_mb`` steps by about 1 MB with that
-length alone.
+length alone, and checkouts of which only one holds compiled bytecode
+(``src/qgdecay/__pycache__``), which lowers ``peak_rss_mb`` by about
+1.3 MB.  Remove the caches from both, or build them in both, first.
 """
 
 from __future__ import annotations
@@ -129,6 +131,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("the checkouts' resolved paths differ in length "
                      f"({lengths[0]} and {lengths[1]} characters), which "
                      "moves peak_rss_mb")
+    cached = [side for side in ("parent", "change")
+              if (getattr(args, side) / "src" / "qgdecay" / "__pycache__").is_dir()]
+    if len(cached) == 1:
+        parser.error(f"only the {cached[0]} checkout holds src/qgdecay/__pycache__, "
+                     "whose bytecode moves peak_rss_mb")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"]
 
