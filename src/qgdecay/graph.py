@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -208,8 +208,14 @@ class MetricGraph:
             return a.length
         return np.sqrt(np.maximum(a.potential - energy, 0.0)) * a.length
 
-    def _pass(self, weights: Sequence[float]) -> dict[int, float]:
-        return dijkstra(self, EdgeWeights(self, weights))
+    def _pass(self, weights: np.ndarray) -> dict[int, float]:
+        """The breadth-first pass where the root's component is a tree,
+        else the heap."""
+        dist = _arrays().tree_distances(self, weights)
+        if dist is None:
+            dist = dijkstra(self, dict(zip(self.arrays.edge_ids.tolist(),
+                                           weights.tolist())))
+        return dist
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,32 +235,9 @@ class MetricGraph:
         }
 
 
-class EdgeWeights(Mapping[int, float]):
-    """Edge id -> weight, read from ``weights`` (one per edge, in edge
-    order) on each lookup."""
-
-    def __init__(self, graph: MetricGraph, weights: Sequence[float]):
-        self.weights = weights
-        self._index = graph.arrays.edge_index
-
-    def __getitem__(self, eid: int) -> float:
-        return float(self.weights[_arrays().position(self._index, eid)])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
 def dijkstra(graph: MetricGraph, weight: Mapping[int, float]) -> dict[int, float]:
-    """Label-setting sweep from the root; weights must be nonnegative.
-    ``EdgeWeights`` on a tree take ``arrays.tree_distances``, the heap's
-    floats without the heap.  The heap looks each weight up at most once."""
-    if isinstance(weight, EdgeWeights):
-        dist = _arrays().tree_distances(graph, weight.weights)
-        if dist is not None:
-            return dist
+    """Label-setting heap sweep from the root; weights must be nonnegative.
+    It looks each weight up at most once."""
     dist = {graph.root: 0.0}
     heap: list[tuple[float, int]] = [(0.0, graph.root)]
     while heap:
@@ -384,7 +367,8 @@ class GenerationTable(MetricGraph):
 
     def _pass(self, weights: Sequence[float]) -> dict[int, float]:
         """Per generation ``prev + weight``: the float addition that
-        ``dijkstra`` makes on the expansion, by pass and by heap alike."""
+        ``MetricGraph._pass`` makes on the expansion, by the tree pass and
+        by the heap alike."""
         dist = {self.root: 0.0}
         d = 0.0
         for e, w in zip(self.edges, weights):

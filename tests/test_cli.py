@@ -334,19 +334,21 @@ class TestVerify:
     def test_one_verify_runs_dijkstra_once_per_table(
         self, capsys, monkeypatch, multiplier, status, shift, tables
     ):
-        # arc lengths and rho at the graph energy, shared by every reader,
-        # plus rho at E + shift for the report's multiplier; the constraint
+        # one distance pass per table: arc lengths and rho at the graph
+        # energy, shared by every reader, plus rho at E + shift for the
+        # report's multiplier; the constraint
         # margin needs no table.  The two-lengths tree is built as a graph
         # (its generations differ within), and its whole-graph action
         # certificate honestly fails.  k = 2 keeps rho at E (weights 2L)
         # apart from arc length
         weight_sums = []
+        distance_pass = MetricGraph._pass
 
-        def counting(graph, weight):
-            weight_sums.append(sum(weight.values()))
-            return dijkstra(graph, weight)
+        def counting(graph, weights):
+            weight_sums.append(float(weights.sum()))
+            return distance_pass(graph, weights)
 
-        monkeypatch.setattr(qgdecay.graph, "dijkstra", counting)
+        monkeypatch.setattr(MetricGraph, "_pass", counting)
         code, _, _ = run(
             capsys, "verify", "--family", "two-lengths-tree", "--L1", "1",
             "--L2", "2", "--k", "2", "--depth", "4", "--multiplier", multiplier,
@@ -427,20 +429,26 @@ class TestVerify:
         self, capsys, monkeypatch, family_argv
     ):
         # the heap skips a settled neighbour before looking up its weight
-        lookups = collections.Counter()
-        alive = []  # so no id is reused for the next map of weights
-        lookup = qgdecay.graph.EdgeWeights.__getitem__
+        runs = []
 
-        def counting(weights, eid):
-            alive.append(weights)
-            lookups[id(weights), eid] += 1
-            return lookup(weights, eid)
+        class Counting(collections.UserDict):
+            def __init__(self, weight):
+                self.lookups = collections.Counter()
+                super().__init__(weight)
 
-        monkeypatch.setattr(qgdecay.graph.EdgeWeights, "__getitem__", counting)
+            def __getitem__(self, eid):
+                self.lookups[eid] += 1
+                return self.data[eid]
+
+        def counting(graph, weight):
+            runs.append(Counting(weight))
+            return dijkstra(graph, runs[-1])
+
+        monkeypatch.setattr(qgdecay.graph, "dijkstra", counting)
         code, _, _ = run(capsys, "metric", "--family", *family_argv,
                          "--depth", "4")
         assert code == 0
-        assert lookups and max(lookups.values()) == 1
+        assert runs and all(max(w.lookups.values()) == 1 for w in runs)
 
     def test_one_verify_evaluates_psi_per_vertex_not_per_point(
         self, capsys, monkeypatch

@@ -9,7 +9,6 @@ from qgdecay.eigenfunctions import CONSTRUCTORS
 from qgdecay.graph import (
     FAMILIES,
     Edge,
-    EdgeWeights,
     FamilyInfo,
     FamilyParameterError,
     GraphValidationError,
@@ -356,8 +355,7 @@ class TestGenerators:
 
 
 def heap_dijkstra(graph, weight):
-    """The label-setting heap loop ``dijkstra`` falls back to, as the
-    oracle for every graph."""
+    """The label-setting heap loop, as the oracle for every graph."""
     dist = {graph.root: 0.0}
     heap = [(0.0, graph.root)]
     while heap:
@@ -388,7 +386,8 @@ WEIGHTS = st.one_of(
 @st.composite
 def weighted_graphs(draw):
     """A random forest, plus extra edges that may close cycles, double an
-    edge or loop at a vertex; edges in random order and orientation."""
+    edge or loop at a vertex; edges in random order and orientation, each
+    weighted by its length."""
     n = draw(st.integers(1, 10))
     ends = [
         (draw(st.integers(0, v - 1)), v)
@@ -400,33 +399,34 @@ def weighted_graphs(draw):
     ))
     ends = [end[::-1] if draw(st.booleans()) else end
             for end in draw(st.permutations(ends))]
-    edges = [Edge(eid, tail, head, 1.0, 0.0) for eid, (tail, head) in enumerate(ends)]
+    edges = [Edge(eid, tail, head, draw(WEIGHTS), 0.0)
+             for eid, (tail, head) in enumerate(ends)]
     graph = MetricGraph([Vertex(v) for v in range(n)], edges,
                         root=draw(st.integers(0, n - 1)), energy=0.0)
-    weight = {e.id: draw(WEIGHTS) for e in edges}
-    return graph, weight
+    return graph, {e.id: e.length for e in edges}
 
 
 class TestDijkstra:
+    """``graph.distances`` takes the breadth-first pass where the root's
+    component is a tree and the heap elsewhere; both give the oracle's
+    floats."""
+
     @settings(max_examples=400, deadline=None)
     @given(weighted_graphs())
     def test_matches_the_heap_bit_for_bit(self, case):
         graph, weight = case
         expected = bits(heap_dijkstra(graph, weight))
         assert bits(dijkstra(graph, weight)) == expected
-        # a plain Mapping takes the heap; EdgeWeights take the tree pass
-        assert bits(dijkstra(graph, EdgeWeights(graph, list(weight.values())))) == expected
+        assert bits(graph.distances()) == expected
 
     @pytest.mark.parametrize("name,params", FAMILY_CASES,
                              ids=[name for name, _ in FAMILY_CASES])
     def test_families_match_the_heap_bit_for_bit(self, name, params):
         g = generate_family(name, params, depth=3)
-        rules = [lambda e: e.length] + [
-            lambda e, energy=g.energy + shift: edge_action_weight(e, energy)
-            for shift in (0.0, 0.5, 2.0)  # 2.0 zeroes every action weight
-        ]
-        for rule in rules:
-            weight = {e.id: rule(e) for e in g.edges}
+        # lengths, then actions; E + 2.0 zeroes every action weight
+        for energy in (None, g.energy, g.energy + 0.5, g.energy + 2.0):
+            weight = {e.id: e.length if energy is None
+                      else edge_action_weight(e, energy) for e in g.edges}
             expected = bits(heap_dijkstra(g, weight))
             assert bits(dijkstra(g, weight)) == expected
-            assert bits(dijkstra(g, EdgeWeights(g, list(weight.values())))) == expected
+            assert bits(g.distances(energy)) == expected

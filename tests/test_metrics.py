@@ -6,7 +6,6 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qgdecay.graph
 from qgdecay.cli import main
 from qgdecay.eigenfunctions import construct
 from qgdecay.graph import (
@@ -142,12 +141,13 @@ class TestDistanceMemo:
 
     def test_a_verify_runs_one_distance_pass(self, monkeypatch):
         calls = []
+        distance_pass = MetricGraph._pass
 
-        def counting(graph, weight):
+        def counting(graph, weights):
             calls.append(graph)
-            return dijkstra(graph, weight)
+            return distance_pass(graph, weights)
 
-        monkeypatch.setattr(qgdecay.graph, "dijkstra", counting)
+        monkeypatch.setattr(MetricGraph, "_pass", counting)
         with contextlib.redirect_stdout(io.StringIO()):
             main(["verify", "--family", "two-lengths-tree", "--L1", "1",
                   "--L2", "2", "--depth", "4", "--multiplier", "path"])
