@@ -24,7 +24,6 @@ from .eigenfunctions import (
     Eigenfunction,
     averaged_wave_function,
     canonical_path,
-    repeated_sum,
 )
 from .graph import MetricGraph, _arrays
 from .metrics import (
@@ -130,8 +129,10 @@ class Multiplier:
 # edge or vertex per class, which stands for ``edge_count`` or
 # ``vertex_count`` of them (one per edge and vertex of a built graph, one per
 # generation of a GenerationTable), evaluated once in closed form.  Maxima,
-# minima and first failures read each class once; sums replay their
-# additions in order (repeated_sum), and fits weight each class's sample.
+# minima and first failures read each class once; the decay report adds
+# count * value, the Kirchhoff totals and the averaged wave function replay
+# their additions in order (repeated_sum), and fits weight each class's
+# sample.
 
 
 def _terms(sol: EdgeSolution, x: float) -> tuple[tuple[float, ...], ...]:
@@ -367,7 +368,7 @@ def decay_report(
                 f"generation {gen}; try a smaller --depth"
             ) from None
         sup_by_gen[gen] = max(sup_by_gen.get(gen, 0.0), sup)
-        inc_by_gen[gen] = repeated_sum(inc_by_gen.get(gen, 0.0), inc, count)
+        inc_by_gen[gen] = inc_by_gen.get(gen, 0.0) + count * inc
     gens = sorted(sup_by_gen)
     sups = [sup_by_gen[gen] for gen in gens]
     incs = [inc_by_gen[gen] for gen in gens]

@@ -185,6 +185,17 @@ class TestVerify:
         assert doc["status"] == "FAIL"
         assert doc["decay_report"]["status"] == "FAIL"
 
+    def test_wide_tree_growing_tail_fails(self, capsys):
+        # each generation's L2 increment is 1.6696 times the one before
+        code, out, _ = run(
+            capsys, "verify", "--family", "regular-tree", "--b", "10",
+            "--kL", "1", "--depth", "40", "--extra-rate", "1",
+        )
+        assert code == 1
+        report = json.loads(out)["decay_report"]
+        assert report["status"] == "FAIL"
+        assert math.isclose(report["tail_ratio"], 1.6695784865510894, rel_tol=1e-12)
+
     def test_braided_averaged_multiplier(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--family", "braided",

@@ -3,10 +3,13 @@
 A synchronized family's eigenfunction is held on its generation table, one
 representative edge and vertex per generation.  Every output must equal, byte
 for byte, what the same stages give on the expanded graph, where each edge
-and vertex is its own class.
+and vertex is its own class; only the action decay report's L2 sums, which a
+class of n edges adds as n * increment and the expanded graph edge by edge,
+agree to 1e-12 relative.
 """
 
 import dataclasses
+import json
 import math
 import struct
 
@@ -76,12 +79,34 @@ def verify_cases():
             )
 
 
+def l2_sums(code, out, csv, err):
+    """A verify's outputs without the decay report's L2 sums (and the tail
+    ratio fitted to them), and those sums."""
+    if out is None:
+        return (code, out, csv, err), []
+    doc = json.loads(out)
+    report = doc["decay_report"]
+    sums = [report.pop("tail_ratio"), *report.pop("cumulative_at_depth").values()]
+    for row in report["rows"]:
+        sums += [row.pop("l2_increment"), row.pop("l2_cumulative")]
+    rows = [line.split(",") for line in csv.decode().splitlines()]
+    sums += [float(row.pop(2)) for row in rows[1:]]  # cum_L2
+    return (code, json.dumps(doc), rows, err), sums
+
+
 @pytest.mark.parametrize("argv", verify_cases())
 def test_verify_matches_the_full_graph(argv, tmp_path, monkeypatch, capsys):
     # errors too: a one-generation path fits no slope, and a narrowing
     # braided generation's path fraction exceeds 1
-    quotient = outputs(argv, tmp_path, monkeypatch, capsys, full=False)
-    assert quotient == outputs(argv, tmp_path, monkeypatch, capsys, full=True)
+    quotient, sums = l2_sums(*outputs(argv, tmp_path, monkeypatch, capsys, full=False))
+    full, full_sums = l2_sums(*outputs(argv, tmp_path, monkeypatch, capsys, full=True))
+    assert quotient == full
+    if "action" in argv:
+        # a class of n edges adds n * increment, the full graph edge by edge
+        assert len(sums) == len(full_sums)
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(sums, full_sums))
+    else:
+        assert sums == full_sums
 
 
 def test_most_verify_cases_reach_a_verdict(tmp_path, monkeypatch, capsys):

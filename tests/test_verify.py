@@ -166,6 +166,22 @@ class TestDecayReport:
         predicted = 2 * lam * lam * math.exp(2 * 0.9)
         assert abs(rep.tail_ratio / predicted - 1) < 0.05
 
+    @pytest.mark.parametrize("extra_rate", [0.0, 1.0])
+    def test_wide_tree_increments_grow_by_the_period_ratio(self, extra_rate):
+        # a generation of the b = 10 tree adds its up to 10^40 edges as
+        # count * increment, so each increment is q times the one before:
+        # q = b lam^2 e^{2((1 - eps) kL + r)}, 1.67 > 1 at r = 1
+        f = tree(40, b=10)
+        spec = MultiplierSpec(kind="action", epsilon=0.1, extra_rate=extra_rate)
+        rep = decay_report(f, spec)
+        lam = eig2(vertex_edge_transfer(1.0, 0.1)).lam_small
+        q = 10 * lam * lam * math.exp(2 * (0.9 + extra_rate))
+        incs = [row.l2_increment for row in rep.rows]
+        assert len(incs) == 41
+        for prev, inc in zip(incs, incs[1:]):
+            assert math.isclose(inc / prev, q, rel_tol=1e-12)
+        assert rep.passed == (q < 1.0)
+
     def test_tree_control_multiplier_fails(self):
         f = tree(10)
         rep = decay_report(
