@@ -24,10 +24,10 @@ import operator
 from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from .eigenfunctions import DERIV_FLOOR, VALUE_FLOOR, EdgeSolution
-from .graph import Edge, GraphValidationError, Vertex
+from .graph import Edge, GraphValidationError, Vertex, _numpy
+
+np = _numpy()
 
 
 class GraphArrays(SimpleNamespace):

@@ -29,6 +29,7 @@ from .graph import (
     FAMILIES,
     FamilyParameterError,
     MetricGraph,
+    NumpyMissingError,
     family_name,
     generate_family,
     keyword_params,
@@ -437,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError, NumpyMissingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # numpy's _ArrayMemoryError included

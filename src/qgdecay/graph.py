@@ -32,12 +32,18 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+class NumpyMissingError(ImportError):
+    """numpy cannot be imported, and a built graph needs it."""
+
+
 def _numpy():
     """numpy, imported on first use: only built graphs (here and in
     qgdecay.arrays) need it, so a generation table never loads it, nor its
     0.1 s of start-up and 13 MB of peak RSS."""
-    import numpy
-
+    try:
+        import numpy
+    except ImportError as exc:
+        raise NumpyMissingError(f"a built graph needs numpy: {exc}") from exc
     return numpy
 
 

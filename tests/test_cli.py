@@ -746,13 +746,14 @@ class TestNoNumpyOnTables:
 
     def test_probe_sees_a_built_graph_load_numpy(self):
         # the control: a two-lengths tree is built, so it loads numpy, and
-        # fails without it
+        # without it exits 2 with a message, not a traceback
         plain = run_process(TWO_LENGTHS)
         assert plain.returncode == 1
         assert plain.stderr.splitlines()[-1] == "True"
         blocked = run_process(TWO_LENGTHS, BLOCK_NUMPY)
-        assert blocked.returncode != 0
-        assert "import of numpy halted" in blocked.stderr
+        assert blocked.returncode == 2
+        assert blocked.stderr.startswith("error: a built graph needs numpy")
+        assert "Traceback" not in blocked.stderr
 
 
 # ---------------------------------------------------------------------------
