@@ -307,7 +307,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     }
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     if args.csv:
-        _emit(report.to_csv_text(), args.csv)
+        depth = report.rows[-1].generation
+        _emit(_csv_text(["generation", "sup_F_psi", "cum_L2", "depth"],
+                        [(r.generation, r.sup_F_psi, r.l2_cumulative, depth)
+                         for r in report.rows]), args.csv)
     return 0 if passed else 1
 
 

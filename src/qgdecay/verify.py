@@ -11,9 +11,7 @@ identity, decay-rate fitting, and an exact monotonicity test.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Sequence
@@ -280,17 +278,6 @@ class DecayReport:
             },
             "rows": [asdict(r) for r in self.rows],
         }
-
-    def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["generation", "sup_F_psi", "cum_L2", "depth"])
-        depth = self.rows[-1].generation if self.rows else 0
-        for r in self.rows:
-            writer.writerow(
-                [r.generation, repr(r.sup_F_psi), repr(r.l2_cumulative), depth]
-            )
-        return buf.getvalue()
 
 
 @functools.cache

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qgdecay.cli import _build_parser, _family_params
+from qgdecay.cli import _build_parser, _family_params, main
 from qgdecay.graph import Edge, FamilyInfo, MetricGraph, Vertex
 import qgdecay.eigenfunctions
 import qgdecay.verify
@@ -262,26 +262,31 @@ class TestDecayReport:
             assert math.isclose(row.l2_increment, by_gen[row.generation],
                                 rel_tol=1e-12)
 
-    def test_json_and_csv_round(self):
+    def test_json_and_csv_round(self, tmp_path, capsys):
         f = tree(5)
         rep = decay_report(f, MultiplierSpec(kind="action", epsilon=0.1), [3, 5])
         doc = rep.to_json_dict()
         assert doc["status"] == "PASS"
         assert json.loads(json.dumps(doc)) == doc
-        text = rep.to_csv_text()
-        lines = text.strip().split("\n")
+        # verify --csv: ints by str, floats by repr, the last generation as
+        # depth
+        csv = tmp_path / "report.csv"
+        main(["verify", "--family", "regular-tree", "--b", "2", "--depth", "5",
+              "--csv", str(csv)])
+        lines = csv.read_text().strip().split("\n")
         assert lines[0] == "generation,sup_F_psi,cum_L2,depth"
-        assert len(lines) == 2 + 5
+        assert lines[1:] == [f"{r.generation},{r.sup_F_psi!r},{r.l2_cumulative!r},5"
+                             for r in rep.rows]
         # plain float reprs, for every multiplier kind
         for kind in ("action", "path", "averaged"):
-            f = construct(
-                "braided", {"b_seq": [2] * 4, "a_seq": [1] * 4,
-                            "v_seq": [1.0, 2.0, 3.0, 4.0]}, 4,
-            )
-            text = decay_report(f, MultiplierSpec(kind=kind)).to_csv_text()
-            for line in text.strip().split("\n")[1:]:
-                gen, sup, cum, depth = line.split(",")
+            main(["verify", "--family", "braided", "--b-seq", "2,2,2,2",
+                  "--a-seq", "1,1,1,1", "--v-seq", "1,2,3,4", "--depth", "4",
+                  "--multiplier", kind, "--csv", str(csv)])
+            rows = [line.split(",") for line in csv.read_text().strip().split("\n")[1:]]
+            for gen, sup, cum, depth in rows:
                 assert float(sup) >= 0.0 and float(cum) >= 0.0
+                assert (sup, cum, depth) == (repr(float(sup)), repr(float(cum)), rows[-1][0])
+        capsys.readouterr()
 
 
 class TestFitDecayRate:
