@@ -347,11 +347,10 @@ class TestVerify:
     ):
         # one distance pass per table: arc lengths and rho at the graph
         # energy, shared by every reader, plus rho at E + shift for the
-        # report's multiplier; the constraint
-        # margin needs no table.  The two-lengths tree is built as a graph
-        # (its generations differ within), and its whole-graph action
-        # certificate honestly fails.  k = 2 keeps rho at E (weights 2L)
-        # apart from arc length
+        # report's multiplier; the constraint margin needs no table.  The
+        # two-lengths tree is built as a graph (its generations differ
+        # within), and its whole-graph action certificate honestly fails.
+        # k = 2 keeps rho at E (weights 2L) apart from arc length
         weight_sums = []
         distance_pass = MetricGraph._pass
 

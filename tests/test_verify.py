@@ -262,7 +262,7 @@ class TestDecayReport:
             assert math.isclose(row.l2_increment, by_gen[row.generation],
                                 rel_tol=1e-12)
 
-    def test_json_and_csv_round(self, tmp_path, capsys):
+    def test_json_and_csv_round(self, tmp_path):
         f = tree(5)
         rep = decay_report(f, MultiplierSpec(kind="action", epsilon=0.1), [3, 5])
         doc = rep.to_json_dict()
@@ -286,7 +286,6 @@ class TestDecayReport:
             for gen, sup, cum, depth in rows:
                 assert float(sup) >= 0.0 and float(cum) >= 0.0
                 assert (sup, cum, depth) == (repr(float(sup)), repr(float(cum)), rows[-1][0])
-        capsys.readouterr()
 
 
 class TestFitDecayRate:
