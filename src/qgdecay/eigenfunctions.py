@@ -54,10 +54,12 @@ class EdgeSolution:
 
 def repeated_sum(start: float, x: float, n: int) -> float:
     """``start + x + ... + x`` with ``n`` additions, left to right: bit for
-    bit a loop of ``+=``, in bursts of 15.  Inside a binade all additions
-    but the first (a tie goes by parity) add the same d, so when a burst
-    ends on two equal ones there, the sum jumps to s + m * d, exact on the
-    binade's grid: O(binades) bursts."""
+    bit a loop of ``+=``, in bursts of 15.  Its one caller is the Kirchhoff
+    totals of ``Eigenfunction.vertex_residuals``, where n is one vertex's
+    branching number; every other class sum adds count * value.  Inside a
+    binade all additions but the first (a tie goes by parity) add the same
+    d, so when a burst ends on two equal ones there, the sum jumps to
+    s + m * d, exact on the binade's grid: O(binades) bursts."""
     if n == 1:
         return start + x
     s = start
@@ -511,7 +513,13 @@ def construct(family: str, params: dict, depth: int) -> Eigenfunction:
     build = CONSTRUCTORS[name]
     params = dict(params)
     own = {key: params.pop(key) for key in keyword_params(build) if key in params}
-    return build(name, params, depth, **own)
+    try:
+        return build(name, params, depth, **own)
+    except OverflowError as exc:
+        raise ValueError(
+            f"constructing the {name} eigenfunction to depth {depth} "
+            f"overflows a float ({exc})"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +551,9 @@ def averaged_wave_function(f: Eigenfunction, y: float) -> float:
     weight = 1.0 / info.root_edges
     for j in range(gen):
         weight *= info.arriving[j] / info.ongoing[j]
-    total = 0.0  # the in-order sum over the edges of the generation
+    total = 0.0  # each class of the generation adds count * value
     for e in f.graph.edges:
         if e.generation == gen:
             value = edge_eval(f.solutions[e.id], min(x, e.length))
-            total = repeated_sum(total, value, f.graph.edge_count(e.id))
+            total += f.graph.edge_count(e.id) * value
     return weight * total

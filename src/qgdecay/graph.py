@@ -25,6 +25,7 @@ import inspect
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -304,6 +305,11 @@ class GenerationTable(MetricGraph):
                 raise FamilyParameterError(
                     f"generation {gen + 1}: {edges} arriving edges not "
                     f"divisible by a_{gen + 1} = {a}"
+                )
+            if edges > sys.float_info.max:  # exact: no int-to-float conversion
+                raise FamilyParameterError(
+                    f"generation {gen} has more edges than a float can count "
+                    f"(over {sys.float_info.max:.3e}); use a smaller --depth"
                 )
             rows.append(Generation(length, edges, edges // a, a, b,
                                    first_edge, first_vertex))

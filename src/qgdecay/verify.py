@@ -127,8 +127,8 @@ class Multiplier:
 # edge or vertex per class, which stands for ``edge_count`` or
 # ``vertex_count`` of them (one per edge and vertex of a built graph, one per
 # generation of a GenerationTable), evaluated once in closed form.  Maxima,
-# minima and first failures read each class once; the decay report adds
-# count * value, the Kirchhoff totals and the averaged wave function replay
+# minima and first failures read each class once; the decay report and the
+# averaged wave function add count * value, the Kirchhoff totals replay
 # their additions in order (repeated_sum), and fits weight each class's
 # sample.
 

@@ -185,15 +185,18 @@ class TestVerify:
         assert doc["status"] == "FAIL"
         assert doc["decay_report"]["status"] == "FAIL"
 
-    def test_wide_tree_growing_tail_fails(self, capsys):
+    @pytest.mark.parametrize("multiplier", [[], ["--multiplier", "averaged"]],
+                             ids=["action", "averaged"])
+    def test_wide_tree_growing_tail_fails(self, capsys, multiplier):
         # each generation's L2 increment is 1.6696 times the one before
         code, out, _ = run(
             capsys, "verify", "--family", "regular-tree", "--b", "10",
-            "--kL", "1", "--depth", "40", "--extra-rate", "1",
+            "--kL", "1", "--depth", "40", "--extra-rate", "1", *multiplier,
         )
         assert code == 1
         report = json.loads(out)["decay_report"]
         assert report["status"] == "FAIL"
+        assert report["cauchy_pass"] is False
         assert math.isclose(report["tail_ratio"], 1.6695784865510894, rel_tol=1e-12)
 
     def test_braided_averaged_multiplier(self, capsys):
@@ -309,6 +312,42 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: " + message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("depth,multiplier", [
+        (320, "action"), (320, "averaged"), (320, "path"), (309, "averaged"),
+    ])
+    def test_class_counts_past_the_float_range_exit_2(self, capsys, depth,
+                                                      multiplier):
+        # generation 309 of the b = 10 tree has 10^309 edges
+        code, out, err = run(
+            capsys, "verify", "--family", "regular-tree", "--b", "10",
+            "--kL", "1", "--depth", str(depth), "--multiplier", multiplier,
+        )
+        assert (code, out) == (2, "")
+        assert err == ("error: generation 309 has more edges than a float can "
+                       "count (over 1.798e+308); use a smaller --depth\n")
+
+    def test_class_counts_inside_the_float_range_pass(self, capsys):
+        # generation 308 has 10^308 edges, below the largest float
+        code, _, _ = run(capsys, "verify", "--family", "regular-tree", "--b",
+                         "10", "--kL", "1", "--depth", "308")
+        assert code == 0
+
+    @pytest.mark.parametrize("argv,depth", [
+        (["sweep", "--family", "regular-tree", "--b-range", "2",
+          "--kL-range", "800"], 3),
+        (["solve", "--family", "regular-tree", "--b", "2", "--kL", "800",
+          "--depth", "2"], 2),
+        (["verify", "--family", "regular-tree", "--b", "2", "--L", "1e300",
+          "--depth", "3"], 3),
+    ], ids=["sweep", "solve", "verify"])
+    def test_construction_overflow_names_family_and_depth(self, capsys, argv,
+                                                          depth):
+        # cosh(kL) overflows in the tree's transfer step
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: constructing the regular_tree eigenfunction "
+                       f"to depth {depth} overflows a float (math range error)\n")
 
     @pytest.mark.parametrize("depth,code", [(10, 0), (20, 1)])
     def test_alternating_ns_tree_stops_decaying(self, capsys, depth, code):

@@ -3,9 +3,10 @@
 A synchronized family's eigenfunction is held on its generation table, one
 representative edge and vertex per generation.  Every output must equal, byte
 for byte, what the same stages give on the expanded graph, where each edge
-and vertex is its own class; only the action decay report's L2 sums, which a
-class of n edges adds as n * increment and the expanded graph edge by edge,
-agree to 1e-12 relative.
+and vertex is its own class; only the class sums, which a class of n edges
+adds as n * value and the expanded graph edge by edge, agree to 1e-12
+relative: the L2 sums of the action and averaged decay reports, and the
+averaged report's sups.
 """
 
 import dataclasses
@@ -79,18 +80,21 @@ def verify_cases():
             )
 
 
-def l2_sums(code, out, csv, err):
+def class_sums(code, out, csv, err, averaged):
     """A verify's outputs without the decay report's L2 sums (and the tail
-    ratio fitted to them), and those sums."""
+    ratio fitted to them), and those sums; with ``averaged``, without the
+    sups of the averaged wave function either, in the JSON and the CSV."""
     if out is None:
         return (code, out, csv, err), []
     doc = json.loads(out)
     report = doc["decay_report"]
     sums = [report.pop("tail_ratio"), *report.pop("cumulative_at_depth").values()]
+    keys = ["l2_increment", "l2_cumulative", *["sup_F_psi"] * averaged]
     for row in report["rows"]:
-        sums += [row.pop("l2_increment"), row.pop("l2_cumulative")]
+        sums += [row.pop(key) for key in keys]
     rows = [line.split(",") for line in csv.decode().splitlines()]
-    sums += [float(row.pop(2)) for row in rows[1:]]  # cum_L2
+    columns = [2, *[1] * averaged]  # cum_L2, then sup_F_psi
+    sums += [float(row.pop(c)) for row in rows[1:] for c in columns]
     return (code, json.dumps(doc), rows, err), sums
 
 
@@ -98,15 +102,18 @@ def l2_sums(code, out, csv, err):
 def test_verify_matches_the_full_graph(argv, tmp_path, monkeypatch, capsys):
     # errors too: a one-generation path fits no slope, and a narrowing
     # braided generation's path fraction exceeds 1
-    quotient, sums = l2_sums(*outputs(argv, tmp_path, monkeypatch, capsys, full=False))
-    full, full_sums = l2_sums(*outputs(argv, tmp_path, monkeypatch, capsys, full=True))
+    averaged = "averaged" in argv
+    quotient, sums = class_sums(
+        *outputs(argv, tmp_path, monkeypatch, capsys, full=False), averaged)
+    full, full_sums = class_sums(
+        *outputs(argv, tmp_path, monkeypatch, capsys, full=True), averaged)
     assert quotient == full
-    if "action" in argv:
-        # a class of n edges adds n * increment, the full graph edge by edge
+    if "path" in argv:
+        assert sums == full_sums
+    else:
+        # a class of n edges adds n * value, the full graph edge by edge
         assert len(sums) == len(full_sums)
         assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(sums, full_sums))
-    else:
-        assert sums == full_sums
 
 
 def test_most_verify_cases_reach_a_verdict(tmp_path, monkeypatch, capsys):

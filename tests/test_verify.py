@@ -166,13 +166,14 @@ class TestDecayReport:
         predicted = 2 * lam * lam * math.exp(2 * 0.9)
         assert abs(rep.tail_ratio / predicted - 1) < 0.05
 
+    @pytest.mark.parametrize("kind", ["action", "averaged"])
     @pytest.mark.parametrize("extra_rate", [0.0, 1.0])
-    def test_wide_tree_increments_grow_by_the_period_ratio(self, extra_rate):
+    def test_wide_tree_increments_grow_by_the_period_ratio(self, extra_rate, kind):
         # a generation of the b = 10 tree adds its up to 10^40 edges as
-        # count * increment, so each increment is q times the one before:
+        # count * value, so each increment is q times the one before:
         # q = b lam^2 e^{2((1 - eps) kL + r)}, 1.67 > 1 at r = 1
         f = tree(40, b=10)
-        spec = MultiplierSpec(kind="action", epsilon=0.1, extra_rate=extra_rate)
+        spec = MultiplierSpec(kind=kind, epsilon=0.1, extra_rate=extra_rate)
         rep = decay_report(f, spec)
         lam = eig2(vertex_edge_transfer(1.0, 0.1)).lam_small
         q = 10 * lam * lam * math.exp(2 * (0.9 + extra_rate))
@@ -860,7 +861,9 @@ AVERAGED_FAMILIES = [
 
 def per_edge_average(f, y):
     """The averaged wave function as the in-order sum over every edge of
-    its generation."""
+    its generation: on a built graph, where every count is 1, the bits of
+    ``averaged_wave_function``; on the expansion of a table, whose class of
+    n edges that function adds as n * value, the same to rounding."""
     info = f.graph.family_info
     gen = max(
         g for g in range(len(info.positions) - 1) if info.positions[g] <= y
@@ -902,7 +905,7 @@ def per_point_averaged_rows(f, spec):
     for gen in range(len(envelopes)):
         sup, inc = _sup_and_l2(f_ave_psi, positions[gen], positions[gen + 1])
         cum += inc
-        rows.append(bits((gen, sup, inc, cum)))
+        rows.append((gen, sup, inc, cum))
     return rows
 
 
@@ -949,9 +952,9 @@ class TestDistinctEdgesMatchPerEdgeCode:
             for t in (0.1, 0.5, 0.9)
         ]
         for y in [*positions, *interior]:
-            assert averaged_wave_function(f, y).hex() == (
-                per_edge_average(expanded(f), y).hex()
-            )
+            # a class of n edges adds n * value, the expansion edge by edge
+            assert math.isclose(averaged_wave_function(f, y),
+                                per_edge_average(expanded(f), y), rel_tol=1e-12)
 
     @pytest.mark.parametrize("family,params", AVERAGED_FAMILIES,
                              ids=["braided", "ns-regular"])
@@ -962,11 +965,13 @@ class TestDistinctEdgesMatchPerEdgeCode:
             kind="averaged", delta=spec.delta, shift_sign=spec.shift_sign,
             epsilon=spec.epsilon, extra_rate=spec.extra_rate,
         )
-        got = [
-            bits((r.generation, r.sup_F_psi, r.l2_increment, r.l2_cumulative))
-            for r in decay_report(f, spec).rows
-        ]
-        assert got == per_point_averaged_rows(expanded(f), spec)
+        got = [(r.generation, r.sup_F_psi, r.l2_increment, r.l2_cumulative)
+               for r in decay_report(f, spec).rows]
+        want = per_point_averaged_rows(expanded(f), spec)
+        assert [row[0] for row in got] == [row[0] for row in want]
+        # the averaged wave function adds a class of n edges as n * value
+        assert all(math.isclose(a, b, rel_tol=1e-12)
+                   for row, full in zip(got, want) for a, b in zip(row[1:], full[1:]))
 
     @pytest.mark.parametrize("family,params", KERNEL_FAMILIES,
                              ids=KERNEL_FAMILY_IDS)
