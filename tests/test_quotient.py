@@ -89,11 +89,11 @@ def class_sums(code, out, csv, err, averaged):
     doc = json.loads(out)
     report = doc["decay_report"]
     sums = [report.pop("tail_ratio"), *report.pop("cumulative_at_depth").values()]
-    keys = ["l2_increment", "l2_cumulative", *["sup_F_psi"] * averaged]
+    keys = ["l2_increment", "l2_cumulative"] + (["sup_F_psi"] if averaged else [])
     for row in report["rows"]:
         sums += [row.pop(key) for key in keys]
     rows = [line.split(",") for line in csv.decode().splitlines()]
-    columns = [2, *[1] * averaged]  # cum_L2, then sup_F_psi
+    columns = [2, 1] if averaged else [2]  # cum_L2, then sup_F_psi
     sums += [float(row.pop(c)) for row in rows[1:] for c in columns]
     return (code, json.dumps(doc), rows, err), sums
 
