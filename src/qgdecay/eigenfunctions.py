@@ -10,6 +10,7 @@ leaves, where the infinite-graph solution is simply cut off.
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
 from dataclasses import dataclass
@@ -322,9 +323,12 @@ def canonical_path(f: Eigenfunction) -> PathSpec:
             sol_in = f.solutions[next(e.id for e in incident if e.head == vid)]
             d_in = edge_deriv(sol_in, sol_in.length)
             if abs(d_in) < DERIV_FLOOR:
+                n = len(str(vid))  # as many as a wide tree has generations
                 raise ValueError(
-                    f"vertex {vid}: incoming derivative {d_in} leaves the "
-                    "path's derivative fraction undefined"
+                    f"vertex {vid if n <= 12 else f'with a {n}-digit id'} in "
+                    f"generation {graph.vertex_by_id[vid].generation}: incoming "
+                    f"derivative {d_in} leaves the path's derivative fraction "
+                    "undefined"
                 )
             p = edge_deriv(f.solutions[eid], 0.0) / d_in
             fracs.append(1.0 if abs(p - 1.0) < 1e-12 else p)
@@ -527,33 +531,43 @@ def construct(family: str, params: dict, depth: int) -> Eigenfunction:
 # ---------------------------------------------------------------------------
 
 
-def averaged_wave_function(f: Eigenfunction, y: float) -> float:
-    """Weighted average of psi over all points at arc distance y from the
-    root; the weights multiply a_j/b_j per generation passed (and 1/root_edges
-    at the root) so they always sum to 1."""
+def averaged_wave(f: Eigenfunction) -> Callable[[float], float]:
+    """y -> ``averaged_wave_function(f, y)``, from tables built once: per
+    generation its weight, the running product of a_j/b_j from
+    1/root_edges, and its edge classes (count, solution, length) in edge
+    order."""
     info = f.graph.family_info
     if info is None or info.positions is None:
         raise ValueError(
             "averaged wave function requires a regular-topology family"
         )
-    positions = info.positions
-    if y < 0.0 or y > positions[-1]:
-        raise ValueError(
-            f"y={y} outside the truncated range [0, {positions[-1]}]"
-        )
-    # y at an interior vertex position v_g evaluates generation g at x = 0;
-    # only the last position reads the arriving generation at its far end
-    gen = 0
-    for g in range(len(positions) - 1):
-        if positions[g] <= y:
-            gen = g
-    x = y - positions[gen]
-    weight = 1.0 / info.root_edges
-    for j in range(gen):
-        weight *= info.arriving[j] / info.ongoing[j]
-    total = 0.0  # each class of the generation adds count * value
+    positions, weights, classes = info.positions, [1.0 / info.root_edges], {}
+    for j in range(len(positions) - 2):
+        weights.append(weights[-1] * (info.arriving[j] / info.ongoing[j]))
     for e in f.graph.edges:
-        if e.generation == gen:
-            value = edge_eval(f.solutions[e.id], min(x, e.length))
-            total += f.graph.edge_count(e.id) * value
-    return weight * total
+        classes.setdefault(e.generation, []).append(
+            (f.graph.edge_count(e.id), f.solutions[e.id], e.length))
+
+    def psi_ave(y: float) -> float:
+        if not 0.0 <= y <= positions[-1]:
+            raise ValueError(
+                f"y={y} outside the truncated range [0, {positions[-1]}]"
+            )
+        # y at an interior vertex position v_g evaluates generation g at
+        # x = 0; only the last position reads the arriving generation at
+        # its far end
+        gen = max(min(bisect.bisect_right(positions, y), len(positions) - 1) - 1, 0)
+        x = y - positions[gen]
+        total = 0.0  # each class of the generation adds count * value
+        for count, sol, length in classes.get(gen, ()):
+            total += count * edge_eval(sol, min(x, length))
+        return weights[gen] * total
+
+    return psi_ave
+
+
+def averaged_wave_function(f: Eigenfunction, y: float) -> float:
+    """Weighted average of psi over all points at arc distance y from the
+    root; the weights multiply a_j/b_j per generation passed (and 1/root_edges
+    at the root) so they always sum to 1."""
+    return averaged_wave(f)(y)

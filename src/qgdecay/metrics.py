@@ -11,8 +11,10 @@ a global away-from-root edge orientation.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 from .graph import Edge, MetricGraph, Vertex, edge_action_weight
 
@@ -135,45 +137,58 @@ class PathSpec:
             prev = e
 
 
-def ave_branching_prefactor(
-    y: float,
-    positions: tuple[float, ...] | list[float],
-    arriving: tuple[int, ...] | list[int],
-    ongoing: tuple[int, ...] | list[int],
-) -> float:
-    """prod over generations passed before y of sqrt(b_j / a_j)."""
-    prefactor = 1.0
-    for j, v_j in enumerate(positions):
-        if v_j < y:
-            if ongoing[j] <= 0 or arriving[j] <= 0:
-                raise ValueError(
-                    f"generation {j + 1} passed at y={y} has no branching data"
-                )
-            prefactor *= math.sqrt(ongoing[j] / arriving[j])
-    return prefactor
-
-
-def ave_action_integral(
-    y: float,
-    positions: tuple[float, ...] | list[float],
-    envelope_potentials: tuple[float, ...] | list[float],
-    energy: float,
-) -> float:
-    """int_0^y sqrt(V_m(t) - E) dt for a per-generation constant envelope:
-    ``envelope_potentials`` give V_m on [0, v_1), [v_1, v_2), ... for the
-    generation positions v_1 < v_2 < ... (root at 0 excluded)."""
-    segments = [0.0] + list(positions)
-    integral = 0.0
-    for j in range(len(segments)):
-        lo = segments[j]
-        hi = segments[j + 1] if j + 1 < len(segments) else math.inf
-        if lo >= y:
+def ave_factors(
+    positions: Sequence[float],
+    arriving: Sequence[int] = (),
+    ongoing: Sequence[int] = (),
+    envelope_potentials: Sequence[float] = (),
+    energy: float = 0.0,
+) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """y -> prod over generations passed before y (v_j < y) of
+    sqrt(b_j / a_j), and y -> int_0^y sqrt(V_m(t) - E) dt for V_m constant
+    on [0, v_1), [v_1, v_2), ... (positions v_1 <= v_2 <= ..., root at 0
+    excluded): bisections into running prefixes, each built in a loop's
+    order up to the first generation or segment without valid data, where
+    a point raises."""
+    segments, prefactors, actions, slopes = (0.0, *positions), [1.0], [0.0], []
+    for a, b in zip(arriving, ongoing):
+        if b <= 0 or a <= 0:
             break
-        span = min(hi, y) - lo
-        gap = envelope_potentials[j] - energy
-        if gap <= 0.0:
-            raise ValueError(
-                f"envelope potential minus energy is {gap} <= 0 on segment {j}"
-            )
-        integral += math.sqrt(gap) * span
-    return integral
+        prefactors.append(prefactors[-1] * math.sqrt(b / a))
+    gap = None
+    for lo, hi, v in zip(segments, (*positions, math.inf), envelope_potentials):
+        if v - energy <= 0.0:
+            gap = v - energy
+            break
+        slopes.append(math.sqrt(v - energy))
+        actions.append(actions[-1] + slopes[-1] * (hi - lo))
+
+    def prefactor(y: float) -> float:
+        n = bisect.bisect_left(positions, y)
+        if n >= len(prefactors):
+            raise ValueError(f"generation {len(prefactors)} passed at y={y} "
+                             "has no branching data")
+        return prefactors[n]
+
+    def action(y: float) -> float:
+        j = bisect.bisect_left(segments, y) - 1  # the segment y ends in
+        if j < 0:
+            return 0.0
+        if j >= len(slopes) and gap is not None:
+            raise ValueError(f"envelope potential minus energy is {gap} <= 0 "
+                             f"on segment {len(slopes)}")
+        return actions[j] + slopes[j] * (y - segments[j])
+
+    return prefactor, action
+
+
+def ave_branching_prefactor(y: float, positions: Sequence[float],
+                            arriving: Sequence[int], ongoing: Sequence[int]) -> float:
+    """``ave_factors``' first factor at one point."""
+    return ave_factors(positions, arriving, ongoing)[0](y)
+
+
+def ave_action_integral(y: float, positions: Sequence[float],
+                        envelope_potentials: Sequence[float], energy: float) -> float:
+    """``ave_factors``' second factor at one point."""
+    return ave_factors(positions, (), (), envelope_potentials, energy)[1](y)

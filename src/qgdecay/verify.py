@@ -20,16 +20,11 @@ from .eigenfunctions import (
     VALUE_FLOOR,
     EdgeSolution,
     Eigenfunction,
-    averaged_wave_function,
+    averaged_wave,
     canonical_path,
 )
 from .graph import MetricGraph, _arrays
-from .metrics import (
-    PathSpec,
-    ave_action_integral,
-    ave_branching_prefactor,
-    compute_rho_a,
-)
+from .metrics import PathSpec, ave_factors, compute_rho_a
 
 PLATEAU_FACTOR = 1.01
 ROUNDING_ULPS = 4  # a sign counts beyond this many ulps of its terms
@@ -126,11 +121,12 @@ class Multiplier:
 # The stages read the eigenfunction's graph by classes: one representative
 # edge or vertex per class, which stands for ``edge_count`` or
 # ``vertex_count`` of them (one per edge and vertex of a built graph, one per
-# generation of a GenerationTable), evaluated once in closed form.  Maxima,
-# minima and first failures read each class once; the decay report and the
-# averaged wave function add count * value, the Kirchhoff totals replay
-# their additions in order (repeated_sum), and fits weight each class's
-# sample.
+# generation of a GenerationTable), evaluated once in closed form or, for
+# the averaged kind, once per sample from tables listed once per report.
+# Maxima, minima and first failures read each class once; the decay report
+# and the averaged wave function add count * value, the Kirchhoff totals
+# replay their additions in order (repeated_sum), and fits weight each
+# class's sample.
 
 
 def _terms(sol: EdgeSolution, x: float) -> tuple[tuple[float, ...], ...]:
@@ -412,23 +408,23 @@ def _units(
     if info is None or info.positions is None:
         raise ValueError("averaged multiplier requires a regular-topology family")
     positions = info.positions
-    v_inner = positions[1:]
     envelope: dict[int, float] = {}  # min() over each generation, in order
     for e in graph.edges:
         envelope[e.generation] = min(envelope.get(e.generation, e.potential),
                                      e.potential)
-    envelopes = [envelope[g] for g in range(len(positions) - 1)]
-    e_eff = spec.effective_energy(graph.energy)
+    # running prefixes built once, so that a point is a bisection
+    prefactor, action = ave_factors(
+        positions[1:], info.arriving, info.ongoing,
+        [envelope[g] for g in range(len(positions) - 1)],
+        spec.effective_energy(graph.energy),
+    )
+    psi_ave, scale = averaged_wave(f), 1.0 - spec.epsilon
 
     def f_ave_psi(y: float) -> float:
-        pre = ave_branching_prefactor(y, v_inner, info.arriving, info.ongoing)
-        action = ave_action_integral(y, v_inner, envelopes, e_eff)
-        big_f = pre * math.exp(
-            (1.0 - spec.epsilon) * action + spec.extra_rate * y
-        )
-        return big_f * averaged_wave_function(f, y)
+        pre = prefactor(y)
+        return pre * math.exp(scale * action(y) + spec.extra_rate * y) * psi_ave(y)
 
-    for g in range(len(envelopes)):
+    for g in range(len(positions) - 1):
         yield g, 1, functools.partial(
             _sup_and_l2, f_ave_psi, positions[g], positions[g + 1]
         )

@@ -333,6 +333,19 @@ class TestVerify:
                          "10", "--kL", "1", "--depth", "308")
         assert code == 0
 
+    def test_path_underflow_names_the_generation(self, capsys):
+        # the incoming derivative underflows at generation 249, whose vertex
+        # ids have 248 digits
+        code, out, err = run(
+            capsys, "verify", "--family", "regular-tree", "--b", "10",
+            "--kL", "1", "--depth", "308", "--multiplier", "path",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(
+            "error: vertex with a 248-digit id in generation 249: incoming "
+        )
+        assert "generation" in err and len(err) < 200
+
     @pytest.mark.parametrize("argv,depth", [
         (["sweep", "--family", "regular-tree", "--b-range", "2",
           "--kL-range", "800"], 3),

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -9,7 +10,9 @@ import pytest
 
 from qgdecay.cli import _build_parser, _family_params, main
 from qgdecay.graph import Edge, FamilyInfo, MetricGraph, Vertex
+import qgdecay.cli
 import qgdecay.eigenfunctions
+import qgdecay.metrics
 import qgdecay.verify
 from qgdecay.eigenfunctions import (
     EdgeSolution,
@@ -861,10 +864,15 @@ AVERAGED_FAMILIES = [
 
 def per_edge_average(f, y):
     """The averaged wave function as the in-order sum over every edge of
-    its generation: on a built graph, where every count is 1, the bits of
-    ``averaged_wave_function``; on the expansion of a table, whose class of
-    n edges that function adds as n * value, the same to rounding."""
+    its generation, each adding count * value: on a table or a built graph
+    (every count 1), the bits of ``averaged_wave_function``; on the
+    expansion of a table, whose class of n edges that function adds as
+    n * value, the same to rounding."""
     info = f.graph.family_info
+    if y < 0.0 or y > info.positions[-1]:
+        raise ValueError(
+            f"y={y} outside the truncated range [0, {info.positions[-1]}]"
+        )
     gen = max(
         g for g in range(len(info.positions) - 1) if info.positions[g] <= y
     )
@@ -875,14 +883,47 @@ def per_edge_average(f, y):
     total = 0.0
     for e in f.graph.edges:
         if e.generation == gen:
-            total += edge_eval(f.solutions[e.id], min(x, e.length))
+            value = edge_eval(f.solutions[e.id], min(x, e.length))
+            total += f.graph.edge_count(e.id) * value
     return weight * total
+
+
+def looped_prefactor(y, positions, arriving, ongoing):
+    """prod over generations passed before y of sqrt(b_j / a_j), as a loop
+    over every generation position."""
+    prefactor = 1.0
+    for j, v_j in enumerate(positions):
+        if v_j < y:
+            if ongoing[j] <= 0 or arriving[j] <= 0:
+                raise ValueError(
+                    f"generation {j + 1} passed at y={y} has no branching data"
+                )
+            prefactor *= math.sqrt(ongoing[j] / arriving[j])
+    return prefactor
+
+
+def looped_action(y, positions, envelopes, energy):
+    """int_0^y sqrt(V_m(t) - E) dt, as a loop over every segment that
+    starts before y."""
+    segments = [0.0, *positions]
+    integral = 0.0
+    for j, lo in enumerate(segments):
+        if lo >= y:
+            break
+        hi = segments[j + 1] if j + 1 < len(segments) else math.inf
+        gap = envelopes[j] - energy
+        if gap <= 0.0:
+            raise ValueError(
+                f"envelope potential minus energy is {gap} <= 0 on segment {j}"
+            )
+        integral += math.sqrt(gap) * (min(hi, y) - lo)
+    return integral
 
 
 def per_point_averaged_rows(f, spec):
     """The averaged report's rows from F_ave * psi_ave at each point: the
-    two F_ave factors, the per-edge average and one ``_sup_and_l2`` per
-    generation segment."""
+    two F_ave factors and the per-edge average, each its own loop over the
+    generations, and one ``_sup_and_l2`` per generation segment."""
     graph, info = f.graph, f.graph.family_info
     positions = info.positions
     envelopes = [
@@ -892,10 +933,8 @@ def per_point_averaged_rows(f, spec):
     e_eff = spec.effective_energy(graph.energy)
 
     def f_ave_psi(y):
-        pre = ave_branching_prefactor(
-            y, positions[1:], info.arriving, info.ongoing
-        )
-        action = ave_action_integral(y, positions[1:], envelopes, e_eff)
+        pre = looped_prefactor(y, positions[1:], info.arriving, info.ongoing)
+        action = looped_action(y, positions[1:], envelopes, e_eff)
         big_f = pre * math.exp(
             (1.0 - spec.epsilon) * action + spec.extra_rate * y
         )
@@ -951,10 +990,14 @@ class TestDistinctEdgesMatchPerEdgeCode:
             for a, b in zip(positions, positions[1:])
             for t in (0.1, 0.5, 0.9)
         ]
+        full = expanded(f)
         for y in [*positions, *interior]:
             # a class of n edges adds n * value, the expansion edge by edge
             assert math.isclose(averaged_wave_function(f, y),
-                                per_edge_average(expanded(f), y), rel_tol=1e-12)
+                                per_edge_average(full, y), rel_tol=1e-12)
+            assert averaged_wave_function(full, y).hex() == (
+                per_edge_average(full, y).hex()
+            )
 
     @pytest.mark.parametrize("family,params", AVERAGED_FAMILIES,
                              ids=["braided", "ns-regular"])
@@ -1076,3 +1119,173 @@ class TestDistinctEdgesMatchPerEdgeCode:
         )
         # edge by edge in id order, up to the first that fails
         assert psi_rows == bits([-0.9, 0.0])
+
+
+def ns_tree_with_a_repeated_position():
+    """A generation-regular tree whose second generation is shorter than
+    half an ulp of its position, so that positions[1] == positions[2]."""
+    f = construct("ns_regular_tree", {
+        "b_seq": [3, 2] * 3, "length_seq": [0.5, 1e-17, 0.5, 1.0, 0.5, 1.0, 0.5],
+    }, 6)
+    positions = f.graph.family_info.positions
+    assert positions[1] == positions[2]
+    return f
+
+
+def braided_13():
+    return construct("braided", {
+        "b_seq": [4] * 13, "a_seq": [2] * 13,
+        "v_seq": [float(j) for j in range(1, 14)],
+    }, 13)
+
+
+def chain_with_info(info, n):
+    """n unit edges in a chain, edge j in generation j with psi = e^{-x}
+    continued along it, carrying the averaging data ``info``."""
+    g = MetricGraph(
+        [Vertex(0), *(Vertex(j, generation=j, boundary=j == n)
+                      for j in range(1, n + 1))],
+        [Edge(j, j, j + 1, 1.0, 1.0, generation=j) for j in range(n)],
+        root=0,
+        energy=0.0,
+        family_info=info,
+    )
+    sols = {j: EdgeSolution(j, 1.0, 1.0, math.exp(-j), -math.exp(-j))
+            for j in range(n)}
+    return Eigenfunction(g, sols, family="custom")
+
+
+AVERAGED = MultiplierSpec(kind="averaged")
+# (eigenfunction maker, spec): each report is compared bit for bit
+BIT_CASES = {
+    "b2-depth60": (lambda: tree(60), AVERAGED),
+    "b10-depth40-extra-rate1": (
+        lambda: tree(40, b=10),
+        MultiplierSpec(kind="averaged", epsilon=0.1, extra_rate=1.0),
+    ),
+    "braided-depth13": (braided_13, AVERAGED),
+    "ns-repeated-position": (
+        ns_tree_with_a_repeated_position,
+        MultiplierSpec(kind="averaged", epsilon=0.3, delta=0.2),
+    ),
+    "signed-zero-children": (with_signed_zero_children, AVERAGED),
+}
+# (eigenfunction maker, spec, verify flags if a family reaches the error,
+# message)
+ERROR_CASES = {
+    "gap": (
+        lambda: construct("braided", {"b_seq": [4] * 3, "a_seq": [2] * 3,
+                                      "v_seq": [1.0, 2.0, 3.0]}, 3),
+        MultiplierSpec(kind="averaged", delta=5.0),
+        ["--family", "braided", "--b-seq", "4,4,4", "--a-seq", "2,2,2",
+         "--v-seq", "1,2,3", "--depth", "3", "--shift-delta", "5"],
+        "envelope potential minus energy is -4.0 <= 0 on segment 0",
+    ),
+    "branching": (
+        lambda: chain_with_info(FamilyInfo(positions=(0.0, 1.0, 2.0, 3.0),
+                                           arriving=(1, 0, 1),
+                                           ongoing=(2, 2, 0)), 3),
+        AVERAGED,
+        None,
+        "generation 2 passed at y=3.0 has no branching data",
+    ),
+    "range": (
+        lambda: chain_with_info(FamilyInfo(positions=(-1.0, 1.0, 2.0),
+                                           arriving=(1, 1),
+                                           ongoing=(1, 0)), 2),
+        AVERAGED,
+        None,
+        "y=-1.0 outside the truncated range [0, 2.0]",
+    ),
+}
+
+
+class TestAveragedPrefixTables:
+    """The averaged kind reads running prefix tables built once per report;
+    every sample is the float the per-point loops give."""
+
+    @pytest.mark.parametrize("case", BIT_CASES.values(), ids=list(BIT_CASES))
+    def test_report_is_the_per_point_code_bit_for_bit(self, case):
+        make, spec = case
+        f = make()
+        got = [(r.generation, *bits([r.sup_F_psi, r.l2_increment, r.l2_cumulative]))
+               for r in decay_report(f, spec).rows]
+        assert got == [(gen, *bits(rest))
+                       for gen, *rest in per_point_averaged_rows(f, spec)]
+
+    @pytest.mark.parametrize("case", BIT_CASES.values(), ids=list(BIT_CASES))
+    def test_per_point_functions_are_their_loops(self, case):
+        make, spec = case
+        f = make()
+        info = f.graph.family_info
+        positions, e_eff = info.positions, spec.effective_energy(f.graph.energy)
+        envelopes = [min(e.potential for e in f.graph.edges if e.generation == g)
+                     for g in range(len(positions) - 1)]
+        ys = []  # every point the report samples
+        for lo, hi in zip(positions, positions[1:]):
+            _sup_and_l2(lambda y: ys.append(y) or 0.0, lo, hi)
+        for y in ys:
+            args = positions[1:], info.arriving, info.ongoing
+            assert ave_branching_prefactor(y, *args).hex() == (
+                looped_prefactor(y, *args).hex()
+            )
+            args = positions[1:], envelopes, e_eff
+            assert ave_action_integral(y, *args).hex() == (
+                looped_action(y, *args).hex()
+            )
+            assert averaged_wave_function(f, y).hex() == (
+                per_edge_average(f, y).hex()
+            )
+
+    @pytest.mark.parametrize("case", ERROR_CASES.values(), ids=list(ERROR_CASES))
+    def test_error_is_the_per_point_codes(self, case):
+        make, spec, _, message = case
+        f = make()
+        with pytest.raises(ValueError) as want:
+            per_point_averaged_rows(f, spec)
+        with pytest.raises(ValueError) as got:
+            decay_report(f, spec)
+        assert str(got.value) == str(want.value) == message
+
+    @pytest.mark.parametrize("case", ERROR_CASES.values(), ids=list(ERROR_CASES))
+    def test_error_exits_2_through_the_cli(self, case, capsys, monkeypatch):
+        make, _, flags, message = case
+        if flags is None:  # no family reaches it: verify gets the graph
+            f = make()
+            monkeypatch.setattr(qgdecay.cli, "construct", lambda *args: f)
+            flags = ["--family", "regular-tree", "--b", "2", "--depth", "3"]
+        code = main(["verify", *flags, "--multiplier", "averaged"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("make", [lambda: tree(30), lambda: tree(60),
+                                      braided_13],
+                             ids=["b2-depth30", "b2-depth60", "braided-depth13"])
+    def test_work_is_linear_in_the_classes(self, make, monkeypatch):
+        f = make()
+        calls = collections.Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def run(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, run)
+
+        counted(qgdecay.eigenfunctions, "edge_eval")
+        # where verify looks the table builders up, and where the per-point
+        # functions do
+        for module in (qgdecay.verify, qgdecay.metrics):
+            counted(module, "ave_factors")
+        for module in (qgdecay.verify, qgdecay.eigenfunctions):
+            counted(module, "averaged_wave")
+        decay_report(f, AVERAGED)
+        # 18 sup points and 16 Gauss nodes per generation class, and the
+        # slope fit's one psi value per interior vertex class
+        assert calls == {
+            "edge_eval": 34 * len(f.graph.edges) + len(f.graph.interior_vertex_ids()),
+            "ave_factors": 1,
+            "averaged_wave": 1,
+        }
