@@ -155,13 +155,13 @@ def ave_factors(
         if b <= 0 or a <= 0:
             break
         prefactors.append(prefactors[-1] * math.sqrt(b / a))
-    gap = None
     for lo, hi, v in zip(segments, (*positions, math.inf), envelope_potentials):
-        if v - energy <= 0.0:
-            gap = v - energy
+        if (gap := v - energy) <= 0.0:
             break
-        slopes.append(math.sqrt(v - energy))
+        slopes.append(math.sqrt(gap))
         actions.append(actions[-1] + slopes[-1] * (hi - lo))
+    else:
+        gap = None  # every segment has its slope
 
     def prefactor(y: float) -> float:
         n = bisect.bisect_left(positions, y)
