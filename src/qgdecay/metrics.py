@@ -1,20 +1,16 @@
 """Weighted shortest-path metrics on rooted metric graphs.
 
 The classical action metric (WKB/Liouville-Green action integrals
-minimized over paths) lives here, with the inputs of the two sharper
-multipliers that ``verify.Multiplier`` and ``verify.decay_report`` build:
-the root-to-boundary path with its derivative fractions, and the branching
-prefactor and action integral of the averaged multiplier for braided
-graphs.  Cut-point insertion turns a graph with cycles into one that admits
-a global away-from-root edge orientation.
+minimized over paths) lives here, with the input of the path multiplier
+that ``verify.Multiplier`` builds: the root-to-boundary path with its
+derivative fractions.  Cut-point insertion turns a graph with cycles into
+one that admits a global away-from-root edge orientation.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .graph import Edge, MetricGraph, Vertex, edge_action_weight
 
@@ -136,59 +132,3 @@ class PathSpec:
                 )
             prev = e
 
-
-def ave_factors(
-    positions: Sequence[float],
-    arriving: Sequence[int] = (),
-    ongoing: Sequence[int] = (),
-    envelope_potentials: Sequence[float] = (),
-    energy: float = 0.0,
-) -> tuple[Callable[[float], float], Callable[[float], float]]:
-    """y -> prod over generations passed before y (v_j < y) of
-    sqrt(b_j / a_j), and y -> int_0^y sqrt(V_m(t) - E) dt for V_m constant
-    on [0, v_1), [v_1, v_2), ... (positions v_1 <= v_2 <= ..., root at 0
-    excluded): bisections into running prefixes, each built in a loop's
-    order up to the first generation or segment without valid data, where
-    a point raises."""
-    segments, prefactors, actions, slopes = (0.0, *positions), [1.0], [0.0], []
-    for a, b in zip(arriving, ongoing):
-        if b <= 0 or a <= 0:
-            break
-        prefactors.append(prefactors[-1] * math.sqrt(b / a))
-    for lo, hi, v in zip(segments, (*positions, math.inf), envelope_potentials):
-        if (gap := v - energy) <= 0.0:
-            break
-        slopes.append(math.sqrt(gap))
-        actions.append(actions[-1] + slopes[-1] * (hi - lo))
-    else:
-        gap = None  # every segment has its slope
-
-    def prefactor(y: float) -> float:
-        n = bisect.bisect_left(positions, y)
-        if n >= len(prefactors):
-            raise ValueError(f"generation {len(prefactors)} passed at y={y} "
-                             "has no branching data")
-        return prefactors[n]
-
-    def action(y: float) -> float:
-        j = bisect.bisect_left(segments, y) - 1  # the segment y ends in
-        if j < 0:
-            return 0.0
-        if j >= len(slopes) and gap is not None:
-            raise ValueError(f"envelope potential minus energy is {gap} <= 0 "
-                             f"on segment {len(slopes)}")
-        return actions[j] + slopes[j] * (y - segments[j])
-
-    return prefactor, action
-
-
-def ave_branching_prefactor(y: float, positions: Sequence[float],
-                            arriving: Sequence[int], ongoing: Sequence[int]) -> float:
-    """``ave_factors``' first factor at one point."""
-    return ave_factors(positions, arriving, ongoing)[0](y)
-
-
-def ave_action_integral(y: float, positions: Sequence[float],
-                        envelope_potentials: Sequence[float], energy: float) -> float:
-    """``ave_factors``' second factor at one point."""
-    return ave_factors(positions, (), (), envelope_potentials, energy)[1](y)

@@ -11,6 +11,7 @@ identity, decay-rate fitting, and an exact monotonicity test.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import asdict, dataclass
@@ -24,7 +25,7 @@ from .eigenfunctions import (
     canonical_path,
 )
 from .graph import MetricGraph, _arrays
-from .metrics import PathSpec, ave_factors, compute_rho_a
+from .metrics import PathSpec, compute_rho_a
 
 PLATEAU_FACTOR = 1.01
 ROUNDING_ULPS = 4  # a sign counts beyond this many ulps of its terms
@@ -118,15 +119,63 @@ class Multiplier:
                 for x0, x1 in zip(xs, xs[1:])]
 
 
-# The stages read the eigenfunction's graph by classes: one representative
-# edge or vertex per class, which stands for ``edge_count`` or
-# ``vertex_count`` of them (one per edge and vertex of a built graph, one per
-# generation of a GenerationTable), evaluated once in closed form or, for
-# the averaged kind, once per sample from tables listed once per report.
-# Maxima, minima and first failures read each class once; the decay report
-# and the averaged wave function add count * value, the Kirchhoff totals
-# replay their additions in order (repeated_sum), and fits weight each
-# class's sample.
+def averaged_multiplier(
+    graph: MetricGraph, spec: MultiplierSpec
+) -> Callable[[float], float]:
+    """y -> F_ave(y): the product over generations passed before y
+    (v_j < y) of sqrt(b_j / a_j), times exp((1 - eps) * int_0^y
+    sqrt(V_m(t) - E_eff) dt + extra_rate * y), with V_m the least potential
+    of generation m on [v_m, v_{m+1}).  Both factors are bisections into
+    running prefixes, each built in a loop's order up to the first
+    generation or segment without valid data, where a point raises."""
+    info = graph.family_info
+    if info is None or info.positions is None:
+        raise ValueError("averaged multiplier requires a regular-topology family")
+    envelope: dict[int, float] = {}  # min() over each generation, in order
+    for e in graph.edges:
+        envelope[e.generation] = min(envelope.get(e.generation, e.potential),
+                                     e.potential)
+    inner = info.positions[1:]
+    segments, prefactors, actions, slopes = (0.0, *inner), [1.0], [0.0], []
+    for a, b in zip(info.arriving, info.ongoing):
+        if b <= 0 or a <= 0:
+            break
+        prefactors.append(prefactors[-1] * math.sqrt(b / a))
+    energy = spec.effective_energy(graph.energy)
+    for lo, hi, v in zip(segments, (*inner, math.inf),
+                         [envelope[g] for g in range(len(inner))]):
+        if (gap := v - energy) <= 0.0:
+            break
+        slopes.append(math.sqrt(gap))
+        actions.append(actions[-1] + slopes[-1] * (hi - lo))
+    else:
+        gap = None  # every segment has its slope
+    scale, rate = 1.0 - spec.epsilon, spec.extra_rate
+
+    def big_f(y: float) -> float:
+        n = bisect.bisect_left(inner, y)
+        if n >= len(prefactors):
+            raise ValueError(f"generation {len(prefactors)} passed at y={y} "
+                             "has no branching data")
+        j = bisect.bisect_left(segments, y) - 1  # the segment y ends in
+        if j >= len(slopes) and gap is not None:
+            raise ValueError(f"envelope potential minus energy is {gap} <= 0 "
+                             f"on segment {len(slopes)}")
+        action = actions[j] + slopes[j] * (y - segments[j]) if j >= 0 else 0.0
+        return prefactors[n] * math.exp(scale * action + rate * y)
+
+    return big_f
+
+
+# The stages read the eigenfunction's graph by classes: one representative edge
+# or vertex per class, which stands for ``edge_count`` or ``vertex_count`` of
+# them (one per edge and vertex of a built graph, one per generation of a
+# GenerationTable), evaluated once in closed form or, for the averaged kind,
+# once per sample from the prefix tables that ``averaged_multiplier`` and
+# ``averaged_wave`` build once per report.  Maxima, minima and first failures
+# read each class once; the decay report and the averaged wave function add
+# count * value, the Kirchhoff totals replay their additions in order
+# (repeated_sum), and fits weight each class's sample.
 
 
 def _terms(sol: EdgeSolution, x: float) -> tuple[tuple[float, ...], ...]:
@@ -404,26 +453,12 @@ def _units(
                    functools.partial(_edge_sup_and_l2, mult, eid, f.solutions[eid]))
         return
 
-    info = graph.family_info
-    if info is None or info.positions is None:
-        raise ValueError("averaged multiplier requires a regular-topology family")
-    positions = info.positions
-    envelope: dict[int, float] = {}  # min() over each generation, in order
-    for e in graph.edges:
-        envelope[e.generation] = min(envelope.get(e.generation, e.potential),
-                                     e.potential)
-    # running prefixes built once, so that a point is a bisection
-    prefactor, action = ave_factors(
-        positions[1:], info.arriving, info.ongoing,
-        [envelope[g] for g in range(len(positions) - 1)],
-        spec.effective_energy(graph.energy),
-    )
-    psi_ave, scale = averaged_wave(f), 1.0 - spec.epsilon
+    big_f, psi_ave = averaged_multiplier(graph, spec), averaged_wave(f)
 
     def f_ave_psi(y: float) -> float:
-        pre = prefactor(y)
-        return pre * math.exp(scale * action(y) + spec.extra_rate * y) * psi_ave(y)
+        return big_f(y) * psi_ave(y)
 
+    positions = graph.family_info.positions
     for g in range(len(positions) - 1):
         yield g, 1, functools.partial(
             _sup_and_l2, f_ave_psi, positions[g], positions[g + 1]

@@ -19,13 +19,11 @@ from qgdecay.graph import (
 )
 from qgdecay.metrics import (
     PathSpec,
-    ave_action_integral,
-    ave_branching_prefactor,
     compute_rho_a,
     edge_action_weight,
     insert_cut_points,
 )
-from qgdecay.verify import Multiplier, MultiplierSpec
+from qgdecay.verify import Multiplier, MultiplierSpec, averaged_multiplier
 
 from points import GraphPoint, eval_rho_a
 
@@ -360,36 +358,28 @@ class TestPathPrefactor:
         assert all(p >= 1.0 for p in path_prefactor(path).values())
 
 
-def f_ave(y, positions, arriving, ongoing, envelopes, energy):
+def f_ave(graph, y):
     """The averaged multiplier of verify.decay_report with epsilon and
     extra rate 0."""
-    return ave_branching_prefactor(y, positions, arriving, ongoing) * math.exp(
-        ave_action_integral(y, positions, envelopes, energy)
-    )
+    return averaged_multiplier(graph, MultiplierSpec(kind="averaged"))(y)
 
 
 class TestFAve:
     def test_before_first_vertex(self):
         k = 1.3
-        val = f_ave(0.7, [1.0, 2.0], [1, 1], [2, 2], [k * k, k * k, k * k], 0.0)
-        assert math.isclose(val, math.exp(k * 0.7), rel_tol=1e-12)
+        g = build_family("regular_tree", {"b": 2, "k": k}, 8)
+        assert math.isclose(f_ave(g, 0.7), math.exp(k * 0.7), rel_tol=1e-12)
 
     def test_regular_tree_closed_form(self):
         b, k = 2, 1.0
-        positions = [float(j) for j in range(1, 9)]
+        g = build_family("regular_tree", {"b": b, "k": k}, 8)
+        positions = g.family_info.positions[1:]
         for y in (0.5, 1.0, 2.5, 6.0, 7.5):
             passed = sum(1 for v in positions if v < y)
             expected = b ** (passed / 2.0) * math.exp(k * y)
-            got = f_ave(
-                y, positions, [1] * 8, [b] * 8, [k * k] * 9, 0.0
-            )
-            assert math.isclose(got, expected, rel_tol=1e-12)
+            assert math.isclose(f_ave(g, y), expected, rel_tol=1e-12)
 
     def test_balanced_braiding_is_pure_exponential(self):
-        positions = [1.0, 2.0, 3.0]
-        got = f_ave(2.5, positions, [3, 3, 3], [3, 3, 3], [4.0] * 4, 0.0)
-        assert math.isclose(got, math.exp(2.0 * 2.5), rel_tol=1e-12)
-
-    def test_nonpositive_envelope_rejected(self):
-        with pytest.raises(ValueError, match="<= 0"):
-            ave_action_integral(1.5, [1.0], [1.0, -1.0], 0.0)
+        g = build_family("braided", {"b_seq": [3] * 3, "a_seq": [3] * 3,
+                                     "v_seq": [1.0, 2.0, 3.0], "k": 2.0}, 3)
+        assert math.isclose(f_ave(g, 2.5), math.exp(2.0 * 2.5), rel_tol=1e-12)

@@ -12,7 +12,6 @@ from qgdecay.cli import _build_parser, _family_params, main
 from qgdecay.graph import Edge, FamilyInfo, MetricGraph, Vertex
 import qgdecay.cli
 import qgdecay.eigenfunctions
-import qgdecay.metrics
 import qgdecay.verify
 from qgdecay.eigenfunctions import (
     EdgeSolution,
@@ -25,18 +24,14 @@ from qgdecay.eigenfunctions import (
     edge_eval,
     kirchhoff_residual,
 )
-from qgdecay.metrics import (
-    PathSpec,
-    ave_action_integral,
-    ave_branching_prefactor,
-    compute_rho_a,
-)
+from qgdecay.metrics import PathSpec, compute_rho_a
 from qgdecay.transfer import eig2, vertex_edge_transfer
 from qgdecay.verify import (
     Multiplier,
     MultiplierSpec,
     _slope_log_psi_vs_rho,
     _sup_and_l2,
+    averaged_multiplier,
     constraint_margin,
     continuity_and_kirchhoff,
     decay_report,
@@ -1139,13 +1134,15 @@ def braided_13():
     }, 13)
 
 
-def chain_with_info(info, n):
-    """n unit edges in a chain, edge j in generation j with psi = e^{-x}
-    continued along it, carrying the averaging data ``info``."""
+def chain_with_info(info, potentials):
+    """One unit edge per potential in a chain, edge j in generation j with
+    potential ``potentials[j]`` and psi = e^{-x} continued along it,
+    carrying the averaging data ``info``."""
+    n = len(potentials)
     g = MetricGraph(
         [Vertex(0), *(Vertex(j, generation=j, boundary=j == n)
                       for j in range(1, n + 1))],
-        [Edge(j, j, j + 1, 1.0, 1.0, generation=j) for j in range(n)],
+        [Edge(j, j, j + 1, 1.0, potentials[j], generation=j) for j in range(n)],
         root=0,
         energy=0.0,
         family_info=info,
@@ -1184,7 +1181,7 @@ ERROR_CASES = {
     "branching": (
         lambda: chain_with_info(FamilyInfo(positions=(0.0, 1.0, 2.0, 3.0),
                                            arriving=(1, 0, 1),
-                                           ongoing=(2, 2, 0)), 3),
+                                           ongoing=(2, 2, 0)), [1.0] * 3),
         AVERAGED,
         None,
         "generation 2 passed at y=3.0 has no branching data",
@@ -1192,10 +1189,20 @@ ERROR_CASES = {
     "range": (
         lambda: chain_with_info(FamilyInfo(positions=(-1.0, 1.0, 2.0),
                                            arriving=(1, 1),
-                                           ongoing=(1, 0)), 2),
+                                           ongoing=(1, 0)), [1.0] * 2),
         AVERAGED,
         None,
         "y=-1.0 outside the truncated range [0, 2.0]",
+    ),
+    # no family has a generation after the first whose potential lies
+    # below the energy
+    "gap-segment-1": (
+        lambda: chain_with_info(FamilyInfo(positions=(0.0, 1.0, 2.0),
+                                           arriving=(1,), ongoing=(1,)),
+                                [1.0, -1.0]),
+        AVERAGED,
+        None,
+        "envelope potential minus energy is -1.0 <= 0 on segment 1",
     ),
 }
 
@@ -1224,15 +1231,13 @@ class TestAveragedPrefixTables:
         ys = []  # every point the report samples
         for lo, hi in zip(positions, positions[1:]):
             _sup_and_l2(lambda y: ys.append(y) or 0.0, lo, hi)
+        big_f = averaged_multiplier(f.graph, spec)
         for y in ys:
-            args = positions[1:], info.arriving, info.ongoing
-            assert ave_branching_prefactor(y, *args).hex() == (
-                looped_prefactor(y, *args).hex()
-            )
-            args = positions[1:], envelopes, e_eff
-            assert ave_action_integral(y, *args).hex() == (
-                looped_action(y, *args).hex()
-            )
+            pre = looped_prefactor(y, positions[1:], info.arriving, info.ongoing)
+            action = looped_action(y, positions[1:], envelopes, e_eff)
+            assert big_f(y).hex() == (pre * math.exp(
+                (1.0 - spec.epsilon) * action + spec.extra_rate * y
+            )).hex()
             assert averaged_wave_function(f, y).hex() == (
                 per_edge_average(f, y).hex()
             )
@@ -1276,9 +1281,8 @@ class TestAveragedPrefixTables:
 
         counted(qgdecay.eigenfunctions, "edge_eval")
         # where verify looks the table builders up, and where the per-point
-        # functions do
-        for module in (qgdecay.verify, qgdecay.metrics):
-            counted(module, "ave_factors")
+        # function does
+        counted(qgdecay.verify, "averaged_multiplier")
         for module in (qgdecay.verify, qgdecay.eigenfunctions):
             counted(module, "averaged_wave")
         decay_report(f, AVERAGED)
@@ -1286,6 +1290,45 @@ class TestAveragedPrefixTables:
         # slope fit's one psi value per interior vertex class
         assert calls == {
             "edge_eval": 34 * len(f.graph.edges) + len(f.graph.interior_vertex_ids()),
-            "ave_factors": 1,
+            "averaged_multiplier": 1,
             "averaged_wave": 1,
         }
+
+
+# synchronized families, on which every edge of a generation has the
+# canonical path's derivative fraction a_j / b_j
+SYNCHRONIZED = {
+    "b2": lambda: tree(14),
+    "b3": lambda: tree(10, b=3),
+    "b10": lambda: tree(8, b=10),
+    "ns": lambda: construct("ns_regular_tree", {
+        "b_seq": [2, 3] * 5, "length_seq": [1.0, 0.7] * 6}, 10),
+    "braided-depth13": braided_13,
+}
+SHARPER_SPECS = {
+    "eps0.1": MultiplierSpec(kind="averaged", epsilon=0.1),
+    "eps0.1-extra-rate1": MultiplierSpec(kind="averaged", epsilon=0.1,
+                                         extra_rate=1.0),
+    "shift-delta0.1": MultiplierSpec(kind="averaged", delta=0.1),
+}
+
+
+class TestSharperMultipliersAgree:
+    @pytest.mark.parametrize("spec", SHARPER_SPECS.values(), ids=list(SHARPER_SPECS))
+    @pytest.mark.parametrize("make", SYNCHRONIZED.values(), ids=list(SYNCHRONIZED))
+    def test_averaged_is_path_inside_each_generation(self, make, spec):
+        """F_ave at a generation's midpoint is the path multiplier's F
+        halfway along that generation's path edge."""
+        f = make()
+        positions = f.graph.family_info.positions
+        path = canonical_path(f)
+        big_f = averaged_multiplier(f.graph, spec)
+        mult = Multiplier(f.graph, replace(spec, kind="path"), path)
+        gens = []
+        for eid in path.edges:
+            e = f.graph.edge_by_id[eid]
+            gens.append(e.generation)
+            mid = (positions[e.generation] + positions[e.generation + 1]) / 2
+            assert math.isclose(big_f(mid), mult.on_edge(eid)(e.length / 2),
+                                rel_tol=1e-13)
+        assert gens == list(range(len(positions) - 1))
