@@ -24,7 +24,7 @@ import os
 import re
 import sys
 
-from .eigenfunctions import CONSTRUCTORS, canonical_path, construct, edge_eval
+from .eigenfunctions import CONSTRUCTORS, construct
 from .graph import (
     FAMILIES,
     FamilyParameterError,
@@ -36,16 +36,7 @@ from .graph import (
     load_graph_spec,
 )
 from .metrics import compute_rho_a, insert_cut_points
-from .verify import (
-    Multiplier,
-    MultiplierSpec,
-    constraint_margin,
-    continuity_and_kirchhoff,
-    decay_report,
-    fit_decay_rate,
-    identity_check,
-    monotonicity_check,
-)
+from .verify import MultiplierSpec, certify, fit_decay_rate
 
 ENV_OUTDIR = "QGDECAY_OUTDIR"
 MAX_GRID_POINTS = 100_000  # per start:stop:step sweep grid
@@ -229,88 +220,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = MultiplierSpec(kind=args.multiplier, delta=args.shift_delta,
                           shift_sign=args.shift_sign, epsilon=args.epsilon,
                           extra_rate=args.extra_rate)
-    if not math.isfinite(args.exclusion):
-        raise ValueError(f"exclusion must be finite, got {args.exclusion}")
     name, params, depth = _family_params(args)
     f = construct(name, params, depth)
     depths = _parse_int_list(args.depth_schedule) if args.depth_schedule else None
-    path = canonical_path(f) if spec.kind == "path" else None
-    report = decay_report(f, spec, depths, path=path)
-
-    residuals = continuity_and_kirchhoff(f)
-    structure_ok = (
-        residuals["max_continuity"] <= 1e-10
-        and residuals["max_kirchhoff"] <= 1e-9
-    )
-
-    graph = f.graph
-    gap_min = min(p - graph.energy for p in graph.non_core_potentials())
-    margin_delta = args.shift_delta if args.shift_delta > 0 else 0.5 * gap_min
-    margin_plus = constraint_margin(
-        graph, MultiplierSpec(delta=margin_delta, shift_sign=1)
-    )
-    margin_minus = constraint_margin(
-        graph, MultiplierSpec(delta=margin_delta, shift_sign=-1)
-    )
-    margin_ok = margin_plus >= margin_delta - 1e-9
-
-    # a path certificate is scoped to its path, monotonicity included
-    mono = monotonicity_check(
-        f, exclusion_radius=args.exclusion,
-        edges=None if path is None else path.edges,
-    )
-
-    # product-derivative identity on an interior window of the root edge
-    first = min(
-        (e for e in map(graph.edge_by_id.__getitem__, graph.incidence[graph.root])
-         if e.tail == graph.root),
-        key=lambda e: e.id,
-    )
-    sol = f.solutions[first.id]
-    big_f = Multiplier(
-        graph, spec if spec.kind != "averaged" else MultiplierSpec(), path
-    ).on_edge(first.id)
-    phi = lambda x: edge_eval(sol, x)
-    h = first.length / 64.0
-    res_h = identity_check(big_f, phi, 0.1 * first.length, 0.9 * first.length, h)
-    res_h2 = identity_check(big_f, phi, 0.1 * first.length, 0.9 * first.length, h / 2)
-    identity_ok = res_h2 <= 1e-12 or res_h / max(res_h2, 1e-300) >= 2.5
-
-    passed = bool(
-        report.passed and structure_ok and margin_ok and mono.ok and identity_ok
-    )
-    doc = {
-        "status": "PASS" if passed else "FAIL",
-        "family": name,
-        "depth": depth,
-        "decay_report": report.to_json_dict(),
-        "structure": {
-            "ok": structure_ok,
-            **residuals,
-        },
-        "constraint": {
-            "ok": margin_ok,
-            "delta": margin_delta,
-            "margin_shift_plus": margin_plus,
-            "margin_shift_minus": margin_minus,
-            "satisfying_shift_sign": 1 if margin_ok else -1
-            if margin_minus >= margin_delta - 1e-9
-            else 0,
-        },
-        "monotonicity": {"ok": mono.ok, "detail": mono.detail},
-        "identity": {
-            "ok": identity_ok,
-            "residual_h": res_h,
-            "residual_h_over_2": res_h2,
-        },
-        "fitted_decay_rate": fit_decay_rate(f),
-    }
+    passed, blocks = certify(f, spec, depths, args.exclusion)
+    doc = {"status": "PASS" if passed else "FAIL", "family": name,
+           "depth": depth, **blocks}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     if args.csv:
-        depth = report.rows[-1].generation
+        rows = blocks["decay_report"]["rows"]
+        last = rows[-1]["generation"]
         _emit(_csv_text(["generation", "sup_F_psi", "cum_L2", "depth"],
-                        [(r.generation, r.sup_F_psi, r.l2_cumulative, depth)
-                         for r in report.rows]), args.csv)
+                        [(r["generation"], r["sup_F_psi"], r["l2_cumulative"], last)
+                         for r in rows]), args.csv)
     return 0 if passed else 1
 
 

@@ -6,7 +6,8 @@ sups must plateau (bounded by 1.01 times their early maximum), and the
 per-generation increments of the multiplied L2 sum must fit a geometric
 ratio below 1.  Alongside these live the pointwise constraint margin for
 the multiplier, a finite-difference check of the product-derivative
-identity, decay-rate fitting, and an exact monotonicity test.
+identity, decay-rate fitting, and an exact monotonicity test.  ``certify``
+runs them all and holds the thresholds of the verdict.
 """
 
 from __future__ import annotations
@@ -23,11 +24,17 @@ from .eigenfunctions import (
     Eigenfunction,
     averaged_wave,
     canonical_path,
+    edge_eval,
 )
 from .graph import MetricGraph, _arrays
 from .metrics import PathSpec, compute_rho_a
 
 PLATEAU_FACTOR = 1.01
+MAX_CONTINUITY = 1e-10  # structure: worst continuity residual
+MAX_KIRCHHOFF = 1e-9  # structure: worst Kirchhoff residual
+MARGIN_SLACK = 1e-9  # how far the constraint margin may fall below delta
+IDENTITY_FLOOR = 1e-12  # an identity residual at h/2 this small passes
+IDENTITY_RATIO = 2.5  # else it passes if it falls this much from h (4: O(h^2))
 ROUNDING_ULPS = 4  # a sign counts beyond this many ulps of its terms
 IDENTITY_SAMPLES = 33
 
@@ -536,9 +543,6 @@ class MonotonicityResult:
     offset: float | None = None
     detail: str = ""
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _signs(sol: EdgeSolution, x: float) -> list[float]:
     """Signs of psi and psi' at x, 0 within ROUNDING_ULPS of their terms."""
@@ -618,9 +622,81 @@ def monotonicity_check(
             val = abs(f.vertex_value(vid))
             if val > 1e-10 * scale:
                 return MonotonicityResult(
-                    False,
-                    edge=None,
-                    offset=None,
-                    detail=f"reflection-axis zero violated at vertex {vid}",
+                    False, detail=f"reflection-axis zero violated at vertex {vid}"
                 )
     return MonotonicityResult(True)
+
+
+def certify(
+    f: Eigenfunction, spec: MultiplierSpec, depths: Sequence[int] | None = None,
+    exclusion: float = 0.0,
+) -> tuple[bool, dict]:
+    """Run the decay report and the structure, constraint, monotonicity and
+    identity checks, in that order: whether all passed, and the verify
+    document's blocks from ``decay_report`` to ``fitted_decay_rate``.  The
+    margin's delta is ``spec.delta``, or half the least non-core V - E."""
+    if not math.isfinite(exclusion):
+        raise ValueError(f"exclusion must be finite, got {exclusion}")
+    graph = f.graph
+    path = canonical_path(f) if spec.kind == "path" else None
+    report = decay_report(f, spec, depths, path=path)
+
+    residuals = continuity_and_kirchhoff(f)
+    structure_ok = (
+        residuals["max_continuity"] <= MAX_CONTINUITY
+        and residuals["max_kirchhoff"] <= MAX_KIRCHHOFF
+    )
+
+    gap_min = min(p - graph.energy for p in graph.non_core_potentials())
+    delta = spec.delta if spec.delta > 0 else 0.5 * gap_min
+    margin_plus = constraint_margin(graph, MultiplierSpec(delta=delta, shift_sign=1))
+    margin_minus = constraint_margin(graph, MultiplierSpec(delta=delta, shift_sign=-1))
+    margin_ok = margin_plus >= delta - MARGIN_SLACK
+
+    # a path certificate is scoped to its path, monotonicity included
+    mono = monotonicity_check(
+        f, exclusion_radius=exclusion, edges=None if path is None else path.edges
+    )
+
+    # product-derivative identity on an interior window of the root edge,
+    # with the action multiplier for the averaged kind
+    first = min(
+        (e for e in map(graph.edge_by_id.__getitem__, graph.incidence[graph.root])
+         if e.tail == graph.root),
+        key=lambda e: e.id,
+    )
+    window_spec = spec if spec.kind != "averaged" else MultiplierSpec()
+    big_f = Multiplier(graph, window_spec, path).on_edge(first.id)
+    phi = functools.partial(edge_eval, f.solutions[first.id])
+    lo, hi, h = 0.1 * first.length, 0.9 * first.length, first.length / 64.0
+    try:
+        res_h = identity_check(big_f, phi, lo, hi, h)
+        res_h2 = identity_check(big_f, phi, lo, hi, h / 2)
+    except ZeroDivisionError:  # F underflows to 0
+        res_h = res_h2 = math.inf
+    if not (math.isfinite(res_h) and math.isfinite(res_h2)):
+        raise ValueError(f"the {window_spec.kind} multiplier underflows on the "
+                         f"identity window [{lo!r}, {hi!r}] of root edge {first.id}")
+    identity_ok = res_h2 <= IDENTITY_FLOOR or res_h / res_h2 >= IDENTITY_RATIO
+
+    passed = report.passed and structure_ok and margin_ok and mono.ok and identity_ok
+    return passed, {
+        "decay_report": report.to_json_dict(),
+        "structure": {"ok": structure_ok, **residuals},
+        "constraint": {
+            "ok": margin_ok,
+            "delta": delta,
+            "margin_shift_plus": margin_plus,
+            "margin_shift_minus": margin_minus,
+            "satisfying_shift_sign": 1 if margin_ok else -1
+            if margin_minus >= delta - MARGIN_SLACK
+            else 0,
+        },
+        "monotonicity": {"ok": mono.ok, "detail": mono.detail},
+        "identity": {
+            "ok": identity_ok,
+            "residual_h": res_h,
+            "residual_h_over_2": res_h2,
+        },
+        "fitted_decay_rate": fit_decay_rate(f),
+    }

@@ -296,6 +296,28 @@ class TestVerify:
               "--L", "0", "--depth", "3"], "length must be > 0"),
             (["solve", "--family", "regular-tree", "--b", "2", "--kL", "1",
               "--L", "0", "--depth", "3"], "length must be > 0"),
+            # F underflows on the identity window: to 0 (a division by
+            # zero), or to subnormals that leave the residuals infinite
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "3",
+              "--extra-rate=-1000"],
+             "the action multiplier underflows on the identity window "
+             "[0.1, 0.9] of root edge 0"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "3",
+              "--epsilon", "1000"],
+             "the action multiplier underflows on the identity window "
+             "[0.1, 0.9] of root edge 0"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "3",
+              "--multiplier", "path", "--extra-rate=-1000"],
+             "the path multiplier underflows on the identity window "
+             "[0.1, 0.9] of root edge 0"),
+            (["verify", "--family", "millipede", "--delta", "0.1", "--depth",
+              "3", "--multiplier", "path", "--extra-rate=-1000"],
+             "the path multiplier underflows on the identity window "
+             "[0.2, 1.8] of root edge 0"),
+            (["verify", "--family", "regular-tree", "--b", "2", "--depth", "3",
+              "--extra-rate=-800"],
+             "the action multiplier underflows on the identity window "
+             "[0.1, 0.9] of root edge 0"),
         ],
         ids=["ladder-deep", "millipede-deep", "twolen-saturated", "sweep-b0",
              "negative-schedule", "epsilon-nan", "extra-rate-nan",
@@ -304,7 +326,9 @@ class TestVerify:
              "grid-step-nan", "grid-stop-inf", "grid-start-nan",
              "grid-list-inf", "grid-too-large", "b-grid-fractional",
              "samples-zero", "samples-negative", "kL-zero-length",
-             "kL-zero-length-solve"],
+             "kL-zero-length-solve", "identity-f-zero-rate",
+             "identity-f-zero-epsilon", "identity-f-zero-path",
+             "identity-f-zero-millipede-path", "identity-f-subnormal"],
     )
     def test_numeric_failure_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
@@ -561,7 +585,7 @@ class TestVerify:
         def exhausted(*args, **kwargs):
             raise error
 
-        monkeypatch.setattr(qgdecay.cli, "decay_report", exhausted)
+        monkeypatch.setattr(qgdecay.verify, "decay_report", exhausted)
         code, out, err = run(
             capsys, "verify", "--family", "regular-tree", "--b", "2",
             "--depth", "3",
@@ -866,8 +890,9 @@ CONTRACT_FAMILIES = {
     ],
 }
 CONTRACT_OPTIONS = [
-    ("--epsilon", _number(-0.5, 1.5) | EDGE_CASES),
-    ("--extra-rate", _number(-1.0, 1.0) | EDGE_CASES),
+    # F underflows on the identity window at --epsilon 1000, --extra-rate -1000
+    ("--epsilon", _number(-0.5, 1.5) | EDGE_CASES | st.just("1000")),
+    ("--extra-rate", _number(-1.0, 1.0) | EDGE_CASES | st.just("-1000")),
     ("--shift-delta", _number(0.0, 1.0) | EDGE_CASES),
     ("--shift-sign", st.sampled_from(["1", "-1"])),
     ("--exclusion", _number(0.0, 5.0) | EDGE_CASES),
@@ -878,15 +903,23 @@ CONTRACT_OPTIONS = [
 @given(argv=verify_argvs())
 def test_verify_exit_code_contract(argv):
     # every input ends in exit 0, 1 or 2 without a traceback (main would
-    # raise), and exit 1 means exactly that a certificate FAILed
+    # raise), exit 1 means exactly that a certificate FAILed, and status
+    # PASSes exactly when the decay report and every other check do
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    status = json.loads(out.getvalue())["status"] if code != 2 else None
-    assert (code == 1) == (status == "FAIL")
-    assert (code == 0) == (status == "PASS")
+    if code == 2:
+        return
+    doc = json.loads(out.getvalue())
+    assert (code == 1) == (doc["status"] == "FAIL")
+    assert (code == 0) == (doc["status"] == "PASS")
+    checks = [doc[name]["ok"]
+              for name in ("structure", "constraint", "monotonicity", "identity")]
+    assert (doc["status"] == "PASS") == (
+        doc["decay_report"]["status"] == "PASS" and all(checks)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from qgdecay.verify import (
     _slope_log_psi_vs_rho,
     _sup_and_l2,
     averaged_multiplier,
+    certify,
     constraint_margin,
     continuity_and_kirchhoff,
     decay_report,
@@ -1332,3 +1333,33 @@ class TestSharperMultipliersAgree:
             assert math.isclose(big_f(mid), mult.on_edge(eid)(e.length / 2),
                                 rel_tol=1e-13)
         assert gens == list(range(len(positions) - 1))
+
+
+class TestCertify:
+    def test_thresholds(self):
+        # a loosened threshold would pass certificates these reject
+        verify = qgdecay.verify
+        assert (verify.MAX_CONTINUITY, verify.MAX_KIRCHHOFF, verify.MARGIN_SLACK,
+                verify.IDENTITY_FLOOR, verify.IDENTITY_RATIO) == (
+                    1e-10, 1e-9, 1e-9, 1e-12, 2.5)
+
+    @pytest.mark.parametrize("constants,block,ok", [
+        ({"MAX_CONTINUITY": 1e-16}, "structure", False),
+        ({"MAX_KIRCHHOFF": 1e-16}, "structure", False),
+        ({"MARGIN_SLACK": -1e-9}, "constraint", False),
+        ({"IDENTITY_RATIO": 5.0}, "identity", False),
+        ({"IDENTITY_RATIO": 5.0, "IDENTITY_FLOOR": 1e-4}, "identity", True),
+    ], ids=["continuity", "kirchhoff", "margin-slack", "identity-ratio",
+            "identity-floor"])
+    def test_each_threshold_decides_its_check(self, monkeypatch, constants,
+                                              block, ok):
+        # on the b = 2 tree: continuity 5.1e-16, Kirchhoff 4.2e-16, margin
+        # delta - 1.1e-16, identity residuals 4.5e-5 and 1.1e-5 (ratio 4.0)
+        f = tree(depth=4)
+        for name, value in constants.items():
+            monkeypatch.setattr(qgdecay.verify, name, value)
+        passed, blocks = certify(f, MultiplierSpec(epsilon=0.1))
+        assert (passed, blocks[block]["ok"]) == (ok, ok)
+        others = ("structure", "constraint", "monotonicity", "identity")
+        assert all(blocks[name]["ok"] for name in others if name != block)
+        assert blocks["decay_report"]["status"] == "PASS"
