@@ -4,11 +4,11 @@ A ``graph.MetricGraph`` holds its columns in a ``GraphArrays``, and its
 ``vertices``, ``edges``, ``vertex_by_id``, ``edge_by_id`` and ``incidence``
 are views of them (``Items``, ``IdView``).  The whole-graph stages run here
 on the arrays: the CSR incidence, the breadth-first levels behind
-``validate`` and the tree distances, the interior vertices, and the vertex
-values and residuals of an eigenfunction.  Every kernel makes the float
-operations of the per-vertex code it replaces, element by element: only
-correctly rounded operations are vectorized, cosh and sinh come from
-``math`` once per distinct argument, and sums run left to right.
+``validate``, the root distances (``Distances``), the interior vertices,
+and the vertex values and residuals of an eigenfunction.  Every kernel
+makes the float operations of the per-vertex code it replaces, element by
+element: only correctly rounded operations are vectorized, cosh and sinh
+come from ``math`` once per distinct argument, and sums run left to right.
 
 ``graph._arrays()`` imports this module on first use: the generation
 tables of the synchronized families read none of it, and the code objects
@@ -18,12 +18,12 @@ of a module a process never loads add nothing to its peak RSS.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from types import SimpleNamespace
 from typing import Callable, Iterator, Mapping, Sequence
 
+from . import graph
 from .eigenfunctions import DERIV_FLOOR, VALUE_FLOOR, EdgeSolution
 from .graph import Edge, GraphValidationError, Vertex, _numpy
 
@@ -43,7 +43,10 @@ class GraphArrays(SimpleNamespace):
 
 
 def position(index: range | dict, key) -> int:
-    """The position of id ``key`` in a GraphArrays index; KeyError if none."""
+    """The position of id ``key`` in a GraphArrays index; KeyError if none.
+    A range index is range(n), whose ids are their positions."""
+    if type(key) is int and type(index) is range and 0 <= key < len(index):
+        return key  # the lookup of every whole-graph loop: no method calls
     try:
         return index[key] if isinstance(index, dict) else index.index(operator.index(key))
     except (TypeError, ValueError):
@@ -65,7 +68,9 @@ class Items(Sequence):
         return self._n
 
     def __getitem__(self, i):
-        if self._all is None and not isinstance(i, slice) and self._made < self._n // 4:
+        if self._all is not None:
+            return self._all[i]
+        if not isinstance(i, slice) and self._made < self._n // 4:
             self._made += 1
             return self._one(range(self._n)[i])
         return self._kept()[i]
@@ -77,6 +82,45 @@ class Items(Sequence):
         if self._all is None:
             self._all = self._every()
         return self._all
+
+
+class Distances(Mapping):
+    """Root distances by vertex id, read-only: ``array`` by vertex
+    position, inf or NaN where the vertex is not reached.  A lookup reads
+    the array, until a quarter of the vertices have been looked up; then,
+    as ``Items`` does, one dict is made and kept."""
+
+    def __init__(self, a: GraphArrays, array: np.ndarray):
+        array.flags.writeable = False
+        self._a, self.array, self.reached = a, array, array < math.inf
+        self._made, self._dict = 0, None
+
+    def __getitem__(self, key):
+        if self._dict is not None:
+            return self._dict[key]
+        if self._made < len(self.array) // 4:
+            self._made += 1
+            i = position(self._a.vertex_index, key)
+            if not self.reached[i]:
+                raise KeyError(key)
+            return self.array.item(i)
+        self._dict = dict(zip(self, self.array[self.reached].tolist()))
+        return self._dict[key]
+
+    def __iter__(self) -> Iterator:
+        """The ids of the vertices reached, in vertex order."""
+        return iter(self._a.vertex_ids[self.reached].tolist())
+
+    def __len__(self) -> int:
+        return int(self.reached.sum())
+
+    def at(self, positions: np.ndarray) -> np.ndarray:
+        """The distances at these vertex positions; KeyError at the first
+        one not reached."""
+        missing = ~self.reached[positions]
+        if missing.any():
+            raise KeyError(self._a.vertex_ids[positions[missing.argmax()]].item())
+        return self.array[positions]
 
 
 class IdView(Mapping):
@@ -218,39 +262,46 @@ def bfs(g) -> tuple[list[tuple[np.ndarray, ...]], bool, np.ndarray]:
             edge, frm = edge[keep], frm[keep]
             to = a.tail[edge] + a.head[edge] - frm
             new = back[to] == -2
-            frontier, first = np.unique(to[new], return_index=True)
+            fresh, via = to[new], edge[new]
+            back[fresh] = via  # of two edges to one vertex, either
+            # each vertex once: the edges of a level that reach a new vertex
+            # differ (one at two frontier vertices reaches none)
+            frontier = fresh[back[fresh] == via]
             tree = tree and len(frontier) == len(to)
-            back[frontier] = edge[new][first]
             a.levels.append((edge, frm, to))
         a.tree, a.reached = bool(tree), back != -2
     return a.levels, a.tree, a.reached
 
 
-def tree_distances(g, weights: Sequence[float]) -> dict[int, float] | None:
-    """Where the root's component is a tree, the distances level by level,
-    ``dist[from] + weight``: one addition per vertex, as the heap makes
-    them; else None."""
-    levels, tree, _ = bfs(g)
-    if not tree:
-        return None
+def distances(g, weights: np.ndarray) -> Distances:
+    """The root distances with these edge weights: where the root's
+    component is a tree, level by level, ``dist[from] + weight``, one
+    addition per vertex, as the heap makes them; else ``graph.dijkstra``'s.
+    Inf and NaN reach nothing, as in the heap."""
     a = g.arrays
-    w = np.asarray(weights, dtype=float)
+    levels, tree, _ = bfs(g)
     dist = np.full(len(a.boundary), math.inf)
-    dist[position(a.vertex_index, g.root)] = 0.0
-    with np.errstate(over="ignore"):
-        for edge, frm, to in levels:
-            dist[to] = dist[frm] + w[edge]
-    reached = dist < math.inf  # the heap's rule: inf and NaN reach nothing
-    return dict(zip(a.vertex_ids[reached].tolist(), dist[reached].tolist()))
+    if tree:
+        dist[position(a.vertex_index, g.root)] = 0.0
+        with np.errstate(over="ignore"):
+            for edge, frm, to in levels:
+                dist[to] = dist[frm] + weights[edge]
+    else:
+        heap = graph.dijkstra(g, dict(zip(a.edge_ids.tolist(), weights.tolist())))
+        dist[[position(a.vertex_index, vid) for vid in heap]] = list(heap.values())
+    return Distances(a, dist)
 
 
 def interior_positions(g) -> np.ndarray:
     """Positions of the vertices where vertex conditions are checkable:
     not the root, not boundary-flagged, degree at least 2."""
     a = g.arrays
-    loops = a.tail[(a.tail == a.head) & (a.tail >= 0)]
-    degree = np.diff(csr(a)[0]) + np.bincount(loops, minlength=len(a.boundary))
-    return np.flatnonzero((a.vertex_ids != g.root) & ~a.boundary & (degree >= 2))
+    if "interior" not in vars(a):
+        loops = a.tail[(a.tail == a.head) & (a.tail >= 0)]
+        degree = np.diff(csr(a)[0]) + np.bincount(loops, minlength=len(a.boundary))
+        a.interior = np.flatnonzero((a.vertex_ids != g.root) & ~a.boundary
+                                    & (degree >= 2))
+    return a.interior
 
 
 def interior_vertex_ids(g) -> list[int]:
@@ -260,9 +311,12 @@ def interior_vertex_ids(g) -> list[int]:
 def non_core_potentials(g) -> list[float]:
     """The potentials of the non-core edges in edge order, each bit pattern
     once: all that a min() over those edges reads."""
-    potential = g.arrays.potential[~g.arrays.core]
-    first = np.unique(potential.view(np.int64), return_index=True)[1]
-    return potential[np.sort(first)].tolist()
+    a = g.arrays
+    if "non_core" not in vars(a):
+        potential = a.potential[~a.core]
+        first = np.unique(potential.view(np.int64), return_index=True)[1]
+        a.non_core = potential[np.sort(first)].tolist()
+    return a.non_core
 
 
 def _repeats(ids: np.ndarray, index: range | dict) -> np.ndarray:
@@ -334,8 +388,13 @@ def _hold_coefficients(f, coeffs: tuple[np.ndarray, ...]) -> None:
 
 
 def cosh_sinh(args: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """math.cosh and math.sinh elementwise, once per distinct argument."""
-    bits, inverse = np.unique(args.view(np.int64), return_inverse=True)
+    """math.cosh and math.sinh elementwise, once per distinct argument (bit
+    pattern)."""
+    bits = np.sort(args.view(np.int64))
+    first = np.ones(len(bits), dtype=bool)  # of each run of equal bits
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    bits = bits[first]
+    inverse = np.searchsorted(bits, args.view(np.int64))
     distinct = bits.view(float).tolist()
     return (np.array([math.cosh(t) for t in distinct])[inverse],
             np.array([math.sinh(t) for t in distinct])[inverse])
@@ -367,34 +426,39 @@ def _running(best, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(x[starts]), x[starts], best.reduceat(x, starts))
 
 
-def interior_values(f) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """``Eigenfunction.interior_values`` on a built graph: psi at the first
-    edge end of each interior vertex, as vertex_value reads it, and a count
-    of one for each."""
-    a = f.graph.arrays
+def _interior_psi(f) -> tuple[np.ndarray, np.ndarray]:
+    """The interior vertex positions, and psi at the first edge end of
+    each, as vertex_value reads it."""
     vertex = interior_positions(f.graph)
-    edge, count = incident_at(a, vertex)
-    values = _ends(f, edge[np.cumsum(count) - count], vertex)[0]
-    return a.vertex_ids[vertex].tolist(), values, np.ones(len(vertex))
+    edge, count = incident_at(f.graph.arrays, vertex)
+    return vertex, _ends(f, edge[np.cumsum(count) - count], vertex)[0]
 
 
-def interior_logs(f) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """``interior_values`` where |psi| > VALUE_FLOOR, with log |psi|."""
-    vids, values, counts = interior_values(f)
+def interior_values(f) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """``Eigenfunction.interior_values`` on a built graph, with a count of
+    one for each vertex."""
+    vertex, values = _interior_psi(f)
+    return f.graph.arrays.vertex_ids[vertex].tolist(), values, np.ones(len(vertex))
+
+
+def interior_logs(f) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the interior vertices where |psi| > VALUE_FLOOR,
+    and log |psi| there."""
+    vertex, values = _interior_psi(f)
     keep = np.abs(values) > VALUE_FLOOR
-    logs = np.fromiter(map(math.log, np.abs(values[keep]).tolist()), float)
-    return list(itertools.compress(vids, keep.tolist())), logs, counts[keep]
+    return vertex[keep], np.fromiter(map(math.log, np.abs(values[keep]).tolist()), float)
 
 
-def log_sums(dist: Mapping[int, float], vids: list[int], logs: np.ndarray,
-             counts: np.ndarray) -> list[tuple[float, float, float]]:
-    """``Eigenfunction.log_sums`` on a built graph: its samples sorted by
-    distance, and each run of one distance summed."""
-    xs = np.fromiter(map(dist.__getitem__, vids), float, len(vids))
+def log_sums(dist: Distances, positions: np.ndarray,
+             logs: np.ndarray) -> list[tuple[float, float, float]]:
+    """``Eigenfunction.log_sums`` on a built graph, each vertex counted
+    once: its samples sorted by distance, and each run of one distance
+    summed."""
+    xs = dist.at(positions)
     order = np.argsort(xs)
-    xs, ws, wys = xs[order], counts[order].tolist(), (counts * logs)[order].tolist()
+    xs, ys = xs[order], logs[order].tolist()
     starts = np.flatnonzero(np.diff(xs, prepend=np.nan)).tolist()  # new distances
-    return [(x, math.fsum(ws[a:b]), math.fsum(wys[a:b]))
+    return [(x, float(b - a), math.fsum(ys[a:b]))
             for x, a, b in zip(xs[starts].tolist(), starts, [*starts[1:], len(xs)])]
 
 

@@ -40,6 +40,7 @@ from .verify import MultiplierSpec, certify, fit_decay_rate
 
 ENV_OUTDIR = "QGDECAY_OUTDIR"
 MAX_GRID_POINTS = 100_000  # per start:stop:step sweep grid
+MAX_SOLVE_ROWS = 1_000_000  # of a solve CSV: about 0.4 GB at its peak
 # what argparse reads as a value, not an option, after an option: argparse
 # itself takes only -1 and -0.5, so -1e-5 or -inf needed --flag=-1e-5
 NEGATIVE_NUMBER = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
@@ -208,6 +209,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     f = construct(*_family_params(args))
+    rows = args.samples * sum(map(f.graph.edge_count, f.graph.edge_by_id))
+    if rows > MAX_SOLVE_ROWS:
+        raise ValueError(f"solve would write {rows} rows, more than "
+                         f"MAX_SOLVE_ROWS = {MAX_SOLVE_ROWS}; use a smaller "
+                         "--depth or --samples")
     text = _csv_text(
         ["edge_id", "generation", "x_local", "arc_distance", "psi", "dpsi"],
         f.sample_rows(args.samples),

@@ -194,12 +194,13 @@ class MetricGraph:
                 "outside the designated core"
             )
 
-    def distances(self, energy: float | None = None) -> dict[int, float]:
+    def distances(self, energy: float | None = None) -> Mapping[int, float]:
         """Shortest distance from the root of each vertex reached, each edge
         weighted by its length, or by its action (``edge_action_weight``)
-        at ``energy`` if one is given: one memo, shared by every caller,
-        who must not modify it.  Where every action weight is its edge's
-        length (V - E = 1), it is the length table itself."""
+        at ``energy`` if one is given: one read-only memo, shared by every
+        caller (on a built graph an ``arrays.Distances``).  Where every
+        action weight is its edge's length (V - E = 1), it is the length
+        table itself."""
         key = None if energy is None else float(energy)
         if key not in self._distances:
             weights, lengths = self._weights(key), self._weights(None)
@@ -215,14 +216,9 @@ class MetricGraph:
             return a.length
         return np.sqrt(np.maximum(a.potential - energy, 0.0)) * a.length
 
-    def _pass(self, weights: np.ndarray) -> dict[int, float]:
-        """The breadth-first pass where the root's component is a tree,
-        else the heap."""
-        dist = _arrays().tree_distances(self, weights)
-        if dist is None:
-            dist = dijkstra(self, dict(zip(self.arrays.edge_ids.tolist(),
-                                           weights.tolist())))
-        return dist
+    def _pass(self, weights: np.ndarray) -> Mapping[int, float]:
+        """The tree pass or the heap (``arrays.distances``)."""
+        return _arrays().distances(self, weights)
 
     def to_json_dict(self) -> dict:
         return {

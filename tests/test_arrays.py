@@ -7,6 +7,7 @@ import contextlib
 import io
 import math
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -33,10 +34,12 @@ from qgdecay.graph import (
     Vertex,
     build_family,
     build_graph,
+    dijkstra,
     generate_family,
 )
+from qgdecay.metrics import edge_action_weight
 from qgdecay.verify import continuity_and_kirchhoff
-from test_graph import spec_documents
+from test_graph import FAMILY_CASES, spec_documents
 
 
 def bits(values):
@@ -289,3 +292,110 @@ def test_path_verify_makes_objects_by_depth_not_by_edge(monkeypatch):
         counts[depth] = sum(made.values())
     assert counts[14] <= 30 * 15
     assert counts[14] - counts[10] <= 30 * 4
+
+
+# ---------------------------------------------------------------------------
+# cosh_sinh against math, and root distances against the heap
+# ---------------------------------------------------------------------------
+
+
+def nan_with_payload(payload):
+    return np.array([payload | 0x7FF8000000000000], dtype=np.int64).view(float).item()
+
+
+SPECIAL_ARGS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                nan_with_payload(5), 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                1e-300, 0.5, -0.5, 1.0, 709.0, -709.0]
+
+
+def math_cosh_sinh(args):
+    return bits(map(math.cosh, args)), bits(map(math.sinh, args))
+
+
+def kernel_cosh_sinh(args):
+    return tuple(bits(v) for v in qgdecay.arrays.cosh_sinh(np.array(args, dtype=float)))
+
+
+class TestCoshSinh:
+    @pytest.mark.parametrize("args", [
+        [], [0.25], [-0.0], SPECIAL_ARGS, SPECIAL_ARGS[::-1] * 3 + [0.5] * 4,
+        [0.0, -0.0, 0.0, -0.0],
+    ], ids=["none", "one", "minus-zero", "special", "repeats", "signed-zeros"])
+    def test_matches_math_bit_for_bit(self, args):
+        assert kernel_cosh_sinh(args) == math_cosh_sinh(args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=64) | st.sampled_from(SPECIAL_ARGS), max_size=40))
+    def test_any_floats(self, args):
+        # cosh overflows past 710, where both raise OverflowError
+        assert (outcome(lambda: kernel_cosh_sinh(args))
+                == outcome(lambda: math_cosh_sinh(args)))
+
+
+def distance_bits(dist):
+    return {vid: struct.pack("<d", d) for vid, d in dist.items()}
+
+
+def assert_distances_are_the_heap(g, energy):
+    table = g.distances(energy)
+    assert isinstance(table, qgdecay.arrays.Distances)
+    heap = dijkstra(g, {e.id: e.length if energy is None
+                        else edge_action_weight(e, energy) for e in g.edges})
+    assert distance_bits(table) == distance_bits(heap)
+    assert list(table) == [v.id for v in g.vertices if v.id in heap]
+
+
+class TestDistances:
+    @pytest.mark.parametrize("name,params", FAMILY_CASES,
+                             ids=[name for name, _ in FAMILY_CASES])
+    def test_built_families_match_the_heap(self, name, params):
+        g = generate_family(name, params, 3)
+        # arc lengths, then actions at E and at E + 0.5 (not the lengths)
+        for energy in (None, g.energy, g.energy + 0.5):
+            assert_distances_are_the_heap(g, energy)
+
+    @settings(max_examples=300, deadline=None)
+    @given(solved_graphs())
+    def test_graphs_with_cycles_loops_and_parallel_edges(self, f):
+        for energy in (None, 0.0, 0.5):
+            assert_distances_are_the_heap(f.graph, energy)
+
+    def test_a_read_only_mapping_of_the_reached_ids(self):
+        # root 3 reaches 0 and 1; 2 and 4 are another component, and 5 lies
+        # beyond an infinite edge
+        g = MetricGraph([Vertex(v) for v in (3, 0, 1, 2, 4, 5)], [
+            Edge(0, 3, 0, 1.0, 0.0), Edge(1, 0, 1, 2.0, 0.0),
+            Edge(2, 2, 4, 1.0, 0.0), Edge(3, 1, 5, math.inf, 0.0),
+        ], root=3, energy=0.0)
+        table = g.distances()
+        assert list(table) == [3, 0, 1] and len(table) == 3
+        assert dict(table) == {3: 0.0, 0: 1.0, 1: 3.0}
+        for key in (2, 4, 5, 99, "x", None):
+            assert key not in table
+            with pytest.raises(KeyError):
+                table[key]
+        with pytest.raises(TypeError):
+            table[3] = 1.0
+        with pytest.raises(ValueError):
+            table.array[0] = 1.0
+
+    def test_lookups_read_the_array_until_a_quarter_then_one_dict(self):
+        g = generate_family("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 6)
+        table = g.distances()
+        n = len(g.vertices)
+        for vid in range(n // 4):
+            assert table[vid] == table.array[vid]
+        assert table._dict is None
+        assert table[n - 1] == table.array[n - 1]
+        assert table._dict == dict(zip(range(n), table.array.tolist()))
+
+    def test_retains_a_table_not_a_dict(self):
+        # a dict of the 32,768 distances holds 3.06 MB, the array 262 KB
+        g = generate_family("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 14)
+        tracemalloc.start()
+        try:
+            g.distances()
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20

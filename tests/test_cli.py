@@ -158,6 +158,31 @@ class TestSolve:
         # 4 body edges + 3 legs, 5 samples each
         assert len(lines) == 1 + 7 * 5
 
+    @pytest.mark.parametrize("argv,rows", [
+        (["--family", "regular-tree", "--b", "10", "--depth", "9"],
+         9 * 1_111_111_111),  # 1 + 10 + ... + 10^9 edges, 9 samples each
+        (["--family", "millipede", "--delta", "0.1", "--depth", "3",
+          "--samples", "1000000000"], 7 * 10**9),
+    ], ids=["wide-tree", "many-samples"])
+    def test_too_many_rows_exit_2_before_sampling(self, capsys, monkeypatch,
+                                                  argv, rows):
+        def refuse(*args):
+            raise AssertionError("sampled the rows")
+
+        monkeypatch.setattr(qgdecay.eigenfunctions.Eigenfunction, "sample_rows",
+                            refuse)
+        code, out, err = run(capsys, "solve", *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: solve would write {rows} rows, more than "
+                       "MAX_SOLVE_ROWS = 1000000; use a smaller --depth or "
+                       "--samples\n")
+
+    @pytest.mark.parametrize("bound,code", [(7 * 5, 0), (7 * 5 - 1, 2)])
+    def test_row_bound_is_inclusive(self, capsys, monkeypatch, bound, code):
+        monkeypatch.setattr(qgdecay.cli, "MAX_SOLVE_ROWS", bound)
+        assert run(capsys, "solve", "--family", "millipede", "--delta", "0.1",
+                   "--depth", "3", "--samples", "5")[0] == code
+
 
 class TestVerify:
     def test_tree_path_multiplier_passes(self, capsys):

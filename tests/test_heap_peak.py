@@ -1,0 +1,44 @@
+"""``tools/heap_peak.py``: the heap peak of one warm workload call."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("heap_peak", ROOT / "tools" / "heap_peak.py")
+heap_peak = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(heap_peak)
+
+
+@pytest.fixture(autouse=True)
+def keep_sys_path(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+
+
+def test_tree_action_peak(capsys):
+    assert heap_peak.main(["--workload", "tree-action", "--checkout", str(ROOT)]) == 0
+    out, err = capsys.readouterr()
+    name, peak = out.split()
+    # a generation table: about 45 KB, nothing of the 32,767-edge graph
+    assert (name, err) == ("tree-action", "")
+    assert 0 < int(peak) < 500_000
+
+
+def test_unknown_workload_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        heap_peak.main(["--workload", "no-such-workload"])
+    assert exc.value.code == 2
+    assert "choose from braided-averaged" in capsys.readouterr().err
+
+
+def test_a_wrong_output_exits_1(capsys, monkeypatch):
+    # the workload's check sees what the calls print
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    monkeypatch.setattr(workloads.Workload, "check",
+                        lambda self, rc, out: "wrong output")
+    assert heap_peak.main(["--workload", "tree-action"]) == 1
+    assert capsys.readouterr().err == "error: wrong output\n"
