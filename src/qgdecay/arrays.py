@@ -10,6 +10,13 @@ makes the float operations of the per-vertex code it replaces, element by
 element: only correctly rounded operations are vectorized, cosh and sinh
 come from ``math`` once per distinct argument, and sums run left to right.
 
+The kernels over every interior vertex or every edge take ``BLOCK`` of
+them at a time, so that their temporaries are as long as one block, not
+the graph; what each block gives is combined as the code it replaces reads
+the whole: values and logs are concatenated in order, a largest residual is
+the first vertex's if NaN and else the largest other than NaN, and a
+potential is kept at its first occurrence.
+
 ``graph._arrays()`` imports this module on first use: the generation
 tables of the synchronized families read none of it, and the code objects
 of a module a process never loads add nothing to its peak RSS.
@@ -28,6 +35,16 @@ from .eigenfunctions import DERIV_FLOOR, VALUE_FLOOR, EdgeSolution
 from .graph import Edge, GraphValidationError, Vertex, _numpy
 
 np = _numpy()
+
+# vertices or edges per block: 16 KB a float column; smaller blocks no
+# longer lower the heap peak of a 32,767-edge tree's verify, and cost time
+BLOCK = 2048
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of ``range(n)``, ``BLOCK`` long but the last; one empty slice
+    if n = 0."""
+    return (slice(i, i + BLOCK) for i in range(0, max(n, 1), BLOCK))
 
 
 class GraphArrays(SimpleNamespace):
@@ -313,9 +330,14 @@ def non_core_potentials(g) -> list[float]:
     once: all that a min() over those edges reads."""
     a = g.arrays
     if "non_core" not in vars(a):
-        potential = a.potential[~a.core]
-        first = np.unique(potential.view(np.int64), return_index=True)[1]
-        a.non_core = potential[np.sort(first)].tolist()
+        kept = {}  # bit pattern -> potential, in order of first occurrence
+        for part in _blocks(len(a.core)):
+            potential = a.potential[part][~a.core[part]]
+            bits = potential.view(np.int64)
+            first = np.sort(np.unique(bits, return_index=True)[1])
+            for key, value in zip(bits[first].tolist(), potential[first].tolist()):
+                kept.setdefault(key, value)
+        a.non_core = list(kept.values())
     return a.non_core
 
 
@@ -426,27 +448,33 @@ def _running(best, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(x[starts]), x[starts], best.reduceat(x, starts))
 
 
-def _interior_psi(f) -> tuple[np.ndarray, np.ndarray]:
-    """The interior vertex positions, and psi at the first edge end of
-    each, as vertex_value reads it."""
-    vertex = interior_positions(f.graph)
-    edge, count = incident_at(f.graph.arrays, vertex)
-    return vertex, _ends(f, edge[np.cumsum(count) - count], vertex)[0]
+def _interior_psi(f) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The interior vertex positions a block at a time, and psi at the
+    first edge end of each, as vertex_value reads it."""
+    interior = interior_positions(f.graph)
+    for part in _blocks(len(interior)):
+        vertex = interior[part]
+        edge, count = incident_at(f.graph.arrays, vertex)
+        yield vertex, _ends(f, edge[np.cumsum(count) - count], vertex)[0]
 
 
 def interior_values(f) -> tuple[list[int], np.ndarray, np.ndarray]:
     """``Eigenfunction.interior_values`` on a built graph, with a count of
     one for each vertex."""
-    vertex, values = _interior_psi(f)
+    vertex = interior_positions(f.graph)
+    values = np.concatenate([psi for _, psi in _interior_psi(f)])
     return f.graph.arrays.vertex_ids[vertex].tolist(), values, np.ones(len(vertex))
 
 
 def interior_logs(f) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the interior vertices where |psi| > VALUE_FLOOR,
     and log |psi| there."""
-    vertex, values = _interior_psi(f)
-    keep = np.abs(values) > VALUE_FLOOR
-    return vertex[keep], np.fromiter(map(math.log, np.abs(values[keep]).tolist()), float)
+    positions, logs = [], []
+    for vertex, values in _interior_psi(f):
+        keep = np.abs(values) > VALUE_FLOOR
+        positions.append(vertex[keep])
+        logs.append(np.fromiter(map(math.log, np.abs(values[keep]).tolist()), float))
+    return np.concatenate(positions), np.concatenate(logs)
 
 
 def log_sums(dist: Distances, positions: np.ndarray,
@@ -456,9 +484,9 @@ def log_sums(dist: Distances, positions: np.ndarray,
     summed."""
     xs = dist.at(positions)
     order = np.argsort(xs)
-    xs, ys = xs[order], logs[order].tolist()
+    xs, ys = xs[order], logs[order]
     starts = np.flatnonzero(np.diff(xs, prepend=np.nan)).tolist()  # new distances
-    return [(x, float(b - a), math.fsum(ys[a:b]))
+    return [(x, float(b - a), math.fsum(ys[a:b].tolist()))
             for x, a, b in zip(xs[starts].tolist(), starts, [*starts[1:], len(xs)])]
 
 
@@ -466,11 +494,26 @@ def interior_residuals(f) -> tuple[float, float] | None:
     """The largest continuity and Kirchhoff residuals (``vertex_residuals``)
     over the interior vertices of a built graph, in order, as max() takes
     them; None without interior vertices."""
-    a = f.graph.arrays
-    vertex = interior_positions(f.graph)
-    edge, count = incident_at(a, vertex)
-    if not len(count):
+    interior = interior_positions(f.graph)
+    if not len(interior):
         return None
+    # the first vertex's residuals, then each block's largest other than
+    # NaN: _running over these is max() over all the vertices in order
+    worst = []
+    for part in _blocks(len(interior)):
+        res = np.array(_residuals(f, interior[part]))  # rows: continuity, Kirchhoff
+        if not worst:
+            worst.append(res[:, 0])
+        worst.append(np.fmax.reduce(res, axis=1))
+    first = np.zeros(1, dtype=np.int64)
+    return tuple(_running(np.fmax, r, first).item() for r in np.array(worst).T)
+
+
+def _residuals(f, vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The continuity and Kirchhoff residuals at each of these interior
+    vertex positions."""
+    a = f.graph.arrays
+    edge, count = incident_at(a, vertex)
     vertex = np.repeat(vertex, count)
     psi, dpsi, at_tail = _ends(f, edge, vertex)
     start = np.cumsum(count) - count
@@ -487,6 +530,4 @@ def interior_residuals(f) -> tuple[float, float] | None:
         spread = _running(np.fmax, psi, start) - _running(np.fmin, psi, start)
         # + 0.0: max() and min() pick the same zero, whose difference is +0.0
         cont = (spread + 0.0) / (_running(np.fmax, np.abs(psi), start) + DERIV_FLOOR)
-        kirch = np.abs(total) / (magnitude + DERIV_FLOOR)
-    first = np.zeros(1, dtype=np.int64)
-    return tuple(_running(np.fmax, r, first).item() for r in (cont, kirch))
+        return cont, np.abs(total) / (magnitude + DERIV_FLOOR)

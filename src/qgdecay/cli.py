@@ -200,7 +200,12 @@ def _cmd_metric(args: argparse.Namespace) -> int:
     if args.cut_points:
         graph = insert_cut_points(graph)
     table = compute_rho_a(graph, energy=graph.energy + args.energy_shift)
-    text = _csv_text(["vertex_id", "arc_distance", "rho_a"], table.to_csv_rows())
+    try:
+        rows = table.to_csv_rows()
+    except KeyError as exc:  # a distance of inf reaches nothing
+        raise ValueError(f"the root distance of vertex {exc.args[0]} "
+                         "overflows") from None
+    text = _csv_text(["vertex_id", "arc_distance", "rho_a"], rows)
     _emit(text, args.out)
     return 0
 

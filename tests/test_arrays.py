@@ -8,6 +8,7 @@ import io
 import math
 import struct
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ import qgdecay.eigenfunctions
 import qgdecay.graph
 from qgdecay.cli import main
 from qgdecay.eigenfunctions import (
+    VALUE_FLOOR,
     EdgeSolution,
     Eigenfunction,
     construct,
@@ -38,7 +40,7 @@ from qgdecay.graph import (
     generate_family,
 )
 from qgdecay.metrics import edge_action_weight
-from qgdecay.verify import continuity_and_kirchhoff
+from qgdecay.verify import continuity_and_kirchhoff, fit_decay_rate
 from test_graph import FAMILY_CASES, spec_documents
 
 
@@ -239,11 +241,45 @@ def oracle_residuals(f):
     return bits(worst or (0.0, 0.0))
 
 
+def oracle_log_sums(f, dist):
+    groups = {}
+    for vid in object_graphs.interior_vertex_ids(f.graph):
+        psi = f.vertex_value(vid)
+        if abs(psi) > VALUE_FLOOR:
+            groups.setdefault(dist[vid], []).append(math.log(abs(psi)))
+    return sorted((x, float(len(ys)), math.fsum(ys)) for x, ys in groups.items())
+
+
+def oracle_non_core_potentials(g):
+    kept = {}
+    for e in g.edges:
+        if e.id not in g.core_edges:
+            kept.setdefault(struct.pack("<d", e.potential), e.potential)
+    return list(kept.values())
+
+
+def fit_outcome(compute):
+    """outcome(), with an unreached vertex (KeyError) or too few points to
+    fit (ValueError) as its type and message."""
+    try:
+        return outcome(compute)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
 def assert_kernels_match(f):
     assert f.coeffs is not None  # the array kernels run
     assert outcome(lambda: kernel_values(f)) == outcome(lambda: oracle_values(f))
     assert (outcome(lambda: kernel_residuals(f))
             == outcome(lambda: oracle_residuals(f)))
+    g = f.graph
+    for dist in (g.distances(), g.distances(g.energy)):
+        assert (fit_outcome(lambda: [bits(p) for p in f.log_sums(dist)])
+                == fit_outcome(lambda: [bits(p) for p in oracle_log_sums(f, dist)]))
+    oracle = SimpleNamespace(graph=g, log_sums=lambda dist: oracle_log_sums(f, dist))
+    assert (fit_outcome(lambda: bits([fit_decay_rate(f)]))
+            == fit_outcome(lambda: bits([fit_decay_rate(oracle)])))
+    assert bits(g.non_core_potentials()) == bits(oracle_non_core_potentials(g))
 
 
 BUILT = [
@@ -256,6 +292,24 @@ BUILT = [
 ]
 
 
+# edge id -> (A, B) on the depth-5 two-lengths tree: NaN at the first
+# interior vertex; with blocks of 3, a later block whose first residual is
+# NaN holds the largest
+PERTURBATIONS = [
+    {1: (math.nan, 0.0)}, {9: (1e308, 0.0)}, {9: (math.nan, 1.0)},
+    {3: (math.nan, 0.0), 4: (1.0, 4.0)}, {3: (1.0, math.inf), 40: (math.nan, 0.0)},
+]
+
+
+def perturbed():
+    f = construct("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 5)
+    for change in PERTURBATIONS:
+        sols = dict(f.solutions)
+        for eid, (a, b) in change.items():
+            sols[eid] = EdgeSolution(eid, sols[eid].k, sols[eid].length, a, b)
+        yield Eigenfunction(f.graph, sols, family=f.family)
+
+
 class TestKernels:
     @pytest.mark.parametrize("depth", [1, 2, 7])
     @pytest.mark.parametrize("name,params", BUILT,
@@ -264,18 +318,54 @@ class TestKernels:
         assert_kernels_match(construct(name, dict(params), depth))
 
     def test_perturbed_and_overflowing_solutions(self):
-        f = construct("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 5)
-        for change in [{9: (1e308, 0.0)}, {9: (math.nan, 1.0)},
-                       {3: (1.0, math.inf), 40: (math.nan, 0.0)}]:
-            sols = dict(f.solutions)
-            for eid, (a, b) in change.items():
-                sols[eid] = EdgeSolution(eid, sols[eid].k, sols[eid].length, a, b)
-            assert_kernels_match(Eigenfunction(f.graph, sols, family=f.family))
+        for f in perturbed():
+            assert_kernels_match(f)
 
     @settings(max_examples=300, deadline=None)
     @given(solved_graphs())
     def test_graphs_with_cycles_loops_and_parallel_edges(self, f):
         assert_kernels_match(f)
+
+
+@pytest.mark.parametrize("block", [1, 3])
+class TestBlocks:
+    """The kernels in blocks of 1 and 3 vertices or edges, so that every
+    graph spans several."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 7])
+    @pytest.mark.parametrize("name,params", BUILT,
+                             ids=[f"{n}-{i}" for i, (n, _) in enumerate(BUILT)])
+    def test_built_families(self, name, params, depth, block):
+        with mock.patch.object(qgdecay.arrays, "BLOCK", block):
+            assert_kernels_match(construct(name, dict(params), depth))
+
+    def test_perturbed_and_overflowing_solutions(self, block):
+        with mock.patch.object(qgdecay.arrays, "BLOCK", block):
+            for f in perturbed():
+                assert_kernels_match(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(f=solved_graphs())
+    def test_graphs_with_cycles_loops_and_parallel_edges(self, block, f):
+        with mock.patch.object(qgdecay.arrays, "BLOCK", block):
+            assert_kernels_match(f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edges=st.lists(st.tuples(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, -math.nan]),
+        st.booleans(),
+    ), max_size=12))
+    def test_non_core_potentials_of_a_path(self, block, edges):
+        # (potential, core) by edge
+        n = len(edges)
+        g = MetricGraph.from_arrays(
+            np.arange(n), np.arange(1, n + 1), 1.0,
+            np.array([v for v, _ in edges], dtype=float), np.arange(n),
+            np.arange(n + 1), np.zeros(n + 1, dtype=bool), 0, 0.0,
+            [eid for eid, (_, core) in enumerate(edges) if core],
+        )
+        with mock.patch.object(qgdecay.arrays, "BLOCK", block):
+            assert bits(g.non_core_potentials()) == bits(oracle_non_core_potentials(g))
 
 
 def test_path_verify_makes_objects_by_depth_not_by_edge(monkeypatch):

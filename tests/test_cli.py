@@ -343,6 +343,13 @@ class TestVerify:
               "--extra-rate=-800"],
              "the action multiplier underflows on the identity window "
              "[0.1, 0.9] of root edge 0"),
+            # a root distance of 2e308 is inf, which reaches nothing
+            (["metric", "--family", "two-lengths-tree", "--L1", "1e308",
+              "--L2", "1e308", "--depth", "2"],
+             "the root distance of vertex 2 overflows\n"),
+            (["metric", "--family", "regular-tree", "--b", "2", "--L", "1e308",
+              "--depth", "3"],
+             "the root distance of vertex 2 overflows\n"),
         ],
         ids=["ladder-deep", "millipede-deep", "twolen-saturated", "sweep-b0",
              "negative-schedule", "epsilon-nan", "extra-rate-nan",
@@ -353,7 +360,8 @@ class TestVerify:
              "samples-zero", "samples-negative", "kL-zero-length",
              "kL-zero-length-solve", "identity-f-zero-rate",
              "identity-f-zero-epsilon", "identity-f-zero-path",
-             "identity-f-zero-millipede-path", "identity-f-subnormal"],
+             "identity-f-zero-millipede-path", "identity-f-subnormal",
+             "metric-twolen-distance-inf", "metric-tree-distance-inf"],
     )
     def test_numeric_failure_exits_2(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -26,6 +26,16 @@ def test_tree_action_peak(capsys):
     assert 0 < int(peak) < 500_000
 
 
+def test_twolen_path_peak(capsys):
+    # the array kernels take fixed-size blocks: about 5.2 MB; 9.4 MB when
+    # each took the whole 32,767-edge graph at once
+    assert heap_peak.main(["--workload", "twolen-path", "--checkout", str(ROOT)]) == 0
+    out, err = capsys.readouterr()
+    name, peak = out.split()
+    assert (name, err) == ("twolen-path", "")
+    assert int(peak) < 6_000_000
+
+
 def test_unknown_workload_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         heap_peak.main(["--workload", "no-such-workload"])
