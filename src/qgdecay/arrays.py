@@ -17,6 +17,13 @@ the whole: values and logs are concatenated in order, a largest residual is
 the first vertex's if NaN and else the largest other than NaN, and a
 potential is kept at its first occurrence.
 
+Every vertex and edge position is an int32, so a graph holds fewer than
+``POSITIONS`` edge ends and vertices.  numpy indexes by an int32 array at a
+higher cost than by its own intp, so ``incident_at`` reads a run of
+consecutive vertices, as each breadth-first level and interior block of
+the two-lengths tree is, as one slice of the CSR incidence, and the
+per-level and per-block gathers use ``take``, which costs less.
+
 ``graph._arrays()`` imports this module on first use: the generation
 tables of the synchronized families read none of it, and the code objects
 of a module a process never loads add nothing to its peak RSS.
@@ -24,6 +31,7 @@ of a module a process never loads add nothing to its peak RSS.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
@@ -40,6 +48,9 @@ np = _numpy()
 # longer lower the heap peak of a 32,767-edge tree's verify, and cost time
 BLOCK = 2048
 
+# edge ends or vertices a built graph may hold: each position is an int32
+POSITIONS = 2**31 - 1
+
 
 def _blocks(n: int) -> Iterator[slice]:
     """Slices of ``range(n)``, ``BLOCK`` long but the last; one empty slice
@@ -50,7 +61,7 @@ def _blocks(n: int) -> Iterator[slice]:
 class GraphArrays(SimpleNamespace):
     """A graph's columns by vertex and edge position: ``vertex_ids``,
     ``boundary``, ``vertex_generation``; ``edge_ids``, ``tail`` and ``head``
-    (vertex positions, -1 at an end that is no vertex), ``length``,
+    (int32 vertex positions, -1 at an end that is no vertex), ``length``,
     ``potential``, ``generation`` and ``core`` (a mask).  ``vertex_index``
     and ``edge_index`` give an id's position: a range where ids are
     positions, else a dict in which the last of equal ids wins, as in
@@ -134,10 +145,10 @@ class Distances(Mapping):
     def at(self, positions: np.ndarray) -> np.ndarray:
         """The distances at these vertex positions; KeyError at the first
         one not reached."""
-        missing = ~self.reached[positions]
+        missing = ~self.reached.take(positions)
         if missing.any():
             raise KeyError(self._a.vertex_ids[positions[missing.argmax()]].item())
-        return self.array[positions]
+        return self.array.take(positions)
 
 
 class IdView(Mapping):
@@ -171,6 +182,13 @@ def _ints(values: list[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _check_size(n: int, m: int) -> None:
+    """ValueError unless n vertices and m edges have int32 positions."""
+    if max(n, 2 * m) >= POSITIONS:
+        raise ValueError(f"a built graph holds fewer than {POSITIONS} edge ends "
+                         f"and vertices; this one has {2 * m} and {n}")
+
+
 def _hold(g, a: GraphArrays, vertices: Sequence[Vertex], edges: Sequence[Edge]) -> None:
     g.arrays = a
     g.vertices, g.edges = vertices, edges
@@ -191,10 +209,11 @@ def _incidence(a: GraphArrays) -> tuple[tuple[int, ...], ...]:
 
 def hold_objects(g, vertices: tuple[Vertex, ...], edges: tuple[Edge, ...]) -> None:
     """Give ``g`` the arrays of Vertex and Edge objects, kept as its views."""
+    _check_size(len(vertices), len(edges))
     vindex = {v.id: i for i, v in enumerate(vertices)}
     ends = np.array(
         [(vindex.get(e.tail, -1), vindex.get(e.head, -1)) for e in edges],
-        dtype=np.int64,
+        dtype=np.int32,
     ).reshape(-1, 2)
     edge_ids = _ints([e.id for e in edges])
     _hold(g, GraphArrays(
@@ -213,14 +232,17 @@ def hold_columns(g, tail, head, length, potential, generation,
     """Give ``g`` these columns, its ids being their positions; a length or
     potential may be one number."""
     n, m = len(boundary), len(tail)
-    ids = np.arange(max(n, m))
+    _check_size(n, m)
+    ids = np.arange(max(n, m), dtype=np.int32)
     a = GraphArrays(
         vertex_ids=ids[:n], boundary=np.asarray(boundary),
-        vertex_generation=np.asarray(vertex_generation),
-        edge_ids=ids[:m], tail=tail, head=head,
+        vertex_generation=np.asarray(vertex_generation, dtype=np.int32),
+        edge_ids=ids[:m], tail=np.asarray(tail, dtype=np.int32),
+        head=np.asarray(head, dtype=np.int32),
         length=np.broadcast_to(np.asarray(length, dtype=float), (m,)),
         potential=np.broadcast_to(np.asarray(potential, dtype=float), (m,)),
-        generation=np.asarray(generation), core=np.isin(ids[:m], list(g.core_edges)),
+        generation=np.asarray(generation, dtype=np.int32),
+        core=np.isin(ids[:m], list(g.core_edges)),
         vertex_index=range(n), edge_index=range(m),
     )
     columns = (a.tail, a.head, a.length, a.potential, a.generation)
@@ -246,16 +268,22 @@ def csr(a: GraphArrays) -> tuple[np.ndarray, np.ndarray]:
         ends = np.stack([a.tail, a.head], axis=1).ravel()
         keep = ends >= 0
         keep[1::2] &= a.head != a.tail
-        a.adj = (np.flatnonzero(keep) // 2)[np.argsort(ends[keep], kind="stable")]
-        a.ptr = np.zeros(len(a.boundary) + 1, dtype=np.int64)
+        order = np.argsort(ends[keep], kind="stable")
+        a.adj = (np.flatnonzero(keep).astype(np.int32) // 2)[order]
+        a.ptr = np.zeros(len(a.boundary) + 1, dtype=np.int32)
         np.cumsum(np.bincount(ends[keep], minlength=len(a.boundary)), out=a.ptr[1:])
     return a.ptr, a.adj
 
 
 def incident_at(a: GraphArrays, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the edges at each vertex of ``positions``, one
-    vertex after another in incidence order, and how many at each."""
+    vertex after another in incidence order, and how many at each: a slice
+    of ``adj`` where the vertices are a run lo, lo + 1, ..., hi - 1."""
     ptr, adj = csr(a)
+    n = len(positions)
+    if n and positions[-1] - positions[0] == n - 1 and (np.diff(positions) == 1).all():
+        lo, hi = positions[0], positions[-1] + 1
+        return adj[ptr[lo]:ptr[hi]], np.diff(ptr[lo:hi + 1])
     start = ptr[positions]
     count = ptr[positions + 1] - start
     at = np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
@@ -268,22 +296,24 @@ def bfs(g) -> tuple[list[tuple[np.ndarray, ...]], bool, np.ndarray]:
     tree (no edge leads back to a vertex reached); the reached mask."""
     a = g.arrays
     if "levels" not in vars(a):
-        back = np.full(len(a.boundary), -2)  # the edge each vertex is reached by
-        frontier = np.array([position(a.vertex_index, g.root)])
+        # the edge each vertex is reached by
+        back = np.full(len(a.boundary), -2, dtype=np.int32)
+        frontier = np.array([position(a.vertex_index, g.root)], dtype=np.int32)
         back[frontier] = -1
         a.levels, tree = [], True
         while frontier.size:
             edge, count = incident_at(a, frontier)
             frm = np.repeat(frontier, count)
-            keep = edge != back[frm]
+            keep = edge != back.take(frm)
             edge, frm = edge[keep], frm[keep]
-            to = a.tail[edge] + a.head[edge] - frm
-            new = back[to] == -2
+            # the other end: the int32 sum may wrap, the difference is exact
+            to = a.tail.take(edge) + a.head.take(edge) - frm
+            new = back.take(to) == -2
             fresh, via = to[new], edge[new]
             back[fresh] = via  # of two edges to one vertex, either
             # each vertex once: the edges of a level that reach a new vertex
             # differ (one at two frontier vertices reaches none)
-            frontier = fresh[back[fresh] == via]
+            frontier = fresh[back.take(fresh) == via]
             tree = tree and len(frontier) == len(to)
             a.levels.append((edge, frm, to))
         a.tree, a.reached = bool(tree), back != -2
@@ -302,7 +332,7 @@ def distances(g, weights: np.ndarray) -> Distances:
         dist[position(a.vertex_index, g.root)] = 0.0
         with np.errstate(over="ignore"):
             for edge, frm, to in levels:
-                dist[to] = dist[frm] + weights[edge]
+                dist[to] = dist.take(frm) + weights.take(edge)
     else:
         heap = graph.dijkstra(g, dict(zip(a.edge_ids.tolist(), weights.tolist())))
         dist[[position(a.vertex_index, vid) for vid in heap]] = list(heap.values())
@@ -317,7 +347,7 @@ def interior_positions(g) -> np.ndarray:
         loops = a.tail[(a.tail == a.head) & (a.tail >= 0)]
         degree = np.diff(csr(a)[0]) + np.bincount(loops, minlength=len(a.boundary))
         a.interior = np.flatnonzero((a.vertex_ids != g.root) & ~a.boundary
-                                    & (degree >= 2))
+                                    & (degree >= 2)).astype(np.int32)
     return a.interior
 
 
@@ -435,8 +465,8 @@ def _ends(f, edge: np.ndarray, vertex: np.ndarray) -> tuple[np.ndarray, ...]:
     """Elementwise, psi and psi' at the end of each edge at its vertex (at
     the tail of a loop), as edge_end_value reads them, and whether that end
     is the tail."""
-    k, length, ca, cb = (c[edge] for c in f.coeffs)
-    at_tail = f.graph.arrays.tail[edge] == vertex
+    k, length, ca, cb = (c.take(edge) for c in f.coeffs)
+    at_tail = f.graph.arrays.tail.take(edge) == vertex
     with np.errstate(all="ignore"):
         return (*_psi(k, np.where(at_tail, 0.0, length), ca, cb), at_tail)
 
@@ -448,41 +478,54 @@ def _running(best, x: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(x[starts]), x[starts], best.reduceat(x, starts))
 
 
-def _interior_psi(f) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The interior vertex positions a block at a time, and psi at the
-    first edge end of each, as vertex_value reads it."""
-    interior = interior_positions(f.graph)
-    for part in _blocks(len(interior)):
-        vertex = interior[part]
-        edge, count = incident_at(f.graph.arrays, vertex)
-        yield vertex, _ends(f, edge[np.cumsum(count) - count], vertex)[0]
+def _vertex_psi(f, vertex: np.ndarray) -> np.ndarray:
+    """psi at the first edge end of each vertex, as vertex_value reads it."""
+    edge, count = incident_at(f.graph.arrays, vertex)
+    return _ends(f, edge[np.cumsum(count) - count], vertex)[0]
 
 
 def interior_values(f) -> tuple[list[int], np.ndarray, np.ndarray]:
     """``Eigenfunction.interior_values`` on a built graph, with a count of
     one for each vertex."""
-    vertex = interior_positions(f.graph)
-    values = np.concatenate([psi for _, psi in _interior_psi(f)])
-    return f.graph.arrays.vertex_ids[vertex].tolist(), values, np.ones(len(vertex))
+    interior = interior_positions(f.graph)
+    values = np.concatenate([_vertex_psi(f, interior[part])
+                             for part in _blocks(len(interior))])
+    return f.graph.arrays.vertex_ids[interior].tolist(), values, np.ones(len(interior))
 
 
-def interior_logs(f) -> tuple[np.ndarray, np.ndarray]:
+def interior_logs(f) -> tuple[np.ndarray, np.ndarray, str | None]:
     """The positions of the interior vertices where |psi| > VALUE_FLOOR,
-    and log |psi| there."""
-    positions, logs = [], []
-    for vertex, values in _interior_psi(f):
+    and log |psi| there, up to the first vertex where psi overflows; the
+    message of that OverflowError, or None."""
+    interior = interior_positions(f.graph)
+    positions, logs, overflow = [], [], None
+    for part in _blocks(len(interior)):
+        vertex = interior[part]
+        try:
+            values = _vertex_psi(f, vertex)
+        except OverflowError as exc:  # keep the vertices before the first
+            overflow, values = str(exc), []
+            with contextlib.suppress(OverflowError):
+                for i in range(len(vertex)):
+                    values.append(_vertex_psi(f, vertex[i:i + 1]).item())
+            vertex, values = vertex[:len(values)], np.array(values, dtype=float)
         keep = np.abs(values) > VALUE_FLOOR
         positions.append(vertex[keep])
         logs.append(np.fromiter(map(math.log, np.abs(values[keep]).tolist()), float))
-    return np.concatenate(positions), np.concatenate(logs)
+        if overflow is not None:
+            break
+    return np.concatenate(positions), np.concatenate(logs), overflow
 
 
-def log_sums(dist: Distances, positions: np.ndarray,
-             logs: np.ndarray) -> list[tuple[float, float, float]]:
+def log_sums(dist: Distances, positions: np.ndarray, logs: np.ndarray,
+             overflow: str | None) -> list[tuple[float, float, float]]:
     """``Eigenfunction.log_sums`` on a built graph, each vertex counted
     once: its samples sorted by distance, and each run of one distance
-    summed."""
+    summed.  As the per-vertex code meets them, a vertex not reached
+    (KeyError) comes before the OverflowError of ``interior_logs``."""
     xs = dist.at(positions)
+    if overflow is not None:
+        raise OverflowError(overflow)
     order = np.argsort(xs)
     xs, ys = xs[order], logs[order]
     starts = np.flatnonzero(np.diff(xs, prepend=np.nan)).tolist()  # new distances
@@ -520,7 +563,7 @@ def _residuals(f, vertex: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     total, magnitude = np.zeros(len(count)), np.zeros(len(count))
     with np.errstate(all="ignore"):
         out = np.where(at_tail, 0.0 + dpsi, 0.0 - dpsi)  # outgoing_derivative
-        loop = at_tail & (a.head[edge] == vertex)
+        loop = at_tail & (a.head.take(edge) == vertex)
         if loop.any():  # less psi' at its head
             out[loop] -= _psi(*(c[edge[loop]] for c in f.coeffs))[1]
         for j in range(count.max()):  # left to right from 0.0, as repeated_sum

@@ -8,6 +8,7 @@ import io
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -310,6 +311,40 @@ def perturbed():
         yield Eigenfunction(f.graph, sols, family=f.family)
 
 
+def unreached_and_overflow(loop):
+    """An unvalidated graph, root 1: psi overflows at vertex 2 (cosh 900 on
+    edge 0), and vertex ``loop`` (0 or 5, on a loop) is not reached and
+    |psi| > VALUE_FLOOR there; the other of 0 and 5 hangs from the root.
+    The per-vertex code meets the lower of 2 and ``loop`` first."""
+    swap = {0: loop, loop: 0}
+    ends = [(swap.get(t, t), swap.get(h, h), length) for t, h, length in [
+        (1, 2, 300.0), (3, 4, 300.0), (1, 5, 1.0), (0, 0, 0.5), (4, 3, 0.5),
+        (3, 2, 300.0), (1, 2, 0.5)]]
+    coefficients = [
+        (3.0, -0.0, -0.0), (1.0, 0.0, math.inf), (3.0, 1.8175525605346925, math.inf),
+        (0.5, 8.862187721907171e-247, -3.9999999999999996),
+        (0.0, 9.652769311769808e-133, -1.740876624971475),
+        (1.0, -1.401298464324817e-45, 4.765865653100203e-132),
+        (0.0, 4.0, -1.177619519383391),
+    ]
+    g = MetricGraph([Vertex(v, boundary=v == 1) for v in range(6)],
+                    [Edge(eid, tail, head, length, 1.0)
+                     for eid, (tail, head, length) in enumerate(ends)],
+                    root=1, energy=0.0)
+    return Eigenfunction(g, {
+        eid: EdgeSolution(eid, k, ends[eid][2], a, b)
+        for eid, (k, a, b) in enumerate(coefficients)
+    }, family="custom")
+
+
+def assert_unreached_and_overflow(loop):
+    f = unreached_and_overflow(loop)
+    assert_kernels_match(f)
+    with pytest.raises(KeyError if loop < 2 else OverflowError) as exc:
+        f.log_sums(f.graph.distances())
+    assert exc.value.args == ((0,) if loop < 2 else ("math range error",))
+
+
 class TestKernels:
     @pytest.mark.parametrize("depth", [1, 2, 7])
     @pytest.mark.parametrize("name,params", BUILT,
@@ -325,6 +360,10 @@ class TestKernels:
     @given(solved_graphs())
     def test_graphs_with_cycles_loops_and_parallel_edges(self, f):
         assert_kernels_match(f)
+
+    @pytest.mark.parametrize("loop", [0, 5])
+    def test_an_unreached_vertex_and_an_overflow(self, loop):
+        assert_unreached_and_overflow(loop)
 
 
 @pytest.mark.parametrize("block", [1, 3])
@@ -350,6 +389,11 @@ class TestBlocks:
         with mock.patch.object(qgdecay.arrays, "BLOCK", block):
             assert_kernels_match(f)
 
+    @pytest.mark.parametrize("loop", [0, 5])
+    def test_an_unreached_vertex_and_an_overflow(self, block, loop):
+        with mock.patch.object(qgdecay.arrays, "BLOCK", block):
+            assert_unreached_and_overflow(loop)
+
     @settings(max_examples=150, deadline=None)
     @given(edges=st.lists(st.tuples(
         st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, math.nan, -math.nan]),
@@ -366,6 +410,131 @@ class TestBlocks:
         )
         with mock.patch.object(qgdecay.arrays, "BLOCK", block):
             assert bits(g.non_core_potentials()) == bits(oracle_non_core_potentials(g))
+
+
+# ---------------------------------------------------------------------------
+# Positions: int32 columns, and the CSR slice of a run of vertices
+# ---------------------------------------------------------------------------
+
+
+def position_lists(n):
+    """Every run of vertex positions lo .. hi - 1 (one vertex and none among
+    them), each run backwards, and lists that are not runs."""
+    runs = [list(range(lo, hi)) for lo in range(n + 1) for hi in range(lo, n + 1)]
+    return runs + [run[::-1] for run in runs] + [
+        [0, 0], [0, 2], [n - 1, 0], [1, 0, 2], [0, 1, 1, 2], [0, 2, 1, 3][:n]]
+
+
+def assert_incident_at(g, positions):
+    """incident_at against the incidence of the edge objects, whose ids are
+    positions, with positions of either int width."""
+    incidence = object_graphs.incidence(g.vertices, g.edges)
+    for dtype in (np.int32, np.int64):
+        edge, count = qgdecay.arrays.incident_at(g.arrays, np.array(positions, dtype=dtype))
+        assert edge.tolist() == [eid for p in positions for eid in incidence[p]]
+        assert count.tolist() == [len(incidence[p]) for p in positions]
+
+
+class TestIncidentAt:
+    @pytest.mark.parametrize("name,params", [
+        ("two_lengths_tree", {"L1": 1.0, "L2": 2.0}), ("millipede", {"delta": 0.2}),
+        ("ladder", {"w": 1.5}),
+    ])
+    def test_built_families(self, name, params):
+        g = generate_family(name, params, 3)
+        for positions in position_lists(len(g.vertices)):
+            assert_incident_at(g, positions)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_graphs_with_cycles_loops_and_parallel_edges(self, data):
+        g = data.draw(solved_graphs()).graph
+        n = len(g.vertices)
+        lo = data.draw(st.integers(0, n))
+        hi = data.draw(st.integers(lo, n))
+        others = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+        for positions in (range(lo, hi), range(hi - 1, lo - 1, -1), others):
+            assert_incident_at(g, list(positions))
+
+    def test_a_run_reads_a_slice_and_others_a_gather(self):
+        g = generate_family("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 3)
+        adj = qgdecay.arrays.csr(g.arrays)[1]
+        run = qgdecay.arrays.incident_at(g.arrays, np.arange(2, 6))[0]
+        assert np.shares_memory(run, adj)
+        assert not np.shares_memory(
+            qgdecay.arrays.incident_at(g.arrays, np.array([5, 2]))[0], adj)
+
+
+class TestPositions:
+    def test_every_position_column_is_int32(self):
+        f = construct("two_lengths_tree", {"L1": 1.0, "L2": 2.0}, 5)
+        g, a = f.graph, f.graph.arrays
+        g.validate()
+        f.log_sums(g.distances())
+        columns = {
+            "vertex_ids": a.vertex_ids, "vertex_generation": a.vertex_generation,
+            "edge_ids": a.edge_ids, "tail": a.tail, "head": a.head,
+            "generation": a.generation, "adj": a.adj, "ptr": a.ptr,
+            "interior": a.interior, "log positions": f._logs[0],
+            **{f"level {i} {name}": column for i, level in enumerate(a.levels)
+               for name, column in zip(("edge", "from", "to"), level)},
+        }
+        assert {name: c.dtype for name, c in columns.items()} == dict.fromkeys(
+            columns, np.dtype(np.int32))
+
+    def test_object_graphs_keep_their_ids(self):
+        # positions are int32; ids stay int64, or Python ints past it
+        g = MetricGraph([Vertex(2**40), Vertex(2**70)],
+                        [Edge(7, 2**40, 2**70, 1.0, 1.0), Edge(8, 2**70, 2**40, 1.0, 1.0)],
+                        root=2**40, energy=0.0)
+        g.validate()
+        a = g.arrays
+        assert (a.vertex_ids.dtype, a.edge_ids.dtype) == (object, np.int64)
+        assert {c.dtype for c in (a.tail, a.head, a.adj, a.ptr, *a.levels[0])} == {
+            np.dtype(np.int32)}
+        assert g.incidence[2**70] == (7, 8)
+
+    def test_the_limit_is_the_largest_int32(self):
+        assert qgdecay.arrays.POSITIONS == np.iinfo(np.int32).max == 2**31 - 1
+
+    @pytest.mark.parametrize("vertices,edges,refused", [
+        (2**31 - 2, 2**30 - 1, False), (2**31 - 1, 0, True), (1, 2**30, True),
+    ])
+    def test_the_guard_at_the_int32_limit(self, vertices, edges, refused):
+        # the count alone decides: nothing this large is made
+        if refused:
+            with pytest.raises(ValueError, match=f"fewer than {2**31 - 1} edge ends"):
+                qgdecay.arrays._check_size(vertices, edges)
+        else:
+            qgdecay.arrays._check_size(vertices, edges)
+
+    def test_a_graph_at_the_limit_is_refused_not_wrapped(self):
+        # depth 6: 127 edges (254 edge ends) and 128 vertices
+        tree = object_graphs.two_lengths_tree(6, 1.0, 2.0, 0.0)
+        with mock.patch.object(qgdecay.arrays, "POSITIONS", 255):
+            assert_views_match(generate_family("two_lengths_tree",
+                                               {"L1": 1.0, "L2": 2.0}, 6), *tree)
+        with mock.patch.object(qgdecay.arrays, "POSITIONS", 254):
+            for build in (lambda: generate_family("two_lengths_tree",
+                                                  {"L1": 1.0, "L2": 2.0}, 6),
+                          lambda: MetricGraph(*tree, root=0, energy=-1.0)):
+                with pytest.raises(ValueError, match="fewer than 254 edge ends "
+                                   "and vertices; this one has 254 and 128"):
+                    build()
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "two-lengths-tree", "--L1", "1", "--L2", "2",
+         "--depth", "6", "--multiplier", "path"],
+        ["metric", "--spec", str(Path(__file__).parent / "golden" / "specs"
+                                 / "explicit.json")],
+    ], ids=["columns", "objects"])
+    def test_the_cli_exits_2(self, argv, capsys):
+        # the explicit spec: 4 edges (8 edge ends) and 4 vertices
+        with mock.patch.object(qgdecay.arrays, "POSITIONS", 8):
+            assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert "a built graph holds fewer than 8 edge ends" in err
 
 
 def test_path_verify_makes_objects_by_depth_not_by_edge(monkeypatch):

@@ -27,13 +27,14 @@ def test_tree_action_peak(capsys):
 
 
 def test_twolen_path_peak(capsys):
-    # the array kernels take fixed-size blocks: about 5.2 MB; 9.4 MB when
-    # each took the whole 32,767-edge graph at once
+    # int32 positions and fixed-size kernel blocks: 3,568,262 B, under a
+    # margin of about 0.43 MB; 5.2 MB with int64 positions, and 9.4 MB when
+    # each kernel took the whole 32,767-edge graph at once
     assert heap_peak.main(["--workload", "twolen-path", "--checkout", str(ROOT)]) == 0
     out, err = capsys.readouterr()
     name, peak = out.split()
     assert (name, err) == ("twolen-path", "")
-    assert int(peak) < 6_000_000
+    assert int(peak) < 4_000_000
 
 
 def test_unknown_workload_is_a_usage_error(capsys):
